@@ -196,11 +196,11 @@ def _integer_decompositions(n: int, cprime: int):
     return out
 
 
-def representable(q: Fraction, cprime: int, max_denom_factor: int = 4):
+def representable(q: Fraction, cprime: int):
     """Witness (s1, s2) with q = s1^2 + cprime*s2^2, or None.
 
     The verdict itself comes from is_representable; the witness search
-    scans denominators d*q.denominator for d up to max_denom_factor and
+    scans denominators d*q.denominator for d up to 4 and
     may come up empty for stubborn rationals even when the verdict is yes.
     Among integer decompositions the canonical pick prefers an odd first
     component and then the largest first component, which matches the
@@ -209,7 +209,7 @@ def representable(q: Fraction, cprime: int, max_denom_factor: int = 4):
     q = Fraction(q)
     if not is_representable(q, cprime):
         return None
-    for d in range(1, max_denom_factor + 1):
+    for d in range(1, 5):
         denom = d * q.denominator
         n = q.numerator * q.denominator * d * d
         decomps = _integer_decompositions(n, cprime)
@@ -243,34 +243,35 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
         raise ValueError("u must have norm 1")
     u_sigma = u * u.sigma()
     if u_sigma == ctx.element(-1):
-        q = Fraction(ctx.c)
-        if is_representable(q, ctx.cprime):
-            wit = representable(q, ctx.cprime)
-            s = _witness_string(q, wit, ctx.cprime)
-            return DivisionCertificate(False, "norm_form", q, wit,
-                                       f"{ctx.c} is a norm from Q(sqrt(-{ctx.cprime})): {s}")
-        return DivisionCertificate(True, "norm_form", q, None,
-                                   f"{ctx.c} is not represented by x^2 + {ctx.cprime}*y^2")
-    if not u_sigma.in_q_omega() or u_sigma.is_rational():
-        return DivisionCertificate(None, "degenerate", None, None,
-                                   "u*sigma(u) is not a proper element of Q(sqrt(-c))")
-    t = 2 * u_sigma.coords[0]  # trace of u*sigma(u) down to Q
-    val = 2 + t
-    if val == 0:
-        return DivisionCertificate(None, "degenerate", Fraction(0), None,
-                                   "2 + trace(u*sigma(u)) = 0, quaternion symbol undefined")
-    if val < 0:
-        # The form x^2 + c'*y^2 is positive definite, so a negative value
-        # is never a norm and the algebra is division.
-        return DivisionCertificate(True, "trace_form", val, None,
-                                   f"2 + t = {val} < 0 cannot be a norm from Q(sqrt(-{ctx.cprime}))")
-    wit = representable(val, ctx.cprime)
-    if is_representable(val, ctx.cprime):
-        s = _witness_string(val, wit, ctx.cprime)
-        return DivisionCertificate(False, "trace_form", val, wit,
-                                   f"2 + t = {val} is a norm from Q(sqrt(-{ctx.cprime})): {s}")
-    return DivisionCertificate(True, "trace_form", val, None,
-                               f"2 + t = {val} is not represented by x^2 + {ctx.cprime}*y^2")
+        branch, q, subject = "norm_form", Fraction(ctx.c), str(ctx.c)
+    else:
+        if not u_sigma.in_q_omega() or u_sigma.is_rational():
+            return DivisionCertificate(None, "degenerate", None, None,
+                                       "u*sigma(u) is not a proper element of Q(sqrt(-c))")
+        t = 2 * u_sigma.coords[0]  # trace of u*sigma(u) down to Q
+        q = 2 + t
+        if q == 0:
+            return DivisionCertificate(None, "degenerate", Fraction(0), None,
+                                       "2 + trace(u*sigma(u)) = 0, quaternion symbol undefined")
+        if q < 0:
+            # The form x^2 + c'*y^2 is positive definite, so a negative value
+            # is never a norm and the algebra is division.
+            return DivisionCertificate(True, "trace_form", q, None,
+                                       f"2 + t = {q} < 0 cannot be a norm from Q(sqrt(-{ctx.cprime}))")
+        branch, subject = "trace_form", f"2 + t = {q}"
+    is_division, wit, s = _norm_verdict(q, ctx.cprime)
+    detail = (f"{subject} is not represented by x^2 + {ctx.cprime}*y^2" if is_division
+              else f"{subject} is a norm from Q(sqrt(-{ctx.cprime})): {s}")
+    return DivisionCertificate(is_division, branch, q, wit, detail)
+
+
+def _norm_verdict(q: Fraction, cprime: int) -> tuple:
+    """(is_division, witness, witness string) when the verdict rests on
+    whether q is a norm from Q(sqrt(-cprime))."""
+    if not is_representable(q, cprime):
+        return True, None, None
+    wit = representable(q, cprime)
+    return False, wit, _witness_string(q, wit, cprime)
 
 
 def _witness_string(q: Fraction, wit, cprime: int) -> str:
@@ -292,12 +293,8 @@ def division_table():
     rows = []
     for cprime in (1, 2):
         for c in (2, 3, 5, 6, 7, 10, 11, 13):
-            q = Fraction(c)
-            if is_representable(q, cprime):
-                wit = representable(q, cprime)
-                rows.append((c, -cprime, False, _witness_string(q, wit, cprime)))
-            else:
-                rows.append((c, -cprime, True, None))
+            is_division, _, s = _norm_verdict(Fraction(c), cprime)
+            rows.append((c, -cprime, is_division, s))
     return rows
 
 
@@ -384,18 +381,14 @@ def representation(p: CodeParams, xs) -> np.ndarray:
 _SWAP = (0, 3, 2, 1)  # rows/columns 2 and 4 exchanged
 
 
-def permuted_representation_elements(p: CodeParams, xs):
-    grid = representation_elements(p, xs)
-    return [[grid[_SWAP[i]][_SWAP[j]] for j in range(4)] for i in range(4)]
-
-
 def permuted_representation(p: CodeParams, xs) -> np.ndarray:
     """Representation with rows and columns 2 and 4 swapped.
 
     The two transpositions cancel, so the determinant is unchanged, and the
     result exposes four 2x2 generalized Alamouti blocks.
     """
-    return _embed_grid(permuted_representation_elements(p, xs))
+    grid = representation_elements(p, xs)
+    return _embed_grid([[grid[_SWAP[i]][_SWAP[j]] for j in range(4)] for i in range(4)])
 
 
 def normalized_codeword(p: CodeParams, xs) -> np.ndarray:
@@ -446,46 +439,39 @@ def representation_det_exact(p: CodeParams, xs) -> Fraction:
 # catalog of the five worked examples
 
 
-def catalog() -> list[CodeParams]:
-    """The five reference parameter sets, built by symbolic expansion.
+def catalog_entry(n: int) -> CodeParams:
+    """Reference parameter set n of five, built by symbolic expansion.
 
     Entries 1 to 4 run through derive_ab with k = lprime = 1.  Entry 5
     uses the second construction branch, a = 1 + u*sigma(u) and b = w',
     and is the one non-division entry (good shaping, unit |a| = |b| = 1).
     """
-    out = []
-
-    ctx = FieldContext(3, 1)
     half = Fraction(1, 2)
-    u = (ctx.one() + ctx.omega_prime()) * half * (ctx.omega_product() - ctx.one())
-    out.append(build_params(ctx, u, name="example1"))
-
-    ctx = FieldContext(6, 1)
-    u = (ctx.one() + ctx.omega_prime()) * (ctx.omega_product() * half - ctx.one())
-    out.append(build_params(ctx, u, name="example2"))
-
-    ctx = FieldContext(11, 1)
-    u = (ctx.one() + ctx.omega_prime()) * half * (ctx.omega_product() - ctx.element(3))
-    out.append(build_params(ctx, u, name="example3"))
-
-    ctx = FieldContext(5, 2)
-    u = ctx.element(3) + ctx.omega_product()
-    out.append(build_params(ctx, u, name="example4"))
-
-    ctx = FieldContext(3, 1)
-    # u is the primitive 12th root of unity (sqrt(3) + w')/2 with sqrt(3) = -w'w.
-    u = (ctx.omega_prime() - ctx.omega_product()) * half
-    a = ctx.one() + u * u.sigma()
-    b = ctx.omega_prime()
-    out.append(build_params(ctx, u, a=a, b=b, name="example5"))
-
-    return out
-
-
-def catalog_entry(n: int) -> CodeParams:
-    if n not in (1, 2, 3, 4, 5):
+    if n == 1:
+        ctx = FieldContext(3, 1)
+        u = (ctx.one() + ctx.omega_prime()) * half * (ctx.omega_product() - ctx.one())
+    elif n == 2:
+        ctx = FieldContext(6, 1)
+        u = (ctx.one() + ctx.omega_prime()) * (ctx.omega_product() * half - ctx.one())
+    elif n == 3:
+        ctx = FieldContext(11, 1)
+        u = (ctx.one() + ctx.omega_prime()) * half * (ctx.omega_product() - ctx.element(3))
+    elif n == 4:
+        ctx = FieldContext(5, 2)
+        u = ctx.element(3) + ctx.omega_product()
+    elif n == 5:
+        ctx = FieldContext(3, 1)
+        # u is the primitive 12th root of unity (sqrt(3) + w')/2 with sqrt(3) = -w'w.
+        u = (ctx.omega_prime() - ctx.omega_product()) * half
+        return build_params(ctx, u, a=ctx.one() + u * u.sigma(), b=ctx.omega_prime(), name="example5")
+    else:
         raise ValueError(f"catalog entries are numbered 1 to 5, got {n}")
-    return catalog()[n - 1]
+    return build_params(ctx, u, name=f"example{n}")
+
+
+def catalog() -> list[CodeParams]:
+    """The five reference parameter sets, in order."""
+    return [catalog_entry(n) for n in range(1, 6)]
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ receive SNR is 4 / sigma2, so sigma2 = 4 * 10^(-snr_db/10).
 
 Determinism: every trial draws from its own counter-based substream
 keyed by (seed, snr point index, trial index), with the fixed draw order
-symbols, channel, noise ("philox-ss-v1").  Results are therefore
-byte-identical across reruns and independent of the worker count, and
-the stopping rule is evaluated on fixed-size batches so that parallel
-scheduling cannot change it.
+symbols, channel, noise ("philox-ss-v1").  draw_trial is the single
+source of that order, for simulation and verification alike.  Results
+are therefore byte-identical across reruns and independent of the worker
+count, and the stopping rule is evaluated on fixed-size batches
+(BATCH_SIZE) so that parallel scheduling cannot change it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .fastdecode import GroupStructure, _real_channel, conditional_group_decode, pam_levels, stack_real
 
 RNG_SCHEME = "philox-ss-v1"
+BATCH_SIZE = 256
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -51,6 +53,17 @@ def transmit(X: np.ndarray, ch: ChannelInstance, rng: np.random.Generator) -> np
     return ch.H @ X + noise
 
 
+def draw_trial(seed: int, point_index: int, trial: int, generators: np.ndarray,
+               sigma2: float) -> tuple:
+    """One trial's (sent symbols s0, received real vector y, real channel)."""
+    rng = _trial_rng(seed, point_index, trial)
+    s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
+    X = np.einsum("i,ijk->jk", s0, generators)
+    inst = ChannelInstance(sample_channel(rng), sigma2)
+    y = stack_real(transmit(X, inst, rng))
+    return s0, y, _real_channel(generators, inst.H)
+
+
 def snr_to_sigma2(snr_db: float) -> float:
     """Noise variance per complex entry for codes with E||X||_F^2 = 16."""
     return 4.0 * 10.0 ** (-snr_db / 10.0)
@@ -65,10 +78,11 @@ class WerRecord:
     seed: int
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.96
     p = errors / trials
     zz = z * z
     denom = 1.0 + zz / trials
@@ -82,12 +96,8 @@ def _run_trials(args) -> int:
     seed, point_index, start, stop, generators, gs, sigma2, pam = args
     errors = 0
     for trial in range(start, stop):
-        rng = _trial_rng(seed, point_index, trial)
-        s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-        X = np.einsum("i,ijk->jk", s0, generators)
-        ch = ChannelInstance(sample_channel(rng), sigma2)
-        y = stack_real(transmit(X, ch, rng))
-        res = conditional_group_decode(y, _real_channel(generators, ch.H), gs, pam)
+        s0, y, ch = draw_trial(seed, point_index, trial, generators, sigma2)
+        res = conditional_group_decode(y, ch, gs, pam)
         if not np.array_equal(res.symbols, s0):
             errors += 1
     return errors
@@ -95,14 +105,20 @@ def _run_trials(args) -> int:
 
 def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
                  min_errors: int = 100, max_trials: int = 10 ** 6,
-                 threads: int = 1, batch_size: int = 256) -> list:
+                 threads: int = 1) -> list:
     """Monte Carlo word error rate at each SNR point.
 
     Stops a point after the first full batch in which the cumulative
     error count reaches min_errors, or at max_trials.  Decoding uses the
     conditional group decoder with the supplied structure (verified per
-    trial against the drawn channel).
+    trial against the drawn channel).  Raises ValueError for an empty or
+    non-finite SNR list and for min_errors, max_trials or threads below 1.
     """
+    if not snr_db_list or not all(map(math.isfinite, snr_db_list)):
+        raise ValueError(f"need one or more finite SNR points, got {snr_db_list}")
+    for name, value in (("min_errors", min_errors), ("max_trials", max_trials), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     generators = code.generators
     pam = pam_levels(2)
     records = []
@@ -113,7 +129,7 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
             errors = 0
             trials = 0
             while trials < max_trials and errors < min_errors:
-                nb = min(batch_size, max_trials - trials)
+                nb = min(BATCH_SIZE, max_trials - trials)
                 bounds = np.linspace(trials, trials + nb, (threads if pool else 1) + 1).astype(int)
                 chunks = [(seed, point_index, int(lo), int(hi), generators, gs, sigma2, pam)
                           for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -131,12 +147,11 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
 
 
 def write_wer_csv(records, fp, *, code_name: str, basis: str, variant: str,
-                  seed: int, min_errors: int, max_trials: int,
-                  batch_size: int = 256, threads: int = 1) -> None:
+                  seed: int, min_errors: int, max_trials: int, threads: int = 1) -> None:
     """Write records with the run's fully resolved configuration echoed on top."""
     fp.write(f"# code={code_name} basis={basis} variant={variant} snr_def=4/sigma2 seed={seed}\n")
     fp.write(f"# rng={RNG_SCHEME} draw_order=symbols,channel,noise "
-             f"min_errors={min_errors} max_trials={max_trials} batch={batch_size} threads={threads}\n")
+             f"min_errors={min_errors} max_trials={max_trials} batch={BATCH_SIZE} threads={threads}\n")
     fp.write("snr_db,trials,word_errors,wer\n")
     for r in records:
         fp.write(f"{r.snr_db:.12g},{r.trials},{r.word_errors},{r.wer:.12g}\n")

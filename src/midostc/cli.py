@@ -90,14 +90,6 @@ def _resolve_code(args) -> tuple:
     return params, args.basis, getattr(args, "variant", "plain")
 
 
-def _build_code(args) -> codebook.DispersionCode:
-    params, basis, variant = _resolve_code(args)
-    code = codebook.build_code(params, basis)
-    if variant == "C4":
-        code = codebook.c4_transform(code)
-    return code
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -125,7 +117,7 @@ def cmd_division_table(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    code = _build_code(args)
+    code = codebook.build_code(*_resolve_code(args))
     b = fastdecode.hurwitz_radon(code)
     adj = fastdecode.adjacency(b)
     gs = fastdecode.detect_groups(b, args.target)
@@ -145,7 +137,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mindet(args) -> int:
-    code = _build_code(args)
+    code = codebook.build_code(*_resolve_code(args))
     res = codebook.min_det_search(code, args.strategy, n=args.samples, seed=args.seed)
     lines = [
         "code,strategy,candidates,min_abs_det,energy_scale,witness",
@@ -157,7 +149,7 @@ def cmd_mindet(args) -> int:
 
 
 def cmd_decode_verify(args) -> int:
-    code = _build_code(args)
+    code = codebook.build_code(*_resolve_code(args))
     b = fastdecode.hurwitz_radon(code)
     gs = fastdecode.detect_groups(b)
     pam = fastdecode.pam_levels(2)
@@ -167,12 +159,7 @@ def cmd_decode_verify(args) -> int:
     matches = 0
     worst = 0.0
     for trial in range(args.trials):
-        rng = channel._trial_rng(args.seed, 0, trial)
-        s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-        X = np.einsum("i,ijk->jk", s0, code.generators)
-        inst = channel.ChannelInstance(channel.sample_channel(rng), sigma2)
-        y = fastdecode.stack_real(channel.transmit(X, inst, rng))
-        ch = fastdecode.real_channel(code, inst.H)
+        _, y, ch = channel.draw_trial(args.seed, 0, trial, code.generators, sigma2)
         r_ml = fastdecode.ml_exhaustive(y, ch, pam)
         r_cg = fastdecode.conditional_group_decode(y, ch, gs, pam)
         gap = abs(r_ml.metric - r_cg.metric)
@@ -209,7 +196,7 @@ def _parse_snr_list(text: str):
 
 
 def cmd_simulate(args) -> int:
-    code = _build_code(args)
+    code = codebook.build_code(*_resolve_code(args))
     b = fastdecode.hurwitz_radon(code)
     gs = fastdecode.detect_groups(b)
     snrs = _parse_snr_list(args.snr)

@@ -139,13 +139,23 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
     (the 4-QAM real components, +-1) give E||X||_F^2 = TARGET_ENERGY:
     with zero-mean uncorrelated symbols that expectation is simply the
     sum of squared generator norms.
+
+    The "C4" variant is defined for the first reference code only: it
+    rebuilds the parameters with k = lprime = 4/7 and compensates the
+    off-diagonal blocks by |embed(a)|^(1/4) (top-right multiplied,
+    bottom-left divided), which leaves every determinant unchanged.
     """
     if variant not in ("plain", "C4"):
         raise UnsupportedVariantError(f"unknown variant {variant!r}")
     if params.conditions.alpha is None:
         raise ValueError("shaping conditions failed, cannot build codewords")
     basis = make_basis(params.ctx, basis_id)
-    block_scale = abs(params.a.embed()) ** 0.25 if variant == "C4" else 1.0
+    block_scale = 1.0
+    if variant == "C4":
+        if (params.ctx.c, params.ctx.cprime) != (3, 1) or params.name != "example1":
+            raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
+        params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
+        block_scale = abs(params.a.embed()) ** 0.25
     code = DispersionCode(params, basis, variant, np.zeros((16, 4, 4), dtype=complex), 1.0, block_scale)
     gens = np.stack([
         _encode_unscaled(code, [1 if i == j else 0 for j in range(16)])
@@ -159,17 +169,8 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
 
 
 def c4_transform(code: DispersionCode) -> DispersionCode:
-    """The renormalized variant of the first reference code.
-
-    Rebuilds the parameters with k = lprime = 4/7 and compensates the
-    off-diagonal blocks by |embed(a)|^(1/4) (top-right multiplied,
-    bottom-left divided), which leaves every determinant unchanged.
-    """
-    p = code.params
-    if (p.ctx.c, p.ctx.cprime) != (3, 1) or p.name != "example1":
-        raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
-    scaled = build_params(p.ctx, p.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=p.name)
-    return build_code(scaled, code.basis.id, variant="C4")
+    """The "C4" variant of a code built on the first reference parameters."""
+    return build_code(code.params, code.basis.id, "C4")
 
 
 # ----------------------------------------------------------------------

@@ -47,9 +47,9 @@ def hurwitz_radon(code) -> np.ndarray:
     return b
 
 
-def adjacency(b: np.ndarray, rtol: float = STRUCTURAL_ZERO_RTOL) -> np.ndarray:
-    """Boolean coupling matrix; entries below rtol * max(b) are structural zeros."""
-    thresh = rtol * float(b.max())
+def adjacency(b: np.ndarray) -> np.ndarray:
+    """Boolean coupling matrix; entries below STRUCTURAL_ZERO_RTOL * max(b) are structural zeros."""
+    thresh = STRUCTURAL_ZERO_RTOL * float(b.max())
     adj = b > thresh
     np.fill_diagonal(adj, False)
     return adj
@@ -72,8 +72,7 @@ def _trivial_structure(n: int) -> GroupStructure:
     return GroupStructure((), (tuple(range(n)),), n)
 
 
-def detect_groups(b: np.ndarray, target_conditioned: int | None = None,
-                  rtol: float = STRUCTURAL_ZERO_RTOL) -> GroupStructure:
+def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> GroupStructure:
     """Find a conditioning set whose removal splits the coupling graph.
 
     Scans conditioning sets exhaustively with bitmask flood fills (pruned
@@ -87,7 +86,7 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None,
     n = b.shape[0]
     if n > 20:
         raise ValueError("bitmask search is sized for small generator sets")
-    adjm = adjacency(b, rtol)
+    adjm = adjacency(b)
     adj = [int(sum(1 << m for m in range(n) if adjm[l, m])) for l in range(n)]
     full = (1 << n) - 1
     best = None  # (exponent, conditioned size, mask, components)
@@ -142,7 +141,6 @@ class RealChannel:
     """Real-valued equivalent of y = vec(H X) with X = sum_i s_i A_i."""
 
     G: np.ndarray   # (16, 16) real
-    H: np.ndarray   # (2, 4) complex
 
 
 def stack_real(Y: np.ndarray) -> np.ndarray:
@@ -153,7 +151,7 @@ def stack_real(Y: np.ndarray) -> np.ndarray:
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> RealChannel:
     cols = [stack_real(H @ A) for A in generators]
-    return RealChannel(np.stack(cols, axis=1), np.asarray(H))
+    return RealChannel(np.stack(cols, axis=1))
 
 
 def real_channel(code, H: np.ndarray) -> RealChannel:
@@ -176,8 +174,7 @@ def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
     return grid
 
 
-def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple,
-                  budget: int = DEFAULT_VISIT_BUDGET) -> DecodeResult:
+def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple) -> DecodeResult:
     """Brute-force maximum likelihood over the full symbol hypercube.
 
     Ties are broken toward the lexicographically smallest symbol vector
@@ -187,8 +184,8 @@ def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple,
     n = ch.G.shape[1]
     m = len(pam)
     count = m ** n
-    if count > budget:
-        raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {budget}")
+    if count > DEFAULT_VISIT_BUDGET:
+        raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     S = _candidate_grid(tuple(pam), n)
     D = y[:, None] - ch.G @ S.T
     metrics = np.einsum("ij,ij->j", D, D)
@@ -196,20 +193,20 @@ def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple,
     return DecodeResult(S[i].copy(), float(metrics[i]), count)
 
 
-def _verify_structure(G: np.ndarray, gs: GroupStructure, tol: float) -> None:
+def _verify_structure(G: np.ndarray, gs: GroupStructure) -> None:
     norms = np.linalg.norm(G, axis=0)
     scale = np.outer(norms, norms) + 1e-300
     dots = np.abs(G.T @ G) / scale
     for gi, gj in itertools.combinations(gs.groups, 2):
         block = dots[np.ix_(gi, gj)]
-        if block.max() > tol:
+        if block.max() > ORTHOGONALITY_TOL:
             raise StructureInvalidError(
                 f"groups {gi} and {gj} are not orthogonal for this channel "
                 f"(max normalized inner product {block.max():.3e})")
 
 
 def conditional_group_decode(y: np.ndarray, ch: RealChannel, gs: GroupStructure,
-                             pam: tuple, tol: float = ORTHOGONALITY_TOL) -> DecodeResult:
+                             pam: tuple) -> DecodeResult:
     """Conditional ML decoding over a verified group structure.
 
     For every assignment of the conditioned symbols the residual metric
@@ -221,7 +218,7 @@ def conditional_group_decode(y: np.ndarray, ch: RealChannel, gs: GroupStructure,
     M^|conditioned| * sum_i M^|group_i|.
     """
     G = ch.G
-    _verify_structure(G, gs, tol)
+    _verify_structure(G, gs)
     levels = tuple(pam)
     m = len(levels)
     cond = list(gs.conditioned)

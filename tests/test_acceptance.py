@@ -169,12 +169,7 @@ def test_criterion_6_decoder_oracle_equivalence():
         pam = fastdecode.pam_levels(2)
         sigma2 = channel.snr_to_sigma2(10.0)
         for trial in range(100):
-            rng = channel._trial_rng(SEED + 2, 0, trial)
-            s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-            X = np.einsum("i,ijk->jk", s0, code.generators)
-            inst = channel.ChannelInstance(channel.sample_channel(rng), sigma2)
-            y = fastdecode.stack_real(channel.transmit(X, inst, rng))
-            ch = fastdecode.real_channel(code, inst.H)
+            _, y, ch = channel.draw_trial(SEED + 2, 0, trial, code.generators, sigma2)
             r_ml = fastdecode.ml_exhaustive(y, ch, pam)
             r_cg = fastdecode.conditional_group_decode(y, ch, gs, pam)
             assert abs(r_ml.metric - r_cg.metric) <= 1e-9

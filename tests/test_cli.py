@@ -137,6 +137,34 @@ def test_simulate_csv_reproducible(capsys, tmp_path):
     assert body[3].startswith("10,256,")
 
 
+def test_simulate_output_is_pinned(capsys):
+    # tied to the philox-ss-v1 draw scheme
+    rc, out, _ = run(capsys, ["simulate", "--code", "C2", "--snr", "10,12", "--seed", "5",
+                              "--min-errors", "10", "--max-trials", "512"])
+    assert rc == 0
+    assert out == (
+        "# code=example1-B2 basis=B2 variant=plain snr_def=4/sigma2 seed=5\n"
+        "# rng=philox-ss-v1 draw_order=symbols,channel,noise min_errors=10 "
+        "max_trials=512 batch=256 threads=1\n"
+        "snr_db,trials,word_errors,wer\n"
+        "10,256,61,0.23828125\n"
+        "12,256,22,0.0859375\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--snr", "10", "--max-trials", "0"], "max_trials must be at least 1"),
+    (["--snr", "10", "--min-errors", "0"], "min_errors must be at least 1"),
+    (["--snr", "10", "--threads", "-3"], "threads must be at least 1"),
+    (["--snr", "10:8:1"], "finite SNR points"),
+    (["--snr", "nan"], "finite SNR points"),
+], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan"])
+def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
+    path = tmp_path / "out.csv"
+    rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
+    assert rc == 1 and err.startswith("error: ") and message in err
+    assert not path.exists()
+
+
 def test_simulate_snr_range_parsing(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["simulate", "--code", "C2", "--snr", "8:12:2", "--seed", "5",

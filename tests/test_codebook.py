@@ -134,6 +134,17 @@ def test_c4_parameters_and_block_scale():
 def test_c4_rejected_off_catalog():
     with pytest.raises(UnsupportedVariantError):
         c4_transform(build_code(algebra.catalog_entry(2), "B2"))
+    with pytest.raises(UnsupportedVariantError):
+        build_code(algebra.catalog_entry(2), "B2", "C4")
+
+
+def test_c4_variant_is_c4_transform():
+    # both routes to C4 rebuild entry 1 with k = lprime = 4/7
+    direct = build_code(algebra.catalog_entry(1), "B2", "C4")
+    via = c4_transform(build_code(algebra.catalog_entry(1), "B2"))
+    assert direct.name == via.name == "example1-B2-C4"
+    assert direct.params.scale_k == F(4, 7)
+    assert np.array_equal(direct.generators, via.generators)
 
 
 def test_c4_preserves_determinants():
