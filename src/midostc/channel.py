@@ -7,11 +7,13 @@ receive SNR is 4 / sigma2, so sigma2 = 4 * 10^(-snr_db/10).
 
 Determinism: every trial draws from its own counter-based substream
 keyed by (seed, snr point index, trial index), with the fixed draw order
-symbols, channel, noise ("philox-ss-v1").  draw_trial is the single
-source of that order, for simulation and verification alike.  Results
-are therefore byte-identical across reruns and independent of the worker
-count, and the stopping rule is evaluated on fixed-size batches
-(BATCH_SIZE) so that parallel scheduling cannot change it.
+symbols, channel, noise ("philox-ss-v1").  draw_trials is the single
+source of that order, for simulation and verification alike: it draws a
+contiguous range of trials one by one and stacks them for the batched
+decoder, and draw_trial is its one-trial case.  Results are therefore
+byte-identical across reruns and independent of the worker count, and
+the stopping rule is evaluated on fixed-size batches (BATCH_SIZE) so
+that parallel scheduling cannot change it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastdecode import GroupStructure, _real_channel, conditional_group_decode, pam_levels, stack_real
+from .fastdecode import (GroupStructure, RealChannel, _real_channel, conditional_group_decode,
+                         pam_levels, stack_real)
 
 RNG_SCHEME = "philox-ss-v1"
 BATCH_SIZE = 256
@@ -53,15 +56,28 @@ def transmit(X: np.ndarray, ch: ChannelInstance, rng: np.random.Generator) -> np
     return ch.H @ X + noise
 
 
+def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: np.ndarray,
+                sigma2: float) -> tuple:
+    """Trials start..stop-1 stacked: sent symbols s0 (B, 16), received real
+    vectors y (B, 16) and their real channel with G (B, 16, 16)."""
+    n = stop - start
+    s0 = np.empty((n, 16))
+    y = np.empty((n, 16))
+    H = np.empty((n, 2, 4), dtype=complex)
+    for i in range(n):
+        rng = _trial_rng(seed, point_index, start + i)
+        s0[i] = rng.integers(0, 2, 16) * 2.0 - 1.0
+        X = np.einsum("i,ijk->jk", s0[i], generators)
+        H[i] = sample_channel(rng)
+        y[i] = stack_real(transmit(X, ChannelInstance(H[i], sigma2), rng))
+    return s0, y, _real_channel(generators, H)
+
+
 def draw_trial(seed: int, point_index: int, trial: int, generators: np.ndarray,
                sigma2: float) -> tuple:
     """One trial's (sent symbols s0, received real vector y, real channel)."""
-    rng = _trial_rng(seed, point_index, trial)
-    s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-    X = np.einsum("i,ijk->jk", s0, generators)
-    inst = ChannelInstance(sample_channel(rng), sigma2)
-    y = stack_real(transmit(X, inst, rng))
-    return s0, y, _real_channel(generators, inst.H)
+    s0, y, ch = draw_trials(seed, point_index, trial, trial + 1, generators, sigma2)
+    return s0[0], y[0], RealChannel(ch.G[0])
 
 
 def snr_to_sigma2(snr_db: float) -> float:
@@ -94,13 +110,9 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 def _run_trials(args) -> int:
     """Word errors over a contiguous range of trial indices (one worker chunk)."""
     seed, point_index, start, stop, generators, gs, sigma2, pam = args
-    errors = 0
-    for trial in range(start, stop):
-        s0, y, ch = draw_trial(seed, point_index, trial, generators, sigma2)
-        res = conditional_group_decode(y, ch, gs, pam)
-        if not np.array_equal(res.symbols, s0):
-            errors += 1
-    return errors
+    s0, y, ch = draw_trials(seed, point_index, start, stop, generators, sigma2)
+    res = conditional_group_decode(y, ch, gs, pam)
+    return int(np.count_nonzero((res.symbols != s0).any(axis=1)))
 
 
 def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,

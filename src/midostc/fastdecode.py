@@ -140,7 +140,7 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
 class RealChannel:
     """Real-valued equivalent of y = vec(H X) with X = sum_i s_i A_i."""
 
-    G: np.ndarray   # (16, 16) real
+    G: np.ndarray   # (16, 16) real, or (B, 16, 16) for a batch of channels
 
 
 def stack_real(Y: np.ndarray) -> np.ndarray:
@@ -150,19 +150,23 @@ def stack_real(Y: np.ndarray) -> np.ndarray:
 
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> RealChannel:
-    cols = [stack_real(H @ A) for A in generators]
-    return RealChannel(np.stack(cols, axis=1))
+    HA = H[..., None, :, :] @ generators                 # (..., 16, 2, 4)
+    flat = HA.reshape(*HA.shape[:-2], -1)
+    return RealChannel(np.concatenate([flat.real, flat.imag], axis=-1).swapaxes(-1, -2))
 
 
 def real_channel(code, H: np.ndarray) -> RealChannel:
-    """Columns are the stacked images of each generator through H."""
+    """Columns are the stacked images of each generator through H.
+
+    H is one 2x4 channel or a (B, 2, 4) stack; G is then (16, 16) or (B, 16, 16).
+    """
     return _real_channel(code.generators, H)
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     symbols: np.ndarray
-    metric: float
+    metric: float | np.ndarray
     visits: int
 
 
@@ -193,55 +197,130 @@ def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple) -> DecodeResult:
     return DecodeResult(S[i].copy(), float(metrics[i]), count)
 
 
-def _verify_structure(G: np.ndarray, gs: GroupStructure) -> None:
-    norms = np.linalg.norm(G, axis=0)
-    scale = np.outer(norms, norms) + 1e-300
-    dots = np.abs(G.T @ G) / scale
-    for gi, gj in itertools.combinations(gs.groups, 2):
-        block = dots[np.ix_(gi, gj)]
-        if block.max() > ORTHOGONALITY_TOL:
-            raise StructureInvalidError(
-                f"groups {gi} and {gj} are not orthogonal for this channel "
-                f"(max normalized inner product {block.max():.3e})")
+# Arrays built per block of trials (each group's candidate terms, and
+# each group's objective over candidates x trials x conditioned
+# assignments) hold about this many values.
+_BLOCK_VALUES = 1 << 16
+
+
+def _verify_structure(K: np.ndarray, gs: GroupStructure) -> None:
+    """Raise unless every cross-group block of every trial's K is (numerically) zero."""
+    label = np.full(K.shape[-1], -1)
+    for i, g in enumerate(gs.groups):
+        label[list(g)] = i
+    cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
+    d = np.sqrt(np.einsum("bii->bi", K))
+    dots = np.abs(K) / (d[:, :, None] * d[:, None, :] + 1e-300)
+    bad = np.flatnonzero(np.where(cross, dots, 0.0).max(axis=(1, 2)) > ORTHOGONALITY_TOL)
+    if len(bad):
+        b = bad[0]
+        for gi, gj in itertools.combinations(gs.groups, 2):
+            worst = dots[b][np.ix_(gi, gj)].max()
+            if worst > ORTHOGONALITY_TOL:
+                raise StructureInvalidError(
+                    f"trial {b} of the batch: groups {gi} and {gj} are not orthogonal for "
+                    f"this channel (max normalized inner product {worst:.3e})")
+
+
+def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """t^T K t - 2 z^T t for every row t of T and every K, z: (..., len(T))."""
+    return (((T @ K) - 2.0 * z[..., None, :]) * T).sum(axis=-1)
+
+
+def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, classes: list,
+                  Ta: np.ndarray, Tb: np.ndarray, step: int) -> np.ndarray:
+    """Minimize s^T K s - 2 z^T s per trial; (B, n) symbols.
+
+    The conditioned symbols split into a prefix a and a suffix b, so the
+    assignment with flat index ia * len(Tb) + ib is Ta[ia] followed by
+    Tb[ib] and argmin keeps the lexicographic tie-break.  Each group g
+    adds the minimum over its candidates s of
+    s^T K_gg s - 2 (z_g - K_ga a - K_gb b)^T s, split into an a-part ua
+    and a b-part vb with candidates on the leading axis.  ``classes``
+    holds the groups of one size as rows of an index array, handled
+    together; the objectives are built per group, ``step`` trials at a
+    time.
+    """
+    B = len(K)
+    terms = []
+    for g, Sg in classes:                                             # g: (groups, k)
+        lin = _quadratic(Sg, K[:, g[:, :, None], g[:, None, :]], z[:, g])        # (B, groups, S)
+        ua = lin[:, :, None, :] + 2.0 * (Ta @ K[:, a[:, None], g[:, None, :]] @ Sg.T)
+        vb = 2.0 * (Tb @ K[:, b[:, None], g[:, None, :]] @ Sg.T)       # (B, groups, B_, S)
+        terms.append([ua, vb])
+    # The conditioned part t^T K t - 2 z^T t rides on the first group's terms.
+    terms[0][0][:, 0] += _quadratic(Ta, K[:, a[:, None], a], z[:, a])[:, :, None]
+    terms[0][1][:, 0] += _quadratic(Tb, K[:, b[:, None], b], z[:, b])[:, :, None]
+    terms = [(ua.transpose(1, 3, 0, 2).copy(), vb.transpose(1, 3, 0, 2).copy())
+             for ua, vb in terms]                                     # (groups, S, B, A)
+    Kab = K[:, a[:, None], b]
+    best = np.empty(B, dtype=int)
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        total = 2.0 * (Ta @ Kab[lo:hi] @ Tb.T)                       # (trials, A, B_)
+        for ua, vb in terms:
+            for uag, vbg in zip(ua, vb):
+                total += (uag[:, lo:hi, :, None] + vbg[:, lo:hi, None, :]).min(axis=0)
+        best[lo:hi] = total.reshape(hi - lo, -1).argmin(axis=1)
+    ia, ib = np.divmod(best, len(Tb))
+    s = np.empty(K.shape[:2])
+    s[:, a] = Ta[ia]
+    s[:, b] = Tb[ib]
+    trials = np.arange(B)
+    for (g, Sg), (ua, vb) in zip(classes, terms):
+        pick = (ua[:, :, trials, ia] + vb[:, :, trials, ib]).argmin(axis=1)     # (groups, B)
+        s[:, g] = Sg[pick].transpose(1, 0, 2)
+    return s
 
 
 def conditional_group_decode(y: np.ndarray, ch: RealChannel, gs: GroupStructure,
                              pam: tuple) -> DecodeResult:
     """Conditional ML decoding over a verified group structure.
 
-    For every assignment of the conditioned symbols the residual metric
-    separates over the groups (their real-channel columns are orthogonal),
-    so each group is minimized independently.  Cross-group orthogonality
-    is re-verified for the given channel before any decoding happens, so a
-    wrong structure fails loudly instead of degrading to a heuristic.
-    Visits count the per-assignment candidate enumerations,
-    M^|conditioned| * sum_i M^|group_i|.
+    Works on one trial (y of shape (16,), ch.G of shape (16, 16)) or on a
+    batch (y of shape (B, 16), ch.G of shape (B, 16, 16)), in the Gram
+    domain K = G^T G, z = G^T y where the ML metric is s^T K s - 2 z^T s
+    up to ||y||^2.  For every assignment of the conditioned symbols the
+    metric separates over the groups (their real-channel columns are
+    orthogonal), so each group is minimized independently.  Cross-group
+    orthogonality is re-verified on K for every trial before any decoding
+    happens, so a wrong structure fails loudly instead of degrading to a
+    heuristic; the error names the first failing trial of the batch.
+
+    Returns the symbols and the residual metric ||y - G s||^2 per trial,
+    shaped like y's batch (a float for a single trial).  Visits are per
+    trial: M^|conditioned| * sum_i M^|group_i| candidate enumerations.
     """
-    G = ch.G
-    _verify_structure(G, gs)
+    y = np.asarray(y, dtype=float)
+    G = np.asarray(ch.G)
+    if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
+        raise ValueError(f"y of shape {y.shape} does not match ch.G of shape {G.shape}: need "
+                         "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
+    Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
+    Gt = Gb.swapaxes(-1, -2)
+    K = Gt @ Gb
+    z = (Gt @ Yb[..., None])[..., 0]
+    _verify_structure(K, gs)
     levels = tuple(pam)
     m = len(levels)
-    cond = list(gs.conditioned)
-    # Residuals for every conditioned assignment (16 x m^|cond|).
-    Tc = _candidate_grid(levels, len(cond))
-    R = y[:, None] - (G[:, cond] @ Tc.T if cond else np.zeros((len(y), 1)))
-    total = np.einsum("ij,ij->j", R, R)
-    picks = []
-    for g in gs.groups:
-        Sg = _candidate_grid(levels, len(g))
-        Cg = G[:, list(g)] @ Sg.T                    # 16 x m^|g|
-        quad = np.einsum("ij,ij->j", Cg, Cg)         # ||Cg s||^2
-        obj = quad[None, :] - 2.0 * (R.T @ Cg)       # per assignment x candidate
-        idx = np.argmin(obj, axis=1)
-        total = total + obj[np.arange(len(total)), idx]
-        picks.append((g, Sg, idx))
-    t_star = int(np.argmin(total))
-    s = np.zeros(G.shape[1])
-    if cond:
-        s[cond] = Tc[t_star]
-    for g, Sg, idx in picks:
-        s[list(g)] = Sg[idx[t_star]]
-    resid = y - G @ s
-    metric = float(resid @ resid)
+    cond = np.array(gs.conditioned, dtype=np.intp)
+    a, b = np.split(cond, [len(cond) // 2])
+    Ta, Tb = _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b))
+    classes = [(np.array([g for g in gs.groups if len(g) == k]), _candidate_grid(levels, k))
+               for k in sorted({len(g) for g in gs.groups})]
+    # Values per trial: the groups' terms with their largest intermediate,
+    # and the largest group objective.
+    term_values = sum(g.shape[0] * len(Sg) * (len(Ta) + len(Tb) + g.shape[1]) for g, Sg in classes)
+    objective_values = len(Ta) * len(Tb) * len(classes[-1][1])
+    outer = max(1, _BLOCK_VALUES // term_values)
+    inner = max(1, _BLOCK_VALUES // objective_values)
+    s = np.empty((len(Gb), Gb.shape[-1]))
+    for lo in range(0, len(K), outer):
+        s[lo:lo + outer] = _decode_block(K[lo:lo + outer], z[lo:lo + outer], a, b, classes,
+                                         Ta, Tb, inner)
+    resid = Yb - (Gb @ s[..., None])[..., 0]
+    metric = np.einsum("bi,bi->b", resid, resid)
     visits = m ** len(cond) * sum(m ** len(g) for g in gs.groups)
+    if y.ndim == 1:
+        return DecodeResult(s[0], float(metric[0]), visits)
     return DecodeResult(s, metric, visits)

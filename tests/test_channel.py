@@ -10,7 +10,10 @@ from midostc import algebra, codebook, fastdecode
 from midostc.channel import (
     RNG_SCHEME,
     ChannelInstance,
+    _run_trials,
     _trial_rng,
+    draw_trial,
+    draw_trials,
     sample_channel,
     simulate_wer,
     snr_to_sigma2,
@@ -24,6 +27,55 @@ def c2_code_and_structure():
     code = codebook.build_code(algebra.catalog_entry(1), "B2")
     gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
     return code, gs
+
+
+def reference_draw(seed, point_index, trial, generators, sigma2):
+    """The philox-ss-v1 draw of one trial, written out: symbols, channel, noise."""
+    rng = _trial_rng(seed, point_index, trial)
+    s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
+    X = np.einsum("i,ijk->jk", s0, generators)
+    H = sample_channel(rng)
+    y = fastdecode.stack_real(transmit(X, ChannelInstance(H, sigma2), rng))
+    G = np.stack([fastdecode.stack_real(H @ A) for A in generators], axis=1)
+    return s0, y, G
+
+
+def test_draw_trials_rows_are_single_draws():
+    code, _ = c2_code_and_structure()
+    sigma2 = snr_to_sigma2(10.0)
+    s0, y, ch = draw_trials(36, 2, 5, 12, code.generators, sigma2)
+    assert s0.shape == (7, 16) and y.shape == (7, 16) and ch.G.shape == (7, 16, 16)
+    for i, trial in enumerate(range(5, 12)):
+        one = draw_trial(36, 2, trial, code.generators, sigma2)
+        ref = reference_draw(36, 2, trial, code.generators, sigma2)
+        for got in (one, ref):
+            assert np.array_equal(s0[i], got[0])
+            assert np.array_equal(y[i], got[1])
+        assert np.allclose(ch.G[i], one[2].G, rtol=0, atol=1e-12)
+        assert np.allclose(ch.G[i], ref[2], rtol=0, atol=1e-12)
+
+
+def test_batched_real_channel_equals_per_channel_stacks():
+    code, _ = c2_code_and_structure()
+    rng = np.random.default_rng(37)
+    H = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
+    G = fastdecode.real_channel(code, H).G
+    assert G.shape == (5, 16, 16)
+    for i in range(5):
+        assert np.array_equal(G[i], fastdecode.real_channel(code, H[i]).G)
+
+
+def test_run_trials_counts_like_a_per_trial_loop():
+    code, gs = c2_code_and_structure()
+    pam = fastdecode.pam_levels(2)
+    sigma2 = snr_to_sigma2(4.0)
+    errors = 0
+    for trial in range(10, 74):
+        s0, y, ch = draw_trial(38, 1, trial, code.generators, sigma2)
+        res = fastdecode.conditional_group_decode(y, ch, gs, pam)
+        errors += not np.array_equal(res.symbols, s0)
+    assert errors > 0
+    assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2, pam)) == errors
 
 
 def test_channel_entries_are_unit_variance():

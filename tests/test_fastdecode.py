@@ -5,11 +5,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midostc import algebra, codebook, fastdecode
 from midostc.fastdecode import (
     BudgetExceededError,
     GroupStructure,
+    RealChannel,
     StructureInvalidError,
     adjacency,
     conditional_group_decode,
@@ -225,3 +228,106 @@ def test_trivial_structure_reduces_to_ml():
     r_ml = ml_exhaustive(y, ch, pam_levels(2))
     assert np.array_equal(r_triv.symbols, r_ml.symbols)
     assert r_triv.visits == r_ml.visits == 65536
+
+
+# (catalog entry, basis, structure) decoded in batches: C2 (8 conditioned
+# symbols, split 4|4), C5 (12, split 6|6), entry 1 over B1 (groups of
+# four) and the trivial structure (no conditioning, one group of 16).
+TRIVIAL = GroupStructure((), (tuple(range(16)),), 16)
+BATCH_CASES = {"C2": (1, "B2", None), "C5": (5, "B2", None),
+               "B1": (1, "B1", None), "trivial": (1, "B2", TRIVIAL)}
+
+
+def batch_case(name, trials, seed):
+    entry, basis, gs = BATCH_CASES[name]
+    code = build(entry, basis)
+    gs = gs or detect_groups(hurwitz_radon(code))
+    rng = np.random.default_rng(seed)
+    H = (rng.standard_normal((trials, 2, 4)) + 1j * rng.standard_normal((trials, 2, 4))) / np.sqrt(2)
+    return gs, real_channel(code, H), rng
+
+
+def decode_each(y, ch, gs):
+    return [conditional_group_decode(y[i], RealChannel(ch.G[i]), gs, pam_levels(2))
+            for i in range(len(y))]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_decode_equals_single_trials_and_oracle(name):
+    gs, ch, rng = batch_case(name, 6, 40)
+    s0 = rng.integers(0, 2, (6, 16)) * 2.0 - 1.0
+    y = np.einsum("bij,bj->bi", ch.G, s0) + 0.8 * rng.standard_normal((6, 16))
+    res = conditional_group_decode(y, ch, gs, pam_levels(2))
+    assert res.symbols.shape == (6, 16) and res.metric.shape == (6,)
+    assert res.visits == 2 ** len(gs.conditioned) * sum(2 ** len(g) for g in gs.groups)
+    for i, single in enumerate(decode_each(y, ch, gs)):
+        assert np.array_equal(res.symbols[i], single.symbols)
+        assert res.metric[i] == pytest.approx(single.metric, abs=1e-12)
+        assert single.visits == res.visits
+        oracle = ml_exhaustive(y[i], RealChannel(ch.G[i]), pam_levels(2))
+        assert np.array_equal(res.symbols[i], oracle.symbols)
+        assert abs(res.metric[i] - oracle.metric) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_zero_signal_tie_break(name):
+    # y = 0 makes s and -s metric-equal; the decoder enumerates the
+    # conditioned symbols first, then the groups, in lexicographic order,
+    # so the winner of the pair has -1 in the first enumerated position.
+    gs, ch, _ = batch_case(name, 4, 41)
+    y = np.zeros((4, 16))
+    res = conditional_group_decode(y, ch, gs, pam_levels(2))
+    first = (gs.conditioned + gs.groups[0])[0]
+    for i, single in enumerate(decode_each(y, ch, gs)):
+        assert np.array_equal(res.symbols[i], single.symbols)
+        assert res.symbols[i][first] == -1.0
+        oracle = ml_exhaustive(y[i], RealChannel(ch.G[i]), pam_levels(2))
+        assert abs(res.metric[i] - oracle.metric) <= 1e-9
+
+
+def test_batch_names_the_trial_that_breaks_orthogonality():
+    gs, ch, rng = batch_case("C2", 5, 42)
+    G = ch.G.copy()
+    G[3] = rng.standard_normal((16, 16))      # not a real channel of this code
+    with pytest.raises(StructureInvalidError, match="trial 3 of the batch: .* not orthogonal"):
+        conditional_group_decode(np.zeros((5, 16)), RealChannel(G), gs, pam_levels(2))
+    # the other four trials decode
+    keep = [0, 1, 2, 4]
+    res = conditional_group_decode(np.zeros((4, 16)), RealChannel(G[keep]), gs, pam_levels(2))
+    assert res.symbols.shape == (4, 16)
+
+
+@pytest.mark.parametrize("y_shape, g_shape", [
+    ((16,), (2, 16, 16)),        # one y, a batch of channels
+    ((3, 16), (2, 16, 16)),      # batch sizes differ
+    ((15,), (16, 16)),           # y shorter than G's 16 rows
+    ((2, 17), (2, 16, 16)),
+    ((0, 16), (0, 16, 16)),      # empty batch
+    ((1, 2, 16), (1, 2, 16, 16)),
+])
+def test_decode_rejects_mismatched_shapes(y_shape, g_shape):
+    gs = detect_groups(hurwitz_radon(build(1, "B2")))
+    with pytest.raises(ValueError, match="does not match ch.G"):
+        conditional_group_decode(np.zeros(y_shape), RealChannel(np.eye(16) * np.ones(g_shape)),
+                                 gs, pam_levels(2))
+
+
+PROPERTY_CODES = {name: (code, detect_groups(hurwitz_radon(code)))
+                  for name, code in (("C2", build(1, "B2")), ("C5", build(5, "B2")))}
+_unit = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PROPERTY_CODES)),
+       h=st.lists(_unit, min_size=16, max_size=16),
+       s0=st.lists(st.sampled_from((-1.0, 1.0)), min_size=16, max_size=16),
+       noise=st.lists(_unit, min_size=16, max_size=16))
+def test_decoder_agrees_with_oracle_property(name, h, s0, noise):
+    code, gs = PROPERTY_CODES[name]
+    H = np.array(h[:8]).reshape(2, 4) + 1j * np.array(h[8:]).reshape(2, 4)
+    ch = real_channel(code, H)
+    y = ch.G @ np.array(s0) + np.array(noise)
+    r_cg = conditional_group_decode(y, ch, gs, pam_levels(2))
+    r_ml = ml_exhaustive(y, ch, pam_levels(2))
+    # degenerate channels (say H = 0) tie many vectors, so compare metrics
+    assert abs(r_cg.metric - r_ml.metric) <= 1e-9
