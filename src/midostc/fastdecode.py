@@ -150,7 +150,10 @@ def stack_real(Y: np.ndarray) -> np.ndarray:
 
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> RealChannel:
-    HA = H[..., None, :, :] @ generators                 # (..., 16, 2, 4)
+    n, r, c = generators.shape
+    # One GEMM: H (..., 2, 4) times every generator side by side (4, 16 * 4).
+    HA = H @ generators.transpose(1, 0, 2).reshape(r, n * c)
+    HA = HA.reshape(*HA.shape[:-1], n, c).swapaxes(-2, -3)   # (..., 16, 2, 4)
     flat = HA.reshape(*HA.shape[:-2], -1)
     return RealChannel(np.concatenate([flat.real, flat.imag], axis=-1).swapaxes(-1, -2))
 

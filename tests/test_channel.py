@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from midostc import algebra, codebook, fastdecode
+from midostc.cli import CODE_SHORTCUTS
 from midostc.channel import (
     RNG_SCHEME,
     ChannelInstance,
     _run_trials,
+    _trial_keys,
     _trial_rng,
     draw_trial,
     draw_trials,
@@ -29,6 +31,11 @@ def c2_code_and_structure():
     return code, gs
 
 
+def shortcut_code(name):
+    example, basis, variant = CODE_SHORTCUTS[name]
+    return codebook.build_code(algebra.catalog_entry(example), basis, variant)
+
+
 def reference_draw(seed, point_index, trial, generators, sigma2):
     """The philox-ss-v1 draw of one trial, written out: symbols, channel, noise."""
     rng = _trial_rng(seed, point_index, trial)
@@ -41,18 +48,70 @@ def reference_draw(seed, point_index, trial, generators, sigma2):
 
 
 def test_draw_trials_rows_are_single_draws():
-    code, _ = c2_code_and_structure()
     sigma2 = snr_to_sigma2(10.0)
-    s0, y, ch = draw_trials(36, 2, 5, 12, code.generators, sigma2)
-    assert s0.shape == (7, 16) and y.shape == (7, 16) and ch.G.shape == (7, 16, 16)
-    for i, trial in enumerate(range(5, 12)):
-        one = draw_trial(36, 2, trial, code.generators, sigma2)
-        ref = reference_draw(36, 2, trial, code.generators, sigma2)
-        for got in (one, ref):
-            assert np.array_equal(s0[i], got[0])
-            assert np.array_equal(y[i], got[1])
-        assert np.allclose(ch.G[i], one[2].G, rtol=0, atol=1e-12)
-        assert np.allclose(ch.G[i], ref[2], rtol=0, atol=1e-12)
+    for name in ("C2", "C4", "C5"):
+        generators = shortcut_code(name).generators
+        s0, y, ch = draw_trials(36, 2, 5, 12, generators, sigma2)
+        assert s0.shape == (7, 16) and y.shape == (7, 16) and ch.G.shape == (7, 16, 16)
+        for i, trial in enumerate(range(5, 12)):
+            one = draw_trial(36, 2, trial, generators, sigma2)
+            ref = reference_draw(36, 2, trial, generators, sigma2)
+            for got in (one, ref):
+                assert np.array_equal(s0[i], got[0])
+                assert np.array_equal(y[i], got[1])
+            assert np.array_equal(ch.G[i], one[2].G)
+            assert np.array_equal(ch.G[i], ref[2])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 130])
+def test_trial_keys_are_seed_sequence_states(seed):
+    for point in (0, 2 ** 33):
+        for trial in (0, 2 ** 32 - 1, 2 ** 32):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, trial))
+            want = tuple(int(v) for v in ss.generate_state(2, np.uint64))
+            assert next(_trial_keys(seed, point, trial, trial + 1)) == want
+
+
+def test_draw_trials_across_trial_2_32_equal_reference_draw():
+    generators = shortcut_code("C5").generators
+    sigma2 = snr_to_sigma2(12.0)
+    start = 2 ** 32 - 3
+    s0, y, ch = draw_trials(2 ** 40 + 3, 2 ** 33, start, start + 6, generators, sigma2)
+    for i in range(6):
+        ref = reference_draw(2 ** 40 + 3, 2 ** 33, start + i, generators, sigma2)
+        assert np.array_equal(s0[i], ref[0])
+        assert np.array_equal(y[i], ref[1])
+        assert np.array_equal(ch.G[i], ref[2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_draw_trials_takes_numpy_integers():
+    generators = shortcut_code("C2").generators
+    got = draw_trials(np.int64(2 ** 40 + 3), np.uint64(2 ** 33), np.int64(5), np.int64(9), generators, 0.1)
+    want = draw_trials(2 ** 40 + 3, 2 ** 33, 5, 9, generators, 0.1)
+    for a, b in zip(got[:2] + (got[2].G,), want[:2] + (want[2].G,)):
+        assert np.array_equal(a, b)
+
+
+def test_symbol_bits_are_integers_draws():
+    # draw_trials reads the symbols off raw Philox words; integers(0, 2, 16) is the definition
+    s0, _, _ = draw_trials(41, 3, 0, 4096, shortcut_code("C2").generators, 0.1)
+    want = [_trial_rng(41, 3, t).integers(0, 2, 16) * 2.0 - 1.0 for t in range(4096)]
+    assert np.array_equal(s0, want)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda code, gs: draw_trials(-1, 0, 0, 4, code.generators, 0.1), "seed must be non-negative, got -1"),
+    (lambda code, gs: draw_trials(0, -2, 0, 4, code.generators, 0.1),
+     "point index must be non-negative, got -2"),
+    (lambda code, gs: draw_trials(0, 0, -3, 4, code.generators, 0.1),
+     "trial index must be non-negative, got -3"),
+    (lambda code, gs: draw_trial(0, 0, -1, code.generators, 0.1), "trial index must be non-negative, got -1"),
+    (lambda code, gs: simulate_wer(code, gs, [10.0], seed=-5), "seed must be non-negative, got -5"),
+], ids=["draw-seed", "draw-point", "draw-trial", "one-trial", "simulate-seed"])
+def test_negative_seed_and_indices_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*c2_code_and_structure())
 
 
 def test_batched_real_channel_equals_per_channel_stacks():

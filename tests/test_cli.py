@@ -125,6 +125,12 @@ def test_decode_verify_agreement(capsys):
     assert "visits: conditional=4096 exhaustive=65536" in out
 
 
+def test_decode_verify_rejects_negative_seed(capsys):
+    rc, out, err = run(capsys, ["decode-verify", "--code", "C2", "--trials", "3", "--seed", "-1"])
+    assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
+    assert out == ""
+
+
 def test_simulate_csv_reproducible(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", "--code", "C2", "--snr", "10", "--seed", "5",
@@ -157,7 +163,8 @@ def test_simulate_output_is_pinned(capsys):
     (["--snr", "10", "--threads", "-3"], "threads must be at least 1"),
     (["--snr", "10:8:1"], "finite SNR points"),
     (["--snr", "nan"], "finite SNR points"),
-], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan"])
+    (["--snr", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
+], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative"])
 def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     path = tmp_path / "out.csv"
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
