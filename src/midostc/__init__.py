@@ -43,7 +43,6 @@ from .fastdecode import (
     BudgetExceededError,
     DecodeResult,
     GroupStructure,
-    RealChannel,
     StructureInvalidError,
     adjacency,
     conditional_group_decode,
@@ -78,7 +77,7 @@ __all__ = [
     "UnsupportedBasisError", "UnsupportedVariantError",
     "build_code", "c4_transform", "encode", "export_generators",
     "make_basis", "min_det_search",
-    "BudgetExceededError", "DecodeResult", "GroupStructure", "RealChannel",
+    "BudgetExceededError", "DecodeResult", "GroupStructure",
     "StructureInvalidError", "adjacency", "conditional_group_decode",
     "detect_groups", "hurwitz_radon", "ml_exhaustive", "pam_levels",
     "real_channel", "stack_real",

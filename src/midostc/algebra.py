@@ -137,29 +137,14 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
 # division certification
 
 
-def _squarefree_part(n: int) -> int:
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1
-    return out * n
-
-
 def is_representable(q: Fraction, cprime: int) -> bool:
     """Whether q > 0 is represented by x^2 + cprime*y^2 over the rationals.
 
     Scaling by squares reduces the question to the squarefree part of
     numerator times denominator.  For x^2 + y^2 the classical criterion is
     that no prime 3 mod 4 divides it; for x^2 + 2y^2, no odd prime 5 or 7
-    mod 8 divides it.
+    mod 8 divides it.  One trial division finds the primes that divide
+    numerator times denominator to an odd power, the squarefree part.
     """
     if cprime not in (1, 2):
         raise UnsupportedFormError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
@@ -168,19 +153,18 @@ def is_representable(q: Fraction, cprime: int) -> bool:
         return False
     if q == 0:
         return True
-    sf = _squarefree_part(q.numerator * q.denominator)
-    bad = (3,) if cprime == 1 else (5, 7)
+    n = q.numerator * q.denominator
+    bad = (3,) if cprime == 1 else (5, 7)   # 2 is never bad: 2 mod 4 = 2 mod 8 = 2
     d = 2
-    while d * d <= sf:
-        if sf % d == 0:
-            if d % 2 == 1 and d % (4 * cprime) in bad:
-                return False
-            while sf % d == 0:
-                sf //= d
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2 and d % (4 * cprime) in bad:
+            return False
         d += 1
-    if sf > 1 and sf % 2 == 1 and sf % (4 * cprime) in bad:
-        return False
-    return True
+    return n % (4 * cprime) not in bad    # what is left is 1 or a prime to the first power
 
 
 def _integer_decompositions(n: int, cprime: int):
@@ -200,23 +184,13 @@ def representable(q: Fraction, cprime: int):
     """Witness (s1, s2) with q = s1^2 + cprime*s2^2, or None.
 
     The verdict itself comes from is_representable; the witness search
-    scans denominators d*q.denominator for d up to 4 and
+    (in _norm_verdict) scans denominators d*q.denominator for d up to 4 and
     may come up empty for stubborn rationals even when the verdict is yes.
     Among integer decompositions the canonical pick prefers an odd first
     component and then the largest first component, which matches the
     reference table's printed forms.
     """
-    q = Fraction(q)
-    if not is_representable(q, cprime):
-        return None
-    for d in range(1, 5):
-        denom = d * q.denominator
-        n = q.numerator * q.denominator * d * d
-        decomps = _integer_decompositions(n, cprime)
-        if decomps:
-            s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))
-            return (Fraction(s1, denom), Fraction(s2, denom))
-    return None
+    return _norm_verdict(Fraction(q), cprime)[1]
 
 
 @dataclass(frozen=True)
@@ -267,10 +241,16 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
 
 def _norm_verdict(q: Fraction, cprime: int) -> tuple:
     """(is_division, witness, witness string) when the verdict rests on
-    whether q is a norm from Q(sqrt(-cprime))."""
+    whether q is a norm from Q(sqrt(-cprime)); the witness is representable's."""
     if not is_representable(q, cprime):
         return True, None, None
-    wit = representable(q, cprime)
+    wit = None
+    for d in range(1, 5):
+        decomps = _integer_decompositions(q.numerator * q.denominator * d * d, cprime)
+        if decomps:
+            s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))
+            wit = (Fraction(s1, d * q.denominator), Fraction(s2, d * q.denominator))
+            break
     return False, wit, _witness_string(q, wit, cprime)
 
 
@@ -316,10 +296,6 @@ class CodeParams:
     conditions: ConditionsReport
     division: DivisionCertificate
     name: str | None = None
-
-    @property
-    def alpha(self) -> float | None:
-        return self.conditions.alpha
 
 
 def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,

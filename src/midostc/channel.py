@@ -13,11 +13,10 @@ _trial_rng builds.  draw_trials is the single source of that order, for
 simulation and verification alike.  It derives each trial's Philox key
 with numpy's SeedSequence hash (the part shared by a whole SNR point is
 computed once), rekeys one generator per trial, and does everything
-after the draw on the whole range at once; draw_trial is its one-trial
-case.  Results are therefore byte-identical across reruns and
-independent of the worker count, and the stopping rule is evaluated on
-fixed-size batches (BATCH_SIZE) so that parallel scheduling cannot
-change it.
+after the draw on the whole range at once.  Results are therefore
+byte-identical across reruns and independent of the worker count, and
+the stopping rule is evaluated on fixed-size batches (BATCH_SIZE) so
+that parallel scheduling cannot change it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastdecode import GroupStructure, RealChannel, _real_channel, conditional_group_decode, pam_levels
+from .fastdecode import GroupStructure, _real_channel, conditional_group_decode, pam_levels
 
 RNG_SCHEME = "philox-ss-v1"
 BATCH_SIZE = 256
@@ -141,7 +140,7 @@ def transmit(X: np.ndarray, ch: ChannelInstance, rng: np.random.Generator) -> np
 def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: np.ndarray,
                 sigma2: float) -> tuple:
     """Trials start..stop-1 stacked: sent symbols s0 (B, 16), received real
-    vectors y (B, 16) and their real channel with G (B, 16, 16).
+    vectors y (B, 16) and their real channels G (B, 16, 16).
 
     Bit for bit the draws of _trial_rng(seed, point_index, t) in the order
     symbols, channel, noise, by a cheaper route: one Philox per call,
@@ -177,16 +176,18 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     return s0, np.concatenate([Y.real, Y.imag], axis=1), _real_channel(generators, H)
 
 
-def draw_trial(seed: int, point_index: int, trial: int, generators: np.ndarray,
-               sigma2: float) -> tuple:
-    """One trial's (sent symbols s0, received real vector y, real channel)."""
-    s0, y, ch = draw_trials(seed, point_index, trial, trial + 1, generators, sigma2)
-    return s0[0], y[0], RealChannel(ch.G[0])
-
-
 def snr_to_sigma2(snr_db: float) -> float:
-    """Noise variance per complex entry for codes with E||X||_F^2 = 16."""
-    return 4.0 * 10.0 ** (-snr_db / 10.0)
+    """Noise variance per complex entry for codes with E||X||_F^2 = 16.
+
+    Raises ValueError when snr_db is not finite or the variance overflows.
+    """
+    try:
+        sigma2 = 4.0 * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(sigma2)):
+        raise ValueError(f"SNR must be finite and give a finite noise variance, got {snr_db} dB")
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,8 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 def _run_trials(args) -> int:
     """Word errors over a contiguous range of trial indices (one worker chunk)."""
     seed, point_index, start, stop, generators, gs, sigma2, pam = args
-    s0, y, ch = draw_trials(seed, point_index, start, stop, generators, sigma2)
-    res = conditional_group_decode(y, ch, gs, pam)
+    s0, y, G = draw_trials(seed, point_index, start, stop, generators, sigma2)
+    res = conditional_group_decode(y, G, gs, pam)
     return int(np.count_nonzero((res.symbols != s0).any(axis=1)))
 
 
@@ -227,9 +228,10 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
     Stops a point after the first full batch in which the cumulative
     error count reaches min_errors, or at max_trials.  Decoding uses the
     conditional group decoder with the supplied structure (verified per
-    trial against the drawn channel).  Raises ValueError for an empty or
-    non-finite SNR list, a negative seed and min_errors, max_trials or
-    threads below 1.
+    trial against the drawn channel).  Raises ValueError, before any
+    trial, for an empty or non-finite SNR list, an SNR without a finite
+    noise variance, a negative seed and min_errors, max_trials or threads
+    below 1.
     """
     if not snr_db_list or not all(map(math.isfinite, snr_db_list)):
         raise ValueError(f"need one or more finite SNR points, got {snr_db_list}")
@@ -238,13 +240,13 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
     for name, value in (("min_errors", min_errors), ("max_trials", max_trials), ("threads", threads)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    sigma2s = [snr_to_sigma2(snr_db) for snr_db in snr_db_list]
     generators = code.generators
     pam = pam_levels(2)
     records = []
     pool = multiprocessing.Pool(threads) if threads > 1 else None
     try:
-        for point_index, snr_db in enumerate(snr_db_list):
-            sigma2 = snr_to_sigma2(snr_db)
+        for point_index, (snr_db, sigma2) in enumerate(zip(snr_db_list, sigma2s)):
             errors = 0
             trials = 0
             while trials < max_trials and errors < min_errors:

@@ -80,14 +80,14 @@ def _params_from_args(args) -> algebra.CodeParams:
 
 def _resolve_code(args) -> tuple:
     """(params, basis_id, variant) from --code or --example/--basis/--variant."""
-    if getattr(args, "code", None):
+    if args.code:
         name = args.code.upper()
         if name not in CODE_SHORTCUTS:
             raise ValueError(f"unknown code shortcut {args.code!r}, known: {sorted(CODE_SHORTCUTS)}")
         example, basis, variant = CODE_SHORTCUTS[name]
         return algebra.catalog_entry(example), basis, variant
     params = _params_from_args(args)
-    return params, args.basis, getattr(args, "variant", "plain")
+    return params, args.basis, args.variant
 
 
 # ----------------------------------------------------------------------
@@ -149,22 +149,21 @@ def cmd_mindet(args) -> int:
 
 
 def cmd_decode_verify(args) -> int:
-    code = codebook.build_code(*_resolve_code(args))
-    b = fastdecode.hurwitz_radon(code)
-    gs = fastdecode.detect_groups(b)
-    pam = fastdecode.pam_levels(2)
     if args.trials < 1:
         raise ValueError("decode-verify needs at least one trial")
     sigma2 = channel.snr_to_sigma2(args.snr_db)
+    code = codebook.build_code(*_resolve_code(args))
+    gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
+    pam = fastdecode.pam_levels(2)
+    _, y, G = channel.draw_trials(args.seed, 0, 0, args.trials, code.generators, sigma2)
+    r_cg = fastdecode.conditional_group_decode(y, G, gs, pam)
     matches = 0
     worst = 0.0
-    for trial in range(args.trials):
-        _, y, ch = channel.draw_trial(args.seed, 0, trial, code.generators, sigma2)
-        r_ml = fastdecode.ml_exhaustive(y, ch, pam)
-        r_cg = fastdecode.conditional_group_decode(y, ch, gs, pam)
-        gap = abs(r_ml.metric - r_cg.metric)
+    for i in range(args.trials):
+        r_ml = fastdecode.ml_exhaustive(y[i], G[i], pam)
+        gap = abs(r_ml.metric - r_cg.metric[i])
         worst = max(worst, gap)
-        if np.array_equal(r_ml.symbols, r_cg.symbols) or gap <= 1e-9:
+        if np.array_equal(r_ml.symbols, r_cg.symbols[i]) or gap <= 1e-9:
             matches += 1
     print(f"code: {code.name}")
     print(f"structure: conditioned={len(gs.conditioned)} groups={[len(g) for g in gs.groups]} "

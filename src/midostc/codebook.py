@@ -211,12 +211,15 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16.  A strictly positive minimum over the sparse set is the
-    evidence expected from a division algebra (nonvanishing determinants).
+    {-2, 0, 2}^16, n at least 1.  A strictly positive minimum over the
+    sparse set is the evidence expected from a division algebra
+    (nonvanishing determinants).
     """
     if strategy == "sparse_exhaustive":
         S = _sparse_difference_vectors()
     elif strategy == "random":
+        if n < 1:
+            raise ValueError(f"samples must be at least 1, got {n}")
         rng = np.random.default_rng(seed)
         S = (rng.integers(-1, 2, size=(n, 16)) * 2).astype(float)
         S = S[np.any(S != 0, axis=1)]

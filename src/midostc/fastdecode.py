@@ -80,12 +80,14 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
     invariant under symbol permutations.  The exponent is |conditioned|
     plus the size of the largest remaining group: enumerating M^exponent
     candidates dominates the conditional decoder's complexity.  With
-    target_conditioned given, only sets of that size are considered.
-    Returns the trivial structure when nothing splits.
+    target_conditioned given, only sets of that size are considered; it
+    must lie in 0..n-1.  Returns the trivial structure when nothing splits.
     """
     n = b.shape[0]
     if n > 20:
         raise ValueError("bitmask search is sized for small generator sets")
+    if target_conditioned is not None and not 0 <= target_conditioned < n:
+        raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
     adjm = adjacency(b)
     adj = [int(sum(1 << m for m in range(n) if adjm[l, m])) for l in range(n)]
     full = (1 << n) - 1
@@ -136,30 +138,24 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
 # real equivalent channel
 
 
-@dataclass
-class RealChannel:
-    """Real-valued equivalent of y = vec(H X) with X = sum_i s_i A_i."""
-
-    G: np.ndarray   # (16, 16) real, or (B, 16, 16) for a batch of channels
-
-
 def stack_real(Y: np.ndarray) -> np.ndarray:
     """Stack a complex 2x4 matrix as 16 reals (row-major, then imaginary part)."""
     flat = np.asarray(Y).ravel()
     return np.concatenate([flat.real, flat.imag])
 
 
-def _real_channel(generators: np.ndarray, H: np.ndarray) -> RealChannel:
+def _real_channel(generators: np.ndarray, H: np.ndarray) -> np.ndarray:
     n, r, c = generators.shape
     # One GEMM: H (..., 2, 4) times every generator side by side (4, 16 * 4).
     HA = H @ generators.transpose(1, 0, 2).reshape(r, n * c)
     HA = HA.reshape(*HA.shape[:-1], n, c).swapaxes(-2, -3)   # (..., 16, 2, 4)
     flat = HA.reshape(*HA.shape[:-2], -1)
-    return RealChannel(np.concatenate([flat.real, flat.imag], axis=-1).swapaxes(-1, -2))
+    return np.concatenate([flat.real, flat.imag], axis=-1).swapaxes(-1, -2)
 
 
-def real_channel(code, H: np.ndarray) -> RealChannel:
-    """Columns are the stacked images of each generator through H.
+def real_channel(code, H: np.ndarray) -> np.ndarray:
+    """The real equivalent G of y = vec(H X) with X = sum_i s_i A_i: its
+    columns are the stacked images of each generator through H.
 
     H is one 2x4 channel or a (B, 2, 4) stack; G is then (16, 16) or (B, 16, 16).
     """
@@ -181,20 +177,20 @@ def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
     return grid
 
 
-def ml_exhaustive(y: np.ndarray, ch: RealChannel, pam: tuple) -> DecodeResult:
+def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     """Brute-force maximum likelihood over the full symbol hypercube.
 
     Ties are broken toward the lexicographically smallest symbol vector
     (argmin hits the first minimum and candidates are enumerated in
     lexicographic order).
     """
-    n = ch.G.shape[1]
+    n = G.shape[1]
     m = len(pam)
     count = m ** n
     if count > DEFAULT_VISIT_BUDGET:
         raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     S = _candidate_grid(tuple(pam), n)
-    D = y[:, None] - ch.G @ S.T
+    D = y[:, None] - G @ S.T
     metrics = np.einsum("ij,ij->j", D, D)
     i = int(np.argmin(metrics))
     return DecodeResult(S[i].copy(), float(metrics[i]), count)
@@ -276,12 +272,12 @@ def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, cl
     return s
 
 
-def conditional_group_decode(y: np.ndarray, ch: RealChannel, gs: GroupStructure,
+def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
                              pam: tuple) -> DecodeResult:
     """Conditional ML decoding over a verified group structure.
 
-    Works on one trial (y of shape (16,), ch.G of shape (16, 16)) or on a
-    batch (y of shape (B, 16), ch.G of shape (B, 16, 16)), in the Gram
+    Works on one trial (y of shape (16,), G of shape (16, 16)) or on a
+    batch (y of shape (B, 16), G of shape (B, 16, 16)), in the Gram
     domain K = G^T G, z = G^T y where the ML metric is s^T K s - 2 z^T s
     up to ||y||^2.  For every assignment of the conditioned symbols the
     metric separates over the groups (their real-channel columns are
@@ -295,9 +291,9 @@ def conditional_group_decode(y: np.ndarray, ch: RealChannel, gs: GroupStructure,
     trial: M^|conditioned| * sum_i M^|group_i| candidate enumerations.
     """
     y = np.asarray(y, dtype=float)
-    G = np.asarray(ch.G)
+    G = np.asarray(G)
     if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
-        raise ValueError(f"y of shape {y.shape} does not match ch.G of shape {G.shape}: need "
+        raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
                          "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)

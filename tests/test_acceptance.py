@@ -168,11 +168,11 @@ def test_criterion_6_decoder_oracle_equivalence():
         gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
         pam = fastdecode.pam_levels(2)
         sigma2 = channel.snr_to_sigma2(10.0)
+        _, y, G = channel.draw_trials(SEED + 2, 0, 0, 100, code.generators, sigma2)
+        r_cg = fastdecode.conditional_group_decode(y, G, gs, pam)
         for trial in range(100):
-            _, y, ch = channel.draw_trial(SEED + 2, 0, trial, code.generators, sigma2)
-            r_ml = fastdecode.ml_exhaustive(y, ch, pam)
-            r_cg = fastdecode.conditional_group_decode(y, ch, gs, pam)
-            assert abs(r_ml.metric - r_cg.metric) <= 1e-9
+            r_ml = fastdecode.ml_exhaustive(y[trial], G[trial], pam)
+            assert abs(r_ml.metric - r_cg.metric[trial]) <= 1e-9
             assert r_cg.visits == 4096 and r_ml.visits == 65536
         # the visit counts include the constant group count (4 groups of 2:
         # 4096 = 2^8 * 4 * 2^2); the order of growth in the constellation

@@ -2,27 +2,31 @@
 
 bench/tracer.py patches functions by attribute name and bench/run.py
 draws oracle instances through channel and fastdecode internals; a name
-lost in a refactor would make every traced run fail with a KeyError.
+lost in a refactor would make every traced run fail with a KeyError, and
+a changed return type would make every oracle check fail.
 """
 
 import ast
 import importlib.util
+import os
+import sys
 from pathlib import Path
+from unittest import mock
 
 from midostc import channel, fastdecode
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_exist():
-    tracer = _tracer()
+    tracer = _load("bench_tracer", "tracer.py")
     assert tracer.TARGETS
     for owner, attr, _, _ in tracer.TARGETS:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
@@ -41,3 +45,16 @@ def test_oracle_verify_names_exist():
             ("channel", "transmit"), ("fastdecode", "stack_real"), ("fastdecode", "real_channel")} <= used
     for module, attr in sorted(used):
         assert hasattr(modules[module], attr), f"{module}.{attr}"
+
+
+def test_oracle_verify_round_has_no_failed_checks():
+    # loaded like tracer.py; bench/run.py puts bench/ on sys.path and sets
+    # the BLAS thread variables, which are restored afterwards
+    with mock.patch.object(sys, "path", list(sys.path)), mock.patch.dict(os.environ):
+        run = _load("bench_run", "run.py")
+    checks = run.Checks()
+    built = run.build_codes(run.OracleVerify.codes, run.Clock())
+    wl = run.OracleVerify(built, 3, run.TINY, checks)
+    assert wl.round(0, run.Clock()) == run.TINY.oracle_block
+    assert checks.attempted > run.TINY.oracle_block
+    assert checks.failed == 0, checks.misses

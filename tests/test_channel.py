@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from midostc import algebra, codebook, fastdecode
+from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import CODE_SHORTCUTS
 from midostc.channel import (
     RNG_SCHEME,
@@ -14,7 +14,6 @@ from midostc.channel import (
     _run_trials,
     _trial_keys,
     _trial_rng,
-    draw_trial,
     draw_trials,
     sample_channel,
     simulate_wer,
@@ -51,16 +50,16 @@ def test_draw_trials_rows_are_single_draws():
     sigma2 = snr_to_sigma2(10.0)
     for name in ("C2", "C4", "C5"):
         generators = shortcut_code(name).generators
-        s0, y, ch = draw_trials(36, 2, 5, 12, generators, sigma2)
-        assert s0.shape == (7, 16) and y.shape == (7, 16) and ch.G.shape == (7, 16, 16)
+        s0, y, G = draw_trials(36, 2, 5, 12, generators, sigma2)
+        assert s0.shape == (7, 16) and y.shape == (7, 16) and G.shape == (7, 16, 16)
         for i, trial in enumerate(range(5, 12)):
-            one = draw_trial(36, 2, trial, generators, sigma2)
+            one = [rows[0] for rows in draw_trials(36, 2, trial, trial + 1, generators, sigma2)]
             ref = reference_draw(36, 2, trial, generators, sigma2)
             for got in (one, ref):
                 assert np.array_equal(s0[i], got[0])
                 assert np.array_equal(y[i], got[1])
-            assert np.array_equal(ch.G[i], one[2].G)
-            assert np.array_equal(ch.G[i], ref[2])
+            assert np.array_equal(G[i], one[2])
+            assert np.array_equal(G[i], ref[2])
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 130])
@@ -76,12 +75,12 @@ def test_draw_trials_across_trial_2_32_equal_reference_draw():
     generators = shortcut_code("C5").generators
     sigma2 = snr_to_sigma2(12.0)
     start = 2 ** 32 - 3
-    s0, y, ch = draw_trials(2 ** 40 + 3, 2 ** 33, start, start + 6, generators, sigma2)
+    s0, y, G = draw_trials(2 ** 40 + 3, 2 ** 33, start, start + 6, generators, sigma2)
     for i in range(6):
         ref = reference_draw(2 ** 40 + 3, 2 ** 33, start + i, generators, sigma2)
         assert np.array_equal(s0[i], ref[0])
         assert np.array_equal(y[i], ref[1])
-        assert np.array_equal(ch.G[i], ref[2])
+        assert np.array_equal(G[i], ref[2])
 
 
 @pytest.mark.filterwarnings("error")
@@ -89,7 +88,7 @@ def test_draw_trials_takes_numpy_integers():
     generators = shortcut_code("C2").generators
     got = draw_trials(np.int64(2 ** 40 + 3), np.uint64(2 ** 33), np.int64(5), np.int64(9), generators, 0.1)
     want = draw_trials(2 ** 40 + 3, 2 ** 33, 5, 9, generators, 0.1)
-    for a, b in zip(got[:2] + (got[2].G,), want[:2] + (want[2].G,)):
+    for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
@@ -106,7 +105,8 @@ def test_symbol_bits_are_integers_draws():
      "point index must be non-negative, got -2"),
     (lambda code, gs: draw_trials(0, 0, -3, 4, code.generators, 0.1),
      "trial index must be non-negative, got -3"),
-    (lambda code, gs: draw_trial(0, 0, -1, code.generators, 0.1), "trial index must be non-negative, got -1"),
+    (lambda code, gs: draw_trials(0, 0, -1, 0, code.generators, 0.1),
+     "trial index must be non-negative, got -1"),
     (lambda code, gs: simulate_wer(code, gs, [10.0], seed=-5), "seed must be non-negative, got -5"),
 ], ids=["draw-seed", "draw-point", "draw-trial", "one-trial", "simulate-seed"])
 def test_negative_seed_and_indices_are_rejected(call, message):
@@ -118,10 +118,10 @@ def test_batched_real_channel_equals_per_channel_stacks():
     code, _ = c2_code_and_structure()
     rng = np.random.default_rng(37)
     H = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
-    G = fastdecode.real_channel(code, H).G
+    G = fastdecode.real_channel(code, H)
     assert G.shape == (5, 16, 16)
     for i in range(5):
-        assert np.array_equal(G[i], fastdecode.real_channel(code, H[i]).G)
+        assert np.array_equal(G[i], fastdecode.real_channel(code, H[i]))
 
 
 def test_run_trials_counts_like_a_per_trial_loop():
@@ -130,9 +130,9 @@ def test_run_trials_counts_like_a_per_trial_loop():
     sigma2 = snr_to_sigma2(4.0)
     errors = 0
     for trial in range(10, 74):
-        s0, y, ch = draw_trial(38, 1, trial, code.generators, sigma2)
-        res = fastdecode.conditional_group_decode(y, ch, gs, pam)
-        errors += not np.array_equal(res.symbols, s0)
+        s0, y, G = draw_trials(38, 1, trial, trial + 1, code.generators, sigma2)
+        res = fastdecode.conditional_group_decode(y[0], G[0], gs, pam)
+        errors += not np.array_equal(res.symbols, s0[0])
     assert errors > 0
     assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2, pam)) == errors
 
@@ -153,6 +153,22 @@ def test_snr_calibration():
     assert snr_to_sigma2(10.0) == pytest.approx(0.4, rel=1e-12)
     assert snr_to_sigma2(10 * math.log10(4.0)) == pytest.approx(1.0, abs=1e-12)
     assert snr_to_sigma2(6.0206) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, -4000.0, -3080.0])
+def test_snr_without_finite_noise_variance_is_rejected(snr_db):
+    # -4000 dB overflows the power, -3080 dB only the product 4 * 10^308
+    with pytest.raises(ValueError, match=f"got {snr_db} dB"):
+        snr_to_sigma2(snr_db)
+
+
+def test_simulate_checks_every_snr_before_any_trial(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(channel, "draw_trials", no_draw)
+    with pytest.raises(ValueError, match="got -4000.0 dB"):
+        simulate_wer(*c2_code_and_structure(), [10.0, -4000.0], seed=0)
 
 
 def test_noise_variance_matches_sigma2():

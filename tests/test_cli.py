@@ -125,6 +125,29 @@ def test_decode_verify_agreement(capsys):
     assert "visits: conditional=4096 exhaustive=65536" in out
 
 
+DECODE_VERIFY_PINNED = {
+    "C2": ("code: example1-B2\n"
+           "structure: conditioned=8 groups=[2, 2, 2, 2] exponent=10\n"
+           "visits: conditional=4096 exhaustive=65536\n"
+           "config: trials=20 snr_db=10.0 seed=0 rng=philox-ss-v1\n"
+           "oracle agreement: 20/20 (worst metric gap 1.776e-15)\n"),
+    "C5": ("code: example5-B2\n"
+           "structure: conditioned=12 groups=[2, 2] exponent=14\n"
+           "visits: conditional=32768 exhaustive=65536\n"
+           "config: trials=20 snr_db=10.0 seed=0 rng=philox-ss-v1\n"
+           "oracle agreement: 20/20 (worst metric gap 1.332e-15)\n"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(DECODE_VERIFY_PINNED))
+def test_decode_verify_output_is_pinned(capsys, code):
+    # tied to the philox-ss-v1 draw scheme and to the decoders' arithmetic
+    rc, out, err = run(capsys, ["decode-verify", "--code", code, "--trials", "20",
+                                "--seed", "0", "--snr-db", "10"])
+    assert rc == 0 and err == ""
+    assert out == DECODE_VERIFY_PINNED[code]
+
+
 def test_decode_verify_rejects_negative_seed(capsys):
     rc, out, err = run(capsys, ["decode-verify", "--code", "C2", "--trials", "3", "--seed", "-1"])
     assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
@@ -170,6 +193,25 @@ def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
     assert rc == 1 and err.startswith("error: ") and message in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=nan"], "got nan dB"),
+    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-inf"], "got -inf dB"),
+    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-4000"], "got -4000.0 dB"),
+    (["decode-verify", "--code", "C2", "--trials", "0"], "at least one trial"),
+    (["simulate", "--code", "C2", "--snr=10,-4000"], "got -4000.0 dB"),
+    (["analyze", "--code", "C2", "--target", "99"], "target_conditioned must be in 0..15, got 99"),
+    (["analyze", "--code", "C2", "--target=-3"], "target_conditioned must be in 0..15, got -3"),
+    (["mindet", "--code", "C2", "--strategy", "random", "--samples", "0"], "samples must be at least 1"),
+    (["mindet", "--code", "C2", "--strategy", "random", "--samples=-4"], "samples must be at least 1"),
+], ids=["verify-snr-nan", "verify-snr-minus-inf", "verify-snr-overflow", "verify-trials-0",
+        "simulate-snr-overflow", "analyze-target-99", "analyze-target-negative",
+        "mindet-samples-0", "mindet-samples-negative"])
+def test_out_of_range_options_are_errors(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and err.startswith("error: ") and message in err
+    assert out == ""
 
 
 def test_simulate_snr_range_parsing(capsys, tmp_path):

@@ -12,7 +12,6 @@ from midostc import algebra, codebook, fastdecode
 from midostc.fastdecode import (
     BudgetExceededError,
     GroupStructure,
-    RealChannel,
     StructureInvalidError,
     adjacency,
     conditional_group_decode,
@@ -128,25 +127,34 @@ def test_detect_groups_size_guard():
         detect_groups(np.ones((21, 21)))
 
 
+@pytest.mark.parametrize("target", [-1, 16])
+def test_detect_groups_rejects_target_outside_range(target):
+    b = hurwitz_radon(build(1, "B2"))
+    with pytest.raises(ValueError, match=f"must be in 0..15, got {target}"):
+        detect_groups(b, target)
+    assert detect_groups(b, 15).trivial       # the edges of the range are accepted
+    assert detect_groups(b, 0).trivial
+
+
 def test_real_channel_consistency():
     rng = np.random.default_rng(22)
     code = build(1, "B2")
     for _ in range(10):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        ch = real_channel(code, H)
-        assert ch.G.shape == (16, 16)
+        G = real_channel(code, H)
+        assert G.shape == (16, 16)
         s = rng.integers(0, 2, 16) * 2.0 - 1.0
         X = np.einsum("i,ijk->jk", s, code.generators)
-        assert np.allclose(ch.G @ s, stack_real(H @ X), atol=1e-12)
+        assert np.allclose(G @ s, stack_real(H @ X), atol=1e-12)
 
 
 def test_ml_budget_guard():
     code = build(1, "B2")
     rng = np.random.default_rng(23)
     H = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    ch = real_channel(code, H)
+    G = real_channel(code, H)
     with pytest.raises(BudgetExceededError):
-        ml_exhaustive(np.zeros(16), ch, pam_levels(4))   # 4^16 > 2^20
+        ml_exhaustive(np.zeros(16), G, pam_levels(4))   # 4^16 > 2^20
 
 
 def test_ml_noiseless_recovery_and_visits():
@@ -155,9 +163,9 @@ def test_ml_noiseless_recovery_and_visits():
     pam = pam_levels(2)
     for _ in range(5):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        ch = real_channel(code, H)
+        G = real_channel(code, H)
         s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-        res = ml_exhaustive(ch.G @ s0, ch, pam)
+        res = ml_exhaustive(G @ s0, G, pam)
         assert np.array_equal(res.symbols, s0)
         assert res.metric <= 1e-18
         assert res.visits == 65536
@@ -167,12 +175,12 @@ def test_ml_tie_break_is_lexicographic():
     rng = np.random.default_rng(25)
     code = build(1, "B2")
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    ch = real_channel(code, H)
+    G = real_channel(code, H)
     # y = 0 makes s and -s metric-equal; the first of the pair in
     # lexicographic order starts at -1
-    res = ml_exhaustive(np.zeros(16), ch, pam_levels(2))
+    res = ml_exhaustive(np.zeros(16), G, pam_levels(2))
     assert res.symbols[0] == -1.0
-    res2 = ml_exhaustive(np.zeros(16), ch, pam_levels(2))
+    res2 = ml_exhaustive(np.zeros(16), G, pam_levels(2))
     assert np.array_equal(res.symbols, res2.symbols)
 
 
@@ -184,11 +192,11 @@ def test_conditional_matches_oracle():
     sigma = 0.8
     for _ in range(30):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        ch = real_channel(code, H)
+        G = real_channel(code, H)
         s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-        y = ch.G @ s0 + sigma * rng.standard_normal(16)
-        r_ml = ml_exhaustive(y, ch, pam)
-        r_cg = conditional_group_decode(y, ch, gs, pam)
+        y = G @ s0 + sigma * rng.standard_normal(16)
+        r_ml = ml_exhaustive(y, G, pam)
+        r_cg = conditional_group_decode(y, G, gs, pam)
         assert abs(r_ml.metric - r_cg.metric) <= 1e-9
         assert np.array_equal(r_ml.symbols, r_cg.symbols)
         assert r_cg.visits == 4096
@@ -200,8 +208,8 @@ def test_visits_arithmetic():
     gs = detect_groups(hurwitz_radon(code))
     rng = np.random.default_rng(27)
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    ch = real_channel(code, H)
-    res = conditional_group_decode(np.zeros(16), ch, gs, pam_levels(2))
+    G = real_channel(code, H)
+    res = conditional_group_decode(np.zeros(16), G, gs, pam_levels(2))
     # 2^8 conditioned assignments times two groups of four: 256 * 32
     assert res.visits == 2 ** len(gs.conditioned) * sum(2 ** len(g) for g in gs.groups)
     assert res.visits == 8192
@@ -211,21 +219,21 @@ def test_wrong_structure_fails_loudly():
     code = build(1, "B2")
     rng = np.random.default_rng(28)
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    ch = real_channel(code, H)
+    G = real_channel(code, H)
     bogus = GroupStructure((), tuple((i,) for i in range(16)), 1)
     with pytest.raises(StructureInvalidError):
-        conditional_group_decode(np.zeros(16), ch, bogus, pam_levels(2))
+        conditional_group_decode(np.zeros(16), G, bogus, pam_levels(2))
 
 
 def test_trivial_structure_reduces_to_ml():
     rng = np.random.default_rng(29)
     code = build(1, "B2")
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    ch = real_channel(code, H)
-    y = ch.G @ (rng.integers(0, 2, 16) * 2.0 - 1.0) + 0.5 * rng.standard_normal(16)
+    G = real_channel(code, H)
+    y = G @ (rng.integers(0, 2, 16) * 2.0 - 1.0) + 0.5 * rng.standard_normal(16)
     triv = GroupStructure((), (tuple(range(16)),), 16)
-    r_triv = conditional_group_decode(y, ch, triv, pam_levels(2))
-    r_ml = ml_exhaustive(y, ch, pam_levels(2))
+    r_triv = conditional_group_decode(y, G, triv, pam_levels(2))
+    r_ml = ml_exhaustive(y, G, pam_levels(2))
     assert np.array_equal(r_triv.symbols, r_ml.symbols)
     assert r_triv.visits == r_ml.visits == 65536
 
@@ -247,24 +255,24 @@ def batch_case(name, trials, seed):
     return gs, real_channel(code, H), rng
 
 
-def decode_each(y, ch, gs):
-    return [conditional_group_decode(y[i], RealChannel(ch.G[i]), gs, pam_levels(2))
+def decode_each(y, G, gs):
+    return [conditional_group_decode(y[i], G[i], gs, pam_levels(2))
             for i in range(len(y))]
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batched_decode_equals_single_trials_and_oracle(name):
-    gs, ch, rng = batch_case(name, 6, 40)
+    gs, G, rng = batch_case(name, 6, 40)
     s0 = rng.integers(0, 2, (6, 16)) * 2.0 - 1.0
-    y = np.einsum("bij,bj->bi", ch.G, s0) + 0.8 * rng.standard_normal((6, 16))
-    res = conditional_group_decode(y, ch, gs, pam_levels(2))
+    y = np.einsum("bij,bj->bi", G, s0) + 0.8 * rng.standard_normal((6, 16))
+    res = conditional_group_decode(y, G, gs, pam_levels(2))
     assert res.symbols.shape == (6, 16) and res.metric.shape == (6,)
     assert res.visits == 2 ** len(gs.conditioned) * sum(2 ** len(g) for g in gs.groups)
-    for i, single in enumerate(decode_each(y, ch, gs)):
+    for i, single in enumerate(decode_each(y, G, gs)):
         assert np.array_equal(res.symbols[i], single.symbols)
         assert res.metric[i] == pytest.approx(single.metric, abs=1e-12)
         assert single.visits == res.visits
-        oracle = ml_exhaustive(y[i], RealChannel(ch.G[i]), pam_levels(2))
+        oracle = ml_exhaustive(y[i], G[i], pam_levels(2))
         assert np.array_equal(res.symbols[i], oracle.symbols)
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
 
@@ -274,26 +282,25 @@ def test_batched_zero_signal_tie_break(name):
     # y = 0 makes s and -s metric-equal; the decoder enumerates the
     # conditioned symbols first, then the groups, in lexicographic order,
     # so the winner of the pair has -1 in the first enumerated position.
-    gs, ch, _ = batch_case(name, 4, 41)
+    gs, G, _ = batch_case(name, 4, 41)
     y = np.zeros((4, 16))
-    res = conditional_group_decode(y, ch, gs, pam_levels(2))
+    res = conditional_group_decode(y, G, gs, pam_levels(2))
     first = (gs.conditioned + gs.groups[0])[0]
-    for i, single in enumerate(decode_each(y, ch, gs)):
+    for i, single in enumerate(decode_each(y, G, gs)):
         assert np.array_equal(res.symbols[i], single.symbols)
         assert res.symbols[i][first] == -1.0
-        oracle = ml_exhaustive(y[i], RealChannel(ch.G[i]), pam_levels(2))
+        oracle = ml_exhaustive(y[i], G[i], pam_levels(2))
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
 
 
 def test_batch_names_the_trial_that_breaks_orthogonality():
-    gs, ch, rng = batch_case("C2", 5, 42)
-    G = ch.G.copy()
+    gs, G, rng = batch_case("C2", 5, 42)
     G[3] = rng.standard_normal((16, 16))      # not a real channel of this code
     with pytest.raises(StructureInvalidError, match="trial 3 of the batch: .* not orthogonal"):
-        conditional_group_decode(np.zeros((5, 16)), RealChannel(G), gs, pam_levels(2))
+        conditional_group_decode(np.zeros((5, 16)), G, gs, pam_levels(2))
     # the other four trials decode
     keep = [0, 1, 2, 4]
-    res = conditional_group_decode(np.zeros((4, 16)), RealChannel(G[keep]), gs, pam_levels(2))
+    res = conditional_group_decode(np.zeros((4, 16)), G[keep], gs, pam_levels(2))
     assert res.symbols.shape == (4, 16)
 
 
@@ -307,8 +314,8 @@ def test_batch_names_the_trial_that_breaks_orthogonality():
 ])
 def test_decode_rejects_mismatched_shapes(y_shape, g_shape):
     gs = detect_groups(hurwitz_radon(build(1, "B2")))
-    with pytest.raises(ValueError, match="does not match ch.G"):
-        conditional_group_decode(np.zeros(y_shape), RealChannel(np.eye(16) * np.ones(g_shape)),
+    with pytest.raises(ValueError, match="does not match G"):
+        conditional_group_decode(np.zeros(y_shape), np.eye(16) * np.ones(g_shape),
                                  gs, pam_levels(2))
 
 
@@ -325,9 +332,9 @@ _unit = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
 def test_decoder_agrees_with_oracle_property(name, h, s0, noise):
     code, gs = PROPERTY_CODES[name]
     H = np.array(h[:8]).reshape(2, 4) + 1j * np.array(h[8:]).reshape(2, 4)
-    ch = real_channel(code, H)
-    y = ch.G @ np.array(s0) + np.array(noise)
-    r_cg = conditional_group_decode(y, ch, gs, pam_levels(2))
-    r_ml = ml_exhaustive(y, ch, pam_levels(2))
+    G = real_channel(code, H)
+    y = G @ np.array(s0) + np.array(noise)
+    r_cg = conditional_group_decode(y, G, gs, pam_levels(2))
+    r_ml = ml_exhaustive(y, G, pam_levels(2))
     # degenerate channels (say H = 0) tie many vectors, so compare metrics
     assert abs(r_cg.metric - r_ml.metric) <= 1e-9
