@@ -5,18 +5,16 @@ entries, fresh per codeword, and N i.i.d. CN(0, sigma2).  With codes
 normalized to E||X||_F^2 = 16 and two receive antennas the average
 receive SNR is 4 / sigma2, so sigma2 = 4 * 10^(-snr_db/10).
 
-Determinism: every trial draws from its own counter-based substream
-keyed by (seed, snr point index, trial index), with the fixed draw order
-symbols, channel, noise ("philox-ss-v1"): the Philox generator of
-SeedSequence(entropy=seed, spawn_key=(point index, trial index)), which
-_trial_rng builds.  draw_trials is the single source of that order, for
-simulation and verification alike.  It derives each trial's Philox key
-with numpy's SeedSequence hash (the part shared by a whole SNR point is
-computed once), rekeys one generator per trial, and does everything
-after the draw on the whole range at once.  Results are therefore
-byte-identical across reruns and independent of the worker count, and
-the stopping rule is evaluated on fixed-size batches (BATCH_SIZE) so
-that parallel scheduling cannot change it.
+Determinism ("philox-ss-v1"): trial t of SNR point p draws symbols,
+channel and noise, in that order, from the Philox generator of
+SeedSequence(entropy=seed, spawn_key=(p, t)).  draw_trials is the one
+source of that draw: it derives the keys with numpy's SeedSequence hash
+and works on a whole range of trials at once.  _trial_rng,
+sample_channel, transmit and ChannelInstance are kept as the written-out
+form of philox-ss-v1 that bench/ and the tests read; nothing in src/
+calls them.  Workers run whole batches of BATCH_SIZE trials and the
+stopping rule walks them in order, so results are byte-identical across
+reruns and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastdecode import GroupStructure, _real_channel, conditional_group_decode, pam_levels
+from .fastdecode import (GroupStructure, _real_channel, conditional_group_decode, pam_levels,
+                         stack_real)
 
 RNG_SCHEME = "philox-ss-v1"
 BATCH_SIZE = 256
@@ -79,29 +78,13 @@ def _mix_in(pool: list, hash_const: int, words: list) -> tuple:
 
 def _point_pool(seed: int, point_index: int) -> tuple:
     """The pool and hash constant of SeedSequence(entropy=seed,
-    spawn_key=(point_index, t)) just before the words of t are mixed in.
-
-    A spawn key pads the seed to at least four words, so the first four
-    entropy words, and the whole pool up to here, do not depend on t.
-    """
-    words = _words(seed)
-    words += [0] * (4 - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(v):
-        nonlocal hash_const
-        v ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        v = v * hash_const & _MASK32
-        return v ^ v >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = r ^ r >> 16
-    return _mix_in(pool, hash_const, words[4:] + _words(point_index))
+    spawn_key=(point_index, t)) before the words of t are mixed in: as the
+    seed is padded to four words, numpy's pool of SeedSequence(seed,
+    spawn_key=(point_index,)) and the constant after its 16 + 4 * extra
+    hash steps, extra being the entropy words past the fourth."""
+    extra = max(0, len(_words(seed)) - 4) + len(_words(point_index))
+    pool = np.random.SeedSequence(seed, spawn_key=(point_index,)).pool
+    return [int(v) for v in pool], _INIT_A * pow(_MULT_A, 16 + 4 * extra, 1 << 32) & _MASK32
 
 
 def _philox_key(pool: list) -> tuple:
@@ -172,8 +155,8 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     z = normals.reshape(n, 2, 2, 4, 2)
     H = (z[:, 0, ..., 0] + 1j * z[:, 0, ..., 1]) * SQRT_HALF
     noise = (z[:, 1, ..., 0] + 1j * z[:, 1, ..., 1]) * math.sqrt(sigma2 / 2.0)
-    Y = (H @ np.einsum("bi,ijk->bjk", s0, generators) + noise).reshape(n, 8)
-    return s0, np.concatenate([Y.real, Y.imag], axis=1), _real_channel(generators, H)
+    Y = H @ np.einsum("bi,ijk->bjk", s0, generators) + noise
+    return s0, stack_real(Y), _real_channel(generators, H)
 
 
 def snr_to_sigma2(snr_db: float) -> float:
@@ -213,7 +196,7 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 
 
 def _run_trials(args) -> int:
-    """Word errors over a contiguous range of trial indices (one worker chunk)."""
+    """Word errors over a contiguous range of trial indices (one batch)."""
     seed, point_index, start, stop, generators, gs, sigma2, pam = args
     s0, y, G = draw_trials(seed, point_index, start, stop, generators, sigma2)
     res = conditional_group_decode(y, G, gs, pam)
@@ -225,8 +208,11 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
                  threads: int = 1) -> list:
     """Monte Carlo word error rate at each SNR point.
 
-    Stops a point after the first full batch in which the cumulative
-    error count reaches min_errors, or at max_trials.  Decoding uses the
+    Trials run in batches of BATCH_SIZE (the last one cut at max_trials),
+    up to ``threads`` at once, one per worker; no more workers start than
+    there are batches, and no pool for one.  A point stops after the first
+    batch in which the cumulative error count reaches min_errors, or at
+    max_trials; batches past the stop are dropped.  Decoding uses the
     conditional group decoder with the supplied structure (verified per
     trial against the drawn channel).  Raises ValueError, before any
     trial, for an empty or non-finite SNR list, an SNR without a finite
@@ -241,24 +227,23 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     sigma2s = [snr_to_sigma2(snr_db) for snr_db in snr_db_list]
-    generators = code.generators
     pam = pam_levels(2)
+    workers = min(threads, -(-max_trials // BATCH_SIZE))
     records = []
-    pool = multiprocessing.Pool(threads) if threads > 1 else None
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    run = pool.map if pool else map
     try:
         for point_index, (snr_db, sigma2) in enumerate(zip(snr_db_list, sigma2s)):
-            errors = 0
-            trials = 0
+            errors = trials = 0
             while trials < max_trials and errors < min_errors:
-                nb = min(BATCH_SIZE, max_trials - trials)
-                bounds = np.linspace(trials, trials + nb, (threads if pool else 1) + 1).astype(int)
-                chunks = [(seed, point_index, int(lo), int(hi), generators, gs, sigma2, pam)
-                          for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-                if pool:
-                    errors += sum(pool.map(_run_trials, chunks))
-                else:
-                    errors += sum(map(_run_trials, chunks))
-                trials += nb
+                starts = range(trials, min(trials + workers * BATCH_SIZE, max_trials), BATCH_SIZE)
+                batches = [(seed, point_index, lo, min(lo + BATCH_SIZE, max_trials), code.generators,
+                            gs, sigma2, pam) for lo in starts]
+                for batch, batch_errors in zip(batches, run(_run_trials, batches)):
+                    if errors >= min_errors:
+                        break
+                    errors += batch_errors
+                    trials = batch[3]
             records.append(WerRecord(float(snr_db), trials, errors, errors / trials, seed))
     finally:
         if pool:

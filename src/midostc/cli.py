@@ -16,6 +16,7 @@ rationals are printed as fractions, so reruns are byte identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, channel, codebook, fastdecode
-from .numberfield import FieldContext, FieldElement
+from .numberfield import FieldContext
 
 # Short names for the simulated codes: (catalog entry, basis, variant).
 CODE_SHORTCUTS = {
@@ -32,6 +33,12 @@ CODE_SHORTCUTS = {
     "C4": (1, "B2", "C4"),
     "C5": (5, "B2", "plain"),
 }
+# Values of the options that may be left out.
+OPTION_DEFAULTS = {"basis": "B2", "variant": "plain", "k": "1", "lprime": "1",
+                   "samples": 1000, "seed": 0}
+# Options that a given option (the key) would silently override.
+OVERRIDDEN = {"code": ("example", "basis", "variant", "c", "cprime", "u", "k", "lprime"),
+              "example": ("c", "cprime", "u", "k", "lprime")}
 
 
 def _sig12(x: float) -> float:
@@ -67,20 +74,36 @@ def _parse_rational_vector(text: str):
     return tuple(Fraction(p) for p in parts)
 
 
+def _resolve_options(args) -> None:
+    """Refuse options that another given option would override, then fill in the defaults."""
+    def given(names):
+        return [f"--{n}" for n in names if getattr(args, n, None) is not None]
+
+    refused = [(option, given(overridden)) for option, overridden in OVERRIDDEN.items()
+               if getattr(args, option, None) is not None]
+    if getattr(args, "strategy", "random") != "random":
+        refused.append(("strategy", given(("samples", "seed"))))
+    for option, clash in refused:
+        if clash:
+            raise ValueError(f"--{option} {getattr(args, option)} cannot be combined with {', '.join(clash)}")
+    for name, value in OPTION_DEFAULTS.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
+
+
 def _params_from_args(args) -> algebra.CodeParams:
     if args.example is not None:
         return algebra.catalog_entry(args.example)
     if args.c is None or args.cprime is None or args.u is None:
         raise ValueError("either --example or all of --c, --cprime, --u are required")
     ctx = FieldContext(args.c, args.cprime)
-    coords = _parse_rational_vector(args.u)
-    u = ctx.element(*coords)
+    u = ctx.element(*_parse_rational_vector(args.u))
     return algebra.build_params(ctx, u, k=Fraction(args.k), lprime=Fraction(args.lprime))
 
 
 def _resolve_code(args) -> tuple:
     """(params, basis_id, variant) from --code or --example/--basis/--variant."""
-    if args.code:
+    if args.code is not None:
         name = args.code.upper()
         if name not in CODE_SHORTCUTS:
             raise ValueError(f"unknown code shortcut {args.code!r}, known: {sorted(CODE_SHORTCUTS)}")
@@ -202,8 +225,6 @@ def cmd_simulate(args) -> int:
     records = channel.simulate_wer(code, gs, snrs, seed=args.seed,
                                    min_errors=args.min_errors, max_trials=args.max_trials,
                                    threads=args.threads)
-    import io
-
     buf = io.StringIO()
     channel.write_wer_csv(records, buf, code_name=code.name, basis=code.basis.id,
                           variant=code.variant, seed=args.seed,
@@ -225,12 +246,11 @@ def _add_params_args(sp, with_basis=True, with_code=True):
     sp.add_argument("--u", help="norm-one unit as four comma-separated rationals "
                                "over the basis {1, w', w, w'w}; write --u=-1/2,... "
                                "(equals form) when the first coefficient is negative")
-    sp.add_argument("--k", default="1", help="rational scale on the first generator square")
-    sp.add_argument("--lprime", default="1", help="rational scale on the second generator square")
+    sp.add_argument("--k", help="rational scale on the first generator square (default 1)")
+    sp.add_argument("--lprime", help="rational scale on the second generator square (default 1)")
     if with_basis:
-        sp.add_argument("--basis", default="B2", choices=("B1", "B2", "B3"),
-                        help="symbol basis (default B2)")
-        sp.add_argument("--variant", default="plain", choices=("plain", "C4"))
+        sp.add_argument("--basis", choices=("B1", "B2", "B3"), help="symbol basis (default B2)")
+        sp.add_argument("--variant", choices=("plain", "C4"), help="code variant (default plain)")
     if with_code:
         sp.add_argument("--code", help="shortcut name: " + ", ".join(sorted(CODE_SHORTCUTS)))
 
@@ -260,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(sp)
     sp.add_argument("--strategy", default="sparse_exhaustive",
                     choices=("sparse_exhaustive", "random"))
-    sp.add_argument("--samples", type=int, default=1000, help="sample count for the random strategy")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=int, help="sample count for the random strategy (default 1000)")
+    sp.add_argument("--seed", type=int, help="seed for the random strategy (default 0)")
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_mindet)
 
@@ -289,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve_options(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,7 +81,7 @@ def make_basis(ctx: FieldContext, basis_id: str) -> SymbolBasis:
     return SymbolBasis(basis_id, b1, b2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispersionCode:
     """A fully built linear dispersion code with its sixteen generators."""
 
@@ -98,14 +98,14 @@ class DispersionCode:
         return f"{base}-{self.basis.id}" + ("" if self.variant == "plain" else f"-{self.variant}")
 
 
-def _symbols_to_coefficients(code: DispersionCode, s) -> tuple:
+def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple:
     """Pack sixteen real symbols into the four field coefficients.
 
     x_j = (s[4j] + s[4j+1]*w')*beta1 + (s[4j+2] + s[4j+3]*w')*beta2.
     For c' = 1 the unit w' is literally i, which is the QAM packing; for
     other c' it plays the role of the imaginary unit inside L.
     """
-    ctx = code.params.ctx
+    ctx = params.ctx
     wp = ctx.omega_prime()
     if len(s) != 16:
         raise ValueError(f"need 16 real symbols, got {len(s)}")
@@ -113,23 +113,22 @@ def _symbols_to_coefficients(code: DispersionCode, s) -> tuple:
     xs = []
     for j in range(4):
         s1, s2, s3, s4 = vals[4 * j: 4 * j + 4]
-        xs.append((ctx.element(s1) + wp * s2) * code.basis.beta1
-                  + (ctx.element(s3) + wp * s4) * code.basis.beta2)
+        xs.append((ctx.element(s1) + wp * s2) * basis.beta1
+                  + (ctx.element(s3) + wp * s4) * basis.beta2)
     return tuple(xs)
 
 
-def _encode_unscaled(code: DispersionCode, s) -> np.ndarray:
-    xs = _symbols_to_coefficients(code, s)
-    m = normalized_codeword(code.params, xs)
-    if code.variant == "C4":
-        m[0:2, 2:4] *= code.block_scale
-        m[2:4, 0:2] /= code.block_scale
+def _encode_unscaled(params: CodeParams, basis: SymbolBasis, block_scale: float, s) -> np.ndarray:
+    # block_scale is 1.0 for plain codes, where the scalings change no value
+    m = normalized_codeword(params, _symbols_to_coefficients(params, basis, s))
+    m[0:2, 2:4] *= block_scale
+    m[2:4, 0:2] /= block_scale
     return m
 
 
 def encode(code: DispersionCode, s) -> np.ndarray:
     """Energy-normalized 4x4 codeword for sixteen real symbols."""
-    return _encode_unscaled(code, s) * code.energy_scale
+    return _encode_unscaled(code.params, code.basis, code.block_scale, s) * code.energy_scale
 
 
 def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain") -> DispersionCode:
@@ -156,16 +155,9 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    code = DispersionCode(params, basis, variant, np.zeros((16, 4, 4), dtype=complex), 1.0, block_scale)
-    gens = np.stack([
-        _encode_unscaled(code, [1 if i == j else 0 for j in range(16)])
-        for i in range(16)
-    ])
-    total = float(np.sum(np.abs(gens) ** 2))
-    scale = math.sqrt(TARGET_ENERGY / total)
-    code.generators = gens * scale
-    code.energy_scale = scale
-    return code
+    gens = np.stack([_encode_unscaled(params, basis, block_scale, unit) for unit in np.eye(16)])
+    scale = math.sqrt(TARGET_ENERGY / float(np.sum(np.abs(gens) ** 2)))
+    return DispersionCode(params, basis, variant, gens * scale, scale, block_scale)
 
 
 def c4_transform(code: DispersionCode) -> DispersionCode:

@@ -139,18 +139,17 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
 
 
 def stack_real(Y: np.ndarray) -> np.ndarray:
-    """Stack a complex 2x4 matrix as 16 reals (row-major, then imaginary part)."""
-    flat = np.asarray(Y).ravel()
-    return np.concatenate([flat.real, flat.imag])
+    """Stack a complex 2x4 matrix, or each of a (..., 2, 4) stack, as 16 reals
+    (row-major, then imaginary part)."""
+    flat = np.reshape(Y, (*np.shape(Y)[:-2], -1))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> np.ndarray:
     n, r, c = generators.shape
     # One GEMM: H (..., 2, 4) times every generator side by side (4, 16 * 4).
-    HA = H @ generators.transpose(1, 0, 2).reshape(r, n * c)
-    HA = HA.reshape(*HA.shape[:-1], n, c).swapaxes(-2, -3)   # (..., 16, 2, 4)
-    flat = HA.reshape(*HA.shape[:-2], -1)
-    return np.concatenate([flat.real, flat.imag], axis=-1).swapaxes(-1, -2)
+    HA = (H @ generators.transpose(1, 0, 2).reshape(r, n * c)).reshape(*H.shape[:-1], n, c)
+    return stack_real(HA.swapaxes(-2, -3)).swapaxes(-1, -2)   # column i: H A_i stacked
 
 
 def real_channel(code, H: np.ndarray) -> np.ndarray:

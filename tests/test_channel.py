@@ -122,6 +122,12 @@ def test_batched_real_channel_equals_per_channel_stacks():
     assert G.shape == (5, 16, 16)
     for i in range(5):
         assert np.array_equal(G[i], fastdecode.real_channel(code, H[i]))
+    Y = H[:, None] @ code.generators[:3]                 # (5, 3, 2, 4)
+    stacked = fastdecode.stack_real(Y)
+    assert stacked.shape == (5, 3, 16)
+    for i, j in np.ndindex(5, 3):
+        assert np.array_equal(stacked[i, j], fastdecode.stack_real(Y[i, j]))
+        assert np.array_equal(stacked[i, j], np.concatenate([Y[i, j].ravel().real, Y[i, j].ravel().imag]))
 
 
 def test_run_trials_counts_like_a_per_trial_loop():
@@ -225,10 +231,26 @@ def test_simulate_same_seed_same_records():
 
 def test_simulate_threads_do_not_change_results():
     code, gs = c2_code_and_structure()
-    kw = dict(seed=32, min_errors=20, max_trials=512)
-    r1 = simulate_wer(code, gs, [8.0, 12.0], threads=1, **kw)
-    r2 = simulate_wer(code, gs, [8.0, 12.0], threads=2, **kw)
-    assert r1 == r2
+    # the second run stops inside rounds of 2 and 3 batches: 14 dB on its
+    # second batch, 13 dB on its first, and 40 dB at a cut last batch
+    for points, kw, trials in (([8.0, 12.0], dict(seed=32, min_errors=20, max_trials=512), [256, 256]),
+                               ([14.0, 13.0, 40.0], dict(seed=78, min_errors=17, max_trials=1300),
+                                [512, 256, 1300])):
+        r1 = simulate_wer(code, gs, points, threads=1, **kw)
+        assert [r.trials for r in r1] == trials
+        for threads in (2, 3):
+            assert simulate_wer(code, gs, points, threads=threads, **kw) == r1, threads
+
+
+def test_simulate_starts_no_pool_for_one_batch(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(channel.multiprocessing, "Pool", no_pool)
+    code, gs = c2_code_and_structure()
+    rec = simulate_wer(code, gs, [10.0], seed=36, min_errors=1000, max_trials=256, threads=4)
+    assert rec == simulate_wer(code, gs, [10.0], seed=36, min_errors=1000, max_trials=256)
+    assert rec[0].trials == 256
 
 
 def test_simulate_high_snr_is_error_free():

@@ -117,6 +117,13 @@ def test_mindet_csv(capsys):
     assert len(fields[5].split()) == 16
 
 
+def test_mindet_random_defaults_to_1000_samples_and_seed_0(capsys):
+    rc, out, err = run(capsys, ["mindet", "--code", "C2", "--strategy", "random"])
+    assert rc == 0 and out.splitlines()[1].split(",")[1:3] == ["random", "1000"]
+    assert run(capsys, ["mindet", "--code", "C2", "--strategy", "random",
+                        "--samples", "1000", "--seed", "0"])[1] == out
+
+
 def test_decode_verify_agreement(capsys):
     rc, out, err = run(capsys, ["decode-verify", "--code", "C2",
                                 "--trials", "5", "--seed", "3"])
@@ -205,9 +212,28 @@ def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     (["analyze", "--code", "C2", "--target=-3"], "target_conditioned must be in 0..15, got -3"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples", "0"], "samples must be at least 1"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples=-4"], "samples must be at least 1"),
+    (["mindet", "--code", "C2", "--samples=-4"],
+     "--strategy sparse_exhaustive cannot be combined with --samples"),
+    (["mindet", "--code", "C2", "--seed", "3"],
+     "--strategy sparse_exhaustive cannot be combined with --seed"),
+    (["mindet", "--example", "2", "--strategy", "sparse_exhaustive", "--samples", "9", "--seed", "1"],
+     "--strategy sparse_exhaustive cannot be combined with --samples, --seed"),
+    (["analyze", "--code", "C2", "--basis", "B3", "--example", "5"],
+     "--code C2 cannot be combined with --example, --basis"),
+    (["simulate", "--code", "C5", "--variant", "plain", "--snr", "10"],
+     "--code C5 cannot be combined with --variant"),
+    (["decode-verify", "--code", "C3", "--c", "3", "--cprime", "1", "--u", "1,0,0,0", "--k", "2",
+      "--lprime", "2"], "--code C3 cannot be combined with --c, --cprime, --u, --k, --lprime"),
+    (["construct", "--example", "1", "--k", "4/7"], "--example 1 cannot be combined with --k"),
+    (["mindet", "--example", "1", "--basis", "B1", "--lprime", "1"],
+     "--example 1 cannot be combined with --lprime"),
+    (["analyze", "--example", "3", "--c", "3", "--cprime", "1", "--u", "1,0,0,0"],
+     "--example 3 cannot be combined with --c, --cprime, --u"),
 ], ids=["verify-snr-nan", "verify-snr-minus-inf", "verify-snr-overflow", "verify-trials-0",
         "simulate-snr-overflow", "analyze-target-99", "analyze-target-negative",
-        "mindet-samples-0", "mindet-samples-negative"])
+        "mindet-samples-0", "mindet-samples-negative", "mindet-sparse-samples", "mindet-sparse-seed",
+        "mindet-sparse-samples-and-seed", "code-with-example-and-basis", "code-with-variant",
+        "code-with-params", "example-with-k", "example-with-lprime", "example-with-unit"])
 def test_out_of_range_options_are_errors(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 1 and err.startswith("error: ") and message in err

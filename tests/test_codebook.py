@@ -1,5 +1,6 @@
 """Symbol bases, dispersion codes, energy, minimum determinants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -75,6 +76,13 @@ def test_basis_unknown_id():
 def test_build_code_rejects_bad_variant():
     with pytest.raises(UnsupportedVariantError):
         build_code(algebra.catalog_entry(1), "B2", variant="alamouti")
+
+
+def test_built_code_is_frozen():
+    code = build_code(algebra.catalog_entry(1), "B2")
+    assert code.block_scale == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.generators = np.zeros((16, 4, 4), dtype=complex)
 
 
 def test_encode_equals_generator_combination():
