@@ -137,36 +137,6 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
 # division certification
 
 
-def is_representable(q: Fraction, cprime: int) -> bool:
-    """Whether q > 0 is represented by x^2 + cprime*y^2 over the rationals.
-
-    Scaling by squares reduces the question to the squarefree part of
-    numerator times denominator.  For x^2 + y^2 the classical criterion is
-    that no prime 3 mod 4 divides it; for x^2 + 2y^2, no odd prime 5 or 7
-    mod 8 divides it.  One trial division finds the primes that divide
-    numerator times denominator to an odd power, the squarefree part.
-    """
-    if cprime not in (1, 2):
-        raise UnsupportedFormError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
-    q = Fraction(q)
-    if q < 0:
-        return False
-    if q == 0:
-        return True
-    n = q.numerator * q.denominator
-    bad = (3,) if cprime == 1 else (5, 7)   # 2 is never bad: 2 mod 4 = 2 mod 8 = 2
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2 and d % (4 * cprime) in bad:
-            return False
-        d += 1
-    return n % (4 * cprime) not in bad    # what is left is 1 or a prime to the first power
-
-
 def _integer_decompositions(n: int, cprime: int):
     """All (s1, s2) with s1, s2 >= 0 integers and s1^2 + cprime*s2^2 = n."""
     out = []
@@ -181,15 +151,18 @@ def _integer_decompositions(n: int, cprime: int):
 
 
 def representable(q: Fraction, cprime: int):
-    """Witness (s1, s2) with q = s1^2 + cprime*s2^2, or None.
+    """Witness (s1, s2) with q = s1^2 + cprime*s2^2 over the rationals, or None.
 
-    The verdict itself comes from is_representable; the witness search
-    (in _norm_verdict) scans denominators d*q.denominator for d up to 4 and
-    may come up empty for stubborn rationals even when the verdict is yes.
-    Among integer decompositions the canonical pick prefers an odd first
-    component and then the largest first component, which matches the
-    reference table's printed forms.
+    The search in _norm_verdict is complete: by the Davenport-Cassels
+    lemma (Serre, A Course in Arithmetic, ch. IV, appendix) an integer
+    that x^2 + y^2 or x^2 + 2y^2 represents over Q it also represents
+    over Z, so q is represented exactly when its numerator times its
+    denominator is.  Among integer decompositions the canonical pick
+    prefers an odd first component and then the largest first component,
+    which matches the reference table's printed forms.
     """
+    if cprime not in (1, 2):
+        raise UnsupportedFormError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
     return _norm_verdict(Fraction(q), cprime)[1]
 
 
@@ -241,27 +214,17 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
 
 def _norm_verdict(q: Fraction, cprime: int) -> tuple:
     """(is_division, witness, witness string) when the verdict rests on
-    whether q is a norm from Q(sqrt(-cprime)); the witness is representable's."""
-    if not is_representable(q, cprime):
+    whether q is a norm from Q(sqrt(-cprime)), i.e. represented by
+    x^2 + cprime*y^2 over Q.  With q = n/d in lowest terms that holds
+    exactly when n*d is a sum s1^2 + cprime*s2^2 of integers (the search is
+    complete for cprime in {1, 2} by the Davenport-Cassels lemma, see
+    representable), and then (s1/d, s2/d) is the witness."""
+    decomps = _integer_decompositions(q.numerator * q.denominator, cprime)
+    if not decomps:
         return True, None, None
-    wit = None
-    for d in range(1, 5):
-        decomps = _integer_decompositions(q.numerator * q.denominator * d * d, cprime)
-        if decomps:
-            s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))
-            wit = (Fraction(s1, d * q.denominator), Fraction(s2, d * q.denominator))
-            break
-    return False, wit, _witness_string(q, wit, cprime)
-
-
-def _witness_string(q: Fraction, wit, cprime: int) -> str:
-    if wit is None:
-        return "no small witness found"
-    s1, s2 = wit
-    t1 = s1 * s1
-    t2 = cprime * s2 * s2
-    fmt = lambda f: str(f.numerator) if f.denominator == 1 else str(f)
-    return f"{fmt(Fraction(q))} = {fmt(t1)} + {fmt(t2)}"
+    s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))
+    wit = (Fraction(s1, q.denominator), Fraction(s2, q.denominator))
+    return False, wit, f"{q} = {wit[0] ** 2} + {cprime * wit[1] ** 2}"
 
 
 def division_table():
@@ -454,12 +417,8 @@ def catalog() -> list[CodeParams]:
 # serialization
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _element_json(x: FieldElement):
-    return [_frac_str(a) for a in x.coords]
+    return [str(a) for a in x.coords]
 
 
 def params_to_json(p: CodeParams) -> dict:
@@ -474,14 +433,14 @@ def params_to_json(p: CodeParams) -> dict:
         "a": _element_json(p.a),
         "b": _element_json(p.b),
         "epsilon": _element_json(p.epsilon),
-        "scale_k": _frac_str(p.scale_k),
-        "scale_lprime": _frac_str(p.scale_lprime),
+        "scale_k": str(p.scale_k),
+        "scale_lprime": str(p.scale_lprime),
         "conditions": p.conditions.summary(),
         "division": {
             "is_division": cert.is_division,
             "branch": cert.branch,
-            "tested_value": _frac_str(cert.tested_value) if cert.tested_value is not None else None,
-            "witness": [_frac_str(w) for w in cert.witness] if cert.witness else None,
+            "tested_value": str(cert.tested_value) if cert.tested_value is not None else None,
+            "witness": [str(w) for w in cert.witness] if cert.witness else None,
             "detail": cert.detail,
         },
     }

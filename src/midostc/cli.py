@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -178,16 +179,19 @@ def cmd_decode_verify(args) -> int:
     code = codebook.build_code(*_resolve_code(args))
     gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
     pam = fastdecode.pam_levels(2)
-    _, y, G = channel.draw_trials(args.seed, 0, 0, args.trials, code.generators, sigma2)
-    r_cg = fastdecode.conditional_group_decode(y, G, gs, pam)
     matches = 0
     worst = 0.0
-    for i in range(args.trials):
-        r_ml = fastdecode.ml_exhaustive(y[i], G[i], pam)
-        gap = abs(r_ml.metric - r_cg.metric[i])
-        worst = max(worst, gap)
-        if np.array_equal(r_ml.symbols, r_cg.symbols[i]) or gap <= 1e-9:
-            matches += 1
+    # one slice of BATCH_SIZE trials at a time keeps memory flat in --trials
+    for lo in range(0, args.trials, channel.BATCH_SIZE):
+        _, y, G = channel.draw_trials(args.seed, 0, lo, min(lo + channel.BATCH_SIZE, args.trials),
+                                      code.generators, sigma2)
+        r_cg = fastdecode.conditional_group_decode(y, G, gs, pam)
+        for i in range(len(y)):
+            r_ml = fastdecode.ml_exhaustive(y[i], G[i], pam)
+            gap = abs(r_ml.metric - r_cg.metric[i])
+            worst = max(worst, gap)
+            if np.array_equal(r_ml.symbols, r_cg.symbols[i]) or gap <= 1e-9:
+                matches += 1
     print(f"code: {code.name}")
     print(f"structure: conditioned={len(gs.conditioned)} groups={[len(g) for g in gs.groups]} "
           f"exponent={gs.exponent}")
@@ -206,6 +210,8 @@ def _parse_snr_list(text: str):
         if len(parts) != 3:
             raise ValueError("range form is start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"SNR range {text!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("step must be positive")
         out = []

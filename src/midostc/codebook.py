@@ -38,22 +38,6 @@ class SymbolBasis:
     beta2: FieldElement
 
 
-def _independent(ctx: FieldContext, b1: FieldElement, b2: FieldElement) -> bool:
-    # Coordinates over the {1, w} block structure are Gaussian rationals
-    # (p + q*w') via the pairs (a1, a2) and (a3, a4).  The basis is usable
-    # when the 2x2 Gaussian-rational coordinate matrix is nonsingular.
-    def pairs(x):
-        a1, a2, a3, a4 = x.coords
-        return (a1, a2), (a3, a4)
-
-    (p11, q11), (p12, q12) = pairs(b1)
-    (p21, q21), (p22, q22) = pairs(b2)
-    # det = (p11+q11*i)(p22+q22*i) - (p12+q12*i)(p21+q21*i) in Q(i)
-    re = p11 * p22 - q11 * q22 - (p12 * p21 - q12 * q21)
-    im = p11 * q22 + q11 * p22 - (p12 * q21 + q12 * p21)
-    return re != 0 or im != 0
-
-
 def make_basis(ctx: FieldContext, basis_id: str) -> SymbolBasis:
     """Build one of the three symbol bases.
 
@@ -76,8 +60,6 @@ def make_basis(ctx: FieldContext, basis_id: str) -> SymbolBasis:
         b1, b2 = ctx.element(2), ctx.omega()
     else:
         raise UnsupportedBasisError(f"unknown basis id {basis_id!r}")
-    if not _independent(ctx, b1, b2):
-        raise UnsupportedBasisError(f"basis {basis_id} is degenerate for this field")
     return SymbolBasis(basis_id, b1, b2)
 
 

@@ -215,10 +215,6 @@ class FieldElement:
         """Membership in Q(w) = Q(sqrt(-c)), the fixed field of sigma."""
         return self.coords[1] == 0 and self.coords[3] == 0
 
-    def in_q_omega_prime(self) -> bool:
-        """Membership in Q(w') = Q(sqrt(-c')), the fixed field of tau."""
-        return self.coords[2] == 0 and self.coords[3] == 0
-
     def is_conjugation_fixed(self) -> bool:
         """True when the element is fixed by sigma_tau, i.e. embeds to a real number."""
         return self.coords[1] == 0 and self.coords[2] == 0
@@ -259,26 +255,3 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.ctx!r}, {self.coords})"
-
-    _SUFFIXES = ("", "*w'", "*w", "*w'w")
-
-    @classmethod
-    def parse(cls, ctx: FieldContext, text: str) -> "FieldElement":
-        """Parse the canonical rendering "a1 + a2*w' + a3*w + a4*w'w".
-
-        Signs live on the rational coefficients ("-1/2 + -1/2*w' + ...").
-        """
-        parts = [p.strip() for p in text.split("+")]
-        if len(parts) != 4:
-            raise ValueError(f"expected four '+'-separated terms, got {len(parts)}: {text!r}")
-        coords = []
-        for part, suffix in zip(parts, cls._SUFFIXES):
-            if suffix:
-                if not part.endswith(suffix):
-                    raise ValueError(f"term {part!r} should end with {suffix!r}")
-                part = part[: -len(suffix)].strip()
-            try:
-                coords.append(Fraction(part))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational coefficient {part!r}") from exc
-        return cls(ctx, tuple(coords))

@@ -11,6 +11,7 @@ from midostc import algebra
 from midostc.algebra import (
     DegenerateAlgebraError,
     UnsupportedBranchError,
+    UnsupportedFormError,
     build_params,
     catalog,
     catalog_entry,
@@ -18,7 +19,6 @@ from midostc.algebra import (
     derive_ab,
     division_check,
     division_table,
-    is_representable,
     representable,
 )
 from midostc.numberfield import FieldContext
@@ -178,11 +178,47 @@ def test_is_representable_criterion():
     for q, exp in ((2, True), (3, False), (5, True), (6, False), (7, False),
                    (10, True), (11, False), (13, True), (F(1, 2), True),
                    (F(3, 4), False), (F(9, 2), True)):
-        assert is_representable(F(q), 1) is exp, q
+        assert (representable(F(q), 1) is not None) is exp, q
     # x^2 + 2 y^2 misses primes 5, 7 mod 8
     for q, exp in ((2, True), (3, True), (5, False), (6, True), (7, False),
                    (10, False), (11, True), (13, False)):
-        assert is_representable(F(q), 2) is exp, q
+        assert (representable(F(q), 2) is not None) is exp, q
+
+
+def prime_criterion(n: int, cprime: int) -> bool:
+    """Classical test for n >= 0 being x^2 + cprime*y^2 over Q: no prime
+    3 mod 4 (cprime = 1), or 5 or 7 mod 8 (cprime = 2), divides n to an
+    odd power."""
+    bad = (3,) if cprime == 1 else (5, 7)
+    p = 2
+    while n and p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2 and p % (4 * cprime) in bad:
+            return False
+        p += 1
+    return n % (4 * cprime) not in bad
+
+
+def test_representable_matches_prime_criterion():
+    # the integer search is complete (Davenport-Cassels), so its verdict
+    # must agree with the prime criterion on every rational
+    for cprime in (1, 2):
+        for n in range(200):
+            for d in range(1, 60):
+                if math.gcd(n, d) != 1:
+                    continue
+                wit = representable(F(n, d), cprime)
+                assert (wit is not None) is prime_criterion(n * d, cprime), (n, d, cprime)
+                if wit is not None:
+                    assert wit[0] ** 2 + cprime * wit[1] ** 2 == F(n, d)
+
+
+def test_representable_rejects_other_forms():
+    with pytest.raises(UnsupportedFormError):
+        representable(F(5), 3)
 
 
 def test_division_table_frozen():

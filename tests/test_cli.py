@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from midostc import algebra
+from midostc import algebra, channel
 from midostc.cli import main
 
 
@@ -155,6 +155,16 @@ def test_decode_verify_output_is_pinned(capsys, code):
     assert out == DECODE_VERIFY_PINNED[code]
 
 
+@pytest.mark.parametrize("code", sorted(DECODE_VERIFY_PINNED))
+def test_decode_verify_pins_hold_in_slices(capsys, monkeypatch, code):
+    # 20 trials in slices of 8, 8 and 4 print what one slice of 20 prints
+    monkeypatch.setattr(channel, "BATCH_SIZE", 8)
+    rc, out, err = run(capsys, ["decode-verify", "--code", code, "--trials", "20",
+                                "--seed", "0", "--snr-db", "10"])
+    assert rc == 0 and err == ""
+    assert out == DECODE_VERIFY_PINNED[code]
+
+
 def test_decode_verify_rejects_negative_seed(capsys):
     rc, out, err = run(capsys, ["decode-verify", "--code", "C2", "--trials", "3", "--seed", "-1"])
     assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
@@ -194,7 +204,12 @@ def test_simulate_output_is_pinned(capsys):
     (["--snr", "10:8:1"], "finite SNR points"),
     (["--snr", "nan"], "finite SNR points"),
     (["--snr", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
-], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative"])
+    (["--snr", "0:inf:1"], "SNR range '0:inf:1' needs a finite start, stop and step"),
+    (["--snr=-inf:10:1"], "SNR range '-inf:10:1' needs a finite start, stop and step"),
+    (["--snr", "0:10:nan"], "SNR range '0:10:nan' needs a finite start, stop and step"),
+    (["--snr", "0:10:inf"], "SNR range '0:10:inf' needs a finite start, stop and step"),
+], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative",
+        "range-stop-inf", "range-start-minus-inf", "range-step-nan", "range-step-inf"])
 def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     path = tmp_path / "out.csv"
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
