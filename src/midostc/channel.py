@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +211,7 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
 
     Trials run in batches of BATCH_SIZE (the last one cut at max_trials),
     up to ``threads`` at once, one per worker; no more workers start than
-    there are batches, and no pool for one.  A point stops after the first
+    there are batches or CPUs, and no pool for one.  A point stops after the first
     batch in which the cumulative error count reaches min_errors, or at
     max_trials; batches past the stop are dropped.  Decoding uses the
     conditional group decoder with the supplied structure (verified per
@@ -228,7 +229,7 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
             raise ValueError(f"{name} must be at least 1, got {value}")
     sigma2s = [snr_to_sigma2(snr_db) for snr_db in snr_db_list]
     pam = pam_levels(2)
-    workers = min(threads, -(-max_trials // BATCH_SIZE))
+    workers = min(threads, os.cpu_count() or 1, -(-max_trials // BATCH_SIZE))
     records = []
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     run = pool.map if pool else map

@@ -40,6 +40,8 @@ OPTION_DEFAULTS = {"basis": "B2", "variant": "plain", "k": "1", "lprime": "1",
 # Options that a given option (the key) would silently override.
 OVERRIDDEN = {"code": ("example", "basis", "variant", "c", "cprime", "u", "k", "lprime"),
               "example": ("c", "cprime", "u", "k", "lprime")}
+# Points an SNR range may expand to.
+MAX_SNR_POINTS = 1000
 
 
 def _sig12(x: float) -> float:
@@ -217,6 +219,8 @@ def _parse_snr_list(text: str):
         out = []
         v = start
         while v <= stop + 1e-9:
+            if len(out) == MAX_SNR_POINTS:
+                raise ValueError(f"SNR range {text!r} has more than {MAX_SNR_POINTS} points")
             out.append(round(v, 9))
             v += step
         return out

@@ -29,6 +29,7 @@ class UnsupportedVariantError(ValueError):
 
 
 TARGET_ENERGY = 16.0  # average squared Frobenius norm per codeword
+_SAMPLE_SLICE = 1 << 14  # random differences drawn and evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -185,26 +186,36 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1.  A strictly positive minimum over the
-    sparse set is the evidence expected from a division algebra
+    {-2, 0, 2}^16, n at least 1, drawn and evaluated _SAMPLE_SLICE at a
+    time so that memory stays flat in n.  A strictly positive minimum over
+    the sparse set is the evidence expected from a division algebra
     (nonvanishing determinants).
     """
     if strategy == "sparse_exhaustive":
-        S = _sparse_difference_vectors()
+        slices = [_sparse_difference_vectors()]
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
         rng = np.random.default_rng(seed)
-        S = (rng.integers(-1, 2, size=(n, 16)) * 2).astype(float)
-        S = S[np.any(S != 0, axis=1)]
+        slices = ((rng.integers(-1, 2, size=(min(_SAMPLE_SLICE, n - lo), 16)) * 2).astype(float)
+                  for lo in range(0, n, _SAMPLE_SLICE))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     A = code.generators / code.energy_scale
-    X = np.einsum("ni,ijk->njk", S, A)
-    dets = np.linalg.det(X)
-    i = int(np.argmin(np.abs(dets)))
-    return MinDetResult(strategy, len(S), float(abs(dets[i])),
-                        tuple(int(v) for v in S[i]), complex(dets[i]))
+    candidates, best = 0, None
+    for S in slices:
+        S = S[np.any(S != 0, axis=1)]
+        if len(S):
+            dets = np.linalg.det(np.einsum("ni,ijk->njk", S, A))
+            i = int(np.argmin(np.abs(dets)))
+            candidates += len(S)
+            if best is None or abs(dets[i]) < abs(best[1]):     # the first minimum wins
+                best = (S[i], dets[i])
+    if best is None:
+        raise ValueError("every sampled difference is zero")
+    witness, det = best
+    return MinDetResult(strategy, candidates, float(abs(det)),
+                        tuple(int(v) for v in witness), complex(det))
 
 
 # ----------------------------------------------------------------------

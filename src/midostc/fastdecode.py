@@ -9,6 +9,7 @@ symbols and decoding the rest in independent groups.
 
 from __future__ import annotations
 
+import array
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,13 +39,8 @@ def pam_levels(m: int) -> tuple:
 def hurwitz_radon(code) -> np.ndarray:
     """The 16x16 quadratic-form matrix of the code's generators."""
     A = code.generators
-    n = len(A)
-    b = np.zeros((n, n))
-    for l in range(n):
-        for m in range(l, n):
-            v = np.linalg.norm(A[l] @ A[m].conj().T + A[m] @ A[l].conj().T)
-            b[l, m] = b[m, l] = v
-    return b
+    P = A[:, None] @ A.conj().transpose(0, 2, 1)        # P[l, m] = A_l A_m^H
+    return np.linalg.norm(P + P.swapaxes(0, 1), axis=(2, 3))
 
 
 def adjacency(b: np.ndarray) -> np.ndarray:
@@ -68,10 +64,6 @@ class GroupStructure:
         return not self.conditioned and len(self.groups) == 1
 
 
-def _trivial_structure(n: int) -> GroupStructure:
-    return GroupStructure((), (tuple(range(n)),), n)
-
-
 def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> GroupStructure:
     """Find a conditioning set whose removal splits the coupling graph.
 
@@ -81,18 +73,23 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
     plus the size of the largest remaining group: enumerating M^exponent
     candidates dominates the conditional decoder's complexity.  With
     target_conditioned given, only sets of that size are considered; it
-    must lie in 0..n-1.  Returns the trivial structure when nothing splits.
+    must lie in 0..n-1.  Groups come out in order of their lowest symbol.
+    Returns the trivial structure when nothing splits.
     """
     n = b.shape[0]
     if n > 20:
         raise ValueError("bitmask search is sized for small generator sets")
     if target_conditioned is not None and not 0 <= target_conditioned < n:
         raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
-    adjm = adjacency(b)
-    adj = [int(sum(1 << m for m in range(n) if adjm[l, m])) for l in range(n)]
+    adj = adjacency(b) @ (1 << np.arange(n, dtype=np.uint64))
+    # coupled[mask]: the symbols coupled to any symbol in mask
+    table = np.zeros(1 << n, dtype=np.uint64)
+    for v in range(n):
+        table[1 << v:2 << v] = table[:1 << v] | adj[v]
+    coupled = array.array("Q", table.tobytes())
     full = (1 << n) - 1
     best = None  # (exponent, conditioned size, mask, components)
-    for mask in range(1 << n):
+    for mask in range(full):
         t = mask.bit_count()
         if target_conditioned is not None:
             if t != target_conditioned:
@@ -100,23 +97,13 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         elif best is not None and t + 1 >= best[0]:
             continue
         rem = full & ~mask
-        if rem == 0:
-            continue
         comps = []
         r = rem
         while r:
-            comp = r & -r
-            frontier = comp
+            comp = frontier = r & -r
             while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[v]
-                nxt &= rem & ~comp
-                comp |= nxt
-                frontier = nxt
+                frontier = coupled[frontier] & rem & ~comp
+                comp |= frontier
             comps.append(comp)
             r &= ~comp
         if len(comps) < 2:
@@ -126,11 +113,10 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         if best is None or key < best[:3]:
             best = (expo, t, mask, comps)
     if best is None:
-        return _trivial_structure(n)
+        return GroupStructure((), (tuple(range(n)),), n)
     expo, _, mask, comps = best
     cond = tuple(i for i in range(n) if mask >> i & 1)
     groups = tuple(tuple(i for i in range(n) if cm >> i & 1) for cm in comps)
-    groups = tuple(sorted(groups, key=lambda g: g[0]))
     return GroupStructure(cond, groups, expo)
 
 
@@ -195,10 +181,7 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     return DecodeResult(S[i].copy(), float(metrics[i]), count)
 
 
-# Arrays built per block of trials (each group's candidate terms, and
-# each group's objective over candidates x trials x conditioned
-# assignments) hold about this many values.
-_BLOCK_VALUES = 1 << 16
+_BLOCK_VALUES = 1 << 16  # objective values built at a time: candidates x trials x assignments
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure) -> None:
@@ -225,49 +208,43 @@ def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (((T @ K) - 2.0 * z[..., None, :]) * T).sum(axis=-1)
 
 
-def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, classes: list,
-                  Ta: np.ndarray, Tb: np.ndarray, step: int) -> np.ndarray:
+def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, groups: list,
+                  Ta: np.ndarray, Tb: np.ndarray) -> np.ndarray:
     """Minimize s^T K s - 2 z^T s per trial; (B, n) symbols.
 
     The conditioned symbols split into a prefix a and a suffix b, so the
     assignment with flat index ia * len(Tb) + ib is Ta[ia] followed by
-    Tb[ib] and argmin keeps the lexicographic tie-break.  Each group g
-    adds the minimum over its candidates s of
-    s^T K_gg s - 2 (z_g - K_ga a - K_gb b)^T s, split into an a-part ua
-    and a b-part vb with candidates on the leading axis.  ``classes``
-    holds the groups of one size as rows of an index array, handled
-    together; the objectives are built per group, ``step`` trials at a
-    time.
+    Tb[ib] and argmin keeps the lexicographic tie-break.  Each group
+    (g, Sg), an index array and its candidate grid, adds the minimum over
+    its candidates s of s^T K_gg s - 2 (z_g - K_ga a - K_gb b)^T s, split
+    into an a-part ua and a b-part vb laid out (candidates, trials,
+    assignments).
     """
-    B = len(K)
     terms = []
-    for g, Sg in classes:                                             # g: (groups, k)
-        lin = _quadratic(Sg, K[:, g[:, :, None], g[:, None, :]], z[:, g])        # (B, groups, S)
-        ua = lin[:, :, None, :] + 2.0 * (Ta @ K[:, a[:, None], g[:, None, :]] @ Sg.T)
-        vb = 2.0 * (Tb @ K[:, b[:, None], g[:, None, :]] @ Sg.T)       # (B, groups, B_, S)
+    for g, Sg in groups:
+        lin = _quadratic(Sg, K[:, g[:, None], g], z[:, g])                      # (B, S)
+        ua = lin[:, None, :] + 2.0 * (Ta @ K[:, a[:, None], g] @ Sg.T)           # (B, A, S)
+        vb = 2.0 * (Tb @ K[:, b[:, None], g] @ Sg.T)                            # (B, B_, S)
         terms.append([ua, vb])
     # The conditioned part t^T K t - 2 z^T t rides on the first group's terms.
-    terms[0][0][:, 0] += _quadratic(Ta, K[:, a[:, None], a], z[:, a])[:, :, None]
-    terms[0][1][:, 0] += _quadratic(Tb, K[:, b[:, None], b], z[:, b])[:, :, None]
-    terms = [(ua.transpose(1, 3, 0, 2).copy(), vb.transpose(1, 3, 0, 2).copy())
-             for ua, vb in terms]                                     # (groups, S, B, A)
+    terms[0][0] += _quadratic(Ta, K[:, a[:, None], a], z[:, a])[:, :, None]
+    terms[0][1] += _quadratic(Tb, K[:, b[:, None], b], z[:, b])[:, :, None]
+    terms = [(ua.transpose(2, 0, 1).copy(), vb.transpose(2, 0, 1).copy()) for ua, vb in terms]
     Kab = K[:, a[:, None], b]
-    best = np.empty(B, dtype=int)
-    for lo in range(0, B, step):
-        hi = min(lo + step, B)
-        total = 2.0 * (Ta @ Kab[lo:hi] @ Tb.T)                       # (trials, A, B_)
+    step = max(1, _BLOCK_VALUES // (len(Ta) * len(Tb) * max(len(Sg) for _, Sg in groups)))
+    best = np.empty(len(K), dtype=int)
+    for lo in range(0, len(K), step):
+        total = 2.0 * (Ta @ Kab[lo:lo + step] @ Tb.T)                         # (trials, A, B_)
         for ua, vb in terms:
-            for uag, vbg in zip(ua, vb):
-                total += (uag[:, lo:hi, :, None] + vbg[:, lo:hi, None, :]).min(axis=0)
-        best[lo:hi] = total.reshape(hi - lo, -1).argmin(axis=1)
+            total += (ua[:, lo:lo + step, :, None] + vb[:, lo:lo + step, None, :]).min(axis=0)
+        best[lo:lo + step] = total.reshape(len(total), -1).argmin(axis=1)
     ia, ib = np.divmod(best, len(Tb))
     s = np.empty(K.shape[:2])
     s[:, a] = Ta[ia]
     s[:, b] = Tb[ib]
-    trials = np.arange(B)
-    for (g, Sg), (ua, vb) in zip(classes, terms):
-        pick = (ua[:, :, trials, ia] + vb[:, :, trials, ib]).argmin(axis=1)     # (groups, B)
-        s[:, g] = Sg[pick].transpose(1, 0, 2)
+    trials = np.arange(len(K))
+    for (g, Sg), (ua, vb) in zip(groups, terms):
+        s[:, g] = Sg[(ua[:, trials, ia] + vb[:, trials, ib]).argmin(axis=0)]
     return s
 
 
@@ -288,6 +265,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     Returns the symbols and the residual metric ||y - G s||^2 per trial,
     shaped like y's batch (a float for a single trial).  Visits are per
     trial: M^|conditioned| * sum_i M^|group_i| candidate enumerations.
+    The group terms scale with the rows passed (about 18 KB per C5 row at
+    peak); the callers in this package pass at most channel.BATCH_SIZE rows.
     """
     y = np.asarray(y, dtype=float)
     G = np.asarray(G)
@@ -304,18 +283,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     cond = np.array(gs.conditioned, dtype=np.intp)
     a, b = np.split(cond, [len(cond) // 2])
     Ta, Tb = _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b))
-    classes = [(np.array([g for g in gs.groups if len(g) == k]), _candidate_grid(levels, k))
-               for k in sorted({len(g) for g in gs.groups})]
-    # Values per trial: the groups' terms with their largest intermediate,
-    # and the largest group objective.
-    term_values = sum(g.shape[0] * len(Sg) * (len(Ta) + len(Tb) + g.shape[1]) for g, Sg in classes)
-    objective_values = len(Ta) * len(Tb) * len(classes[-1][1])
-    outer = max(1, _BLOCK_VALUES // term_values)
-    inner = max(1, _BLOCK_VALUES // objective_values)
-    s = np.empty((len(Gb), Gb.shape[-1]))
-    for lo in range(0, len(K), outer):
-        s[lo:lo + outer] = _decode_block(K[lo:lo + outer], z[lo:lo + outer], a, b, classes,
-                                         Ta, Tb, inner)
+    groups = [(np.array(g), _candidate_grid(levels, len(g))) for g in gs.groups]
+    s = _decode_block(K, z, a, b, groups, Ta, Tb)
     resid = Yb - (Gb @ s[..., None])[..., 0]
     metric = np.einsum("bi,bi->b", resid, resid)
     visits = m ** len(cond) * sum(m ** len(g) for g in gs.groups)

@@ -47,14 +47,37 @@ def test_oracle_verify_names_exist():
         assert hasattr(modules[module], attr), f"{module}.{attr}"
 
 
-def test_oracle_verify_round_has_no_failed_checks():
+def _tiny_round(workload):
+    """One TINY round of a bench workload, plus its untimed passes; its checks."""
     # loaded like tracer.py; bench/run.py puts bench/ on sys.path and sets
     # the BLAS thread variables, which are restored afterwards
     with mock.patch.object(sys, "path", list(sys.path)), mock.patch.dict(os.environ):
         run = _load("bench_run", "run.py")
+    cls = getattr(run, workload)
     checks = run.Checks()
-    built = run.build_codes(run.OracleVerify.codes, run.Clock())
-    wl = run.OracleVerify(built, 3, run.TINY, checks)
-    assert wl.round(0, run.Clock()) == run.TINY.oracle_block
+    built = run.build_codes(cls.codes, run.Clock())
+    wl = cls(built, 3, run.TINY, checks)
+    ops = wl.round(0, run.Clock())
+    wl.finish(full=False)
+    return run, ops, checks
+
+
+def test_oracle_verify_round_has_no_failed_checks():
+    run, ops, checks = _tiny_round("OracleVerify")
+    assert ops == run.TINY.oracle_block
     assert checks.attempted > run.TINY.oracle_block
+    assert checks.failed == 0, checks.misses
+
+
+def test_wer_operating_point_round_has_no_failed_checks():
+    run, ops, checks = _tiny_round("WerOperatingPoint")
+    assert ops == sum(trials for _, trials in run.TINY.wer_trials)
+    assert checks.attempted > len(run.TINY.wer_trials)
+    assert checks.failed == 0, checks.misses
+
+
+def test_certify_catalog_round_has_no_failed_checks():
+    run, ops, checks = _tiny_round("CertifyCatalog")
+    assert ops == 1
+    assert checks.attempted > len(run.TINY.cert_argvs)
     assert checks.failed == 0, checks.misses

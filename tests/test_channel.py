@@ -229,7 +229,8 @@ def test_simulate_same_seed_same_records():
     assert 0.0 < r1[0].wer < 1.0
 
 
-def test_simulate_threads_do_not_change_results():
+def test_simulate_threads_do_not_change_results(monkeypatch):
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)   # rounds of 3 batches on any machine
     code, gs = c2_code_and_structure()
     # the second run stops inside rounds of 2 and 3 batches: 14 dB on its
     # second batch, 13 dB on its first, and 40 dB at a cut last batch
@@ -251,6 +252,31 @@ def test_simulate_starts_no_pool_for_one_batch(monkeypatch):
     rec = simulate_wer(code, gs, [10.0], seed=36, min_errors=1000, max_trials=256, threads=4)
     assert rec == simulate_wer(code, gs, [10.0], seed=36, min_errors=1000, max_trials=256)
     assert rec[0].trials == 256
+
+
+def test_simulate_workers_are_capped_at_the_cpu_count(monkeypatch):
+    opened = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def map(self, func, items):
+            return list(map(func, items))
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(channel.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 2)
+    code, gs = c2_code_and_structure()
+    kw = dict(seed=37, min_errors=10 ** 6, max_trials=2048)
+    rec = simulate_wer(code, gs, [10.0], threads=1000, **kw)
+    assert opened == [2]
+    assert rec == simulate_wer(code, gs, [10.0], **kw) and rec[0].trials == 2048
 
 
 def test_simulate_high_snr_is_error_free():

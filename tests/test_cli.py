@@ -5,7 +5,7 @@ import json
 import pytest
 
 from midostc import algebra, channel
-from midostc.cli import main
+from midostc.cli import _parse_snr_list, main
 
 
 def run(capsys, argv):
@@ -208,13 +208,21 @@ def test_simulate_output_is_pinned(capsys):
     (["--snr=-inf:10:1"], "SNR range '-inf:10:1' needs a finite start, stop and step"),
     (["--snr", "0:10:nan"], "SNR range '0:10:nan' needs a finite start, stop and step"),
     (["--snr", "0:10:inf"], "SNR range '0:10:inf' needs a finite start, stop and step"),
+    (["--snr", "0:10:0.00001"], "SNR range '0:10:0.00001' has more than 1000 points"),
 ], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative",
-        "range-stop-inf", "range-start-minus-inf", "range-step-nan", "range-step-inf"])
+        "range-stop-inf", "range-start-minus-inf", "range-step-nan", "range-step-inf",
+        "range-too-many-points"])
 def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     path = tmp_path / "out.csv"
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
     assert rc == 1 and err.startswith("error: ") and message in err
     assert not path.exists()
+
+
+def test_snr_range_point_limit():
+    assert _parse_snr_list("0:999:1") == [float(v) for v in range(1000)]
+    with pytest.raises(ValueError, match="has more than 1000 points"):
+        _parse_snr_list("0:1000:1")
 
 
 @pytest.mark.parametrize("argv, message", [

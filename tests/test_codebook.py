@@ -218,6 +218,14 @@ def test_min_det_random_strategy():
         min_det_search(code, "full_exhaustive")
 
 
+def test_min_det_random_slices_do_not_change_the_result(monkeypatch):
+    code = build_code(algebra.catalog_entry(1), "B2")
+    whole = min_det_search(code, "random", n=500, seed=5)
+    monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 7)
+    assert min_det_search(code, "random", n=500, seed=5) == whole
+    assert whole.candidates == 500
+
+
 def test_determinants_are_quantized():
     # exact representation dets over B2 integer symbols land in (1/2) Z for
     # the first catalog entry, which is why the sparse minimum is no

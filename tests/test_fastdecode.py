@@ -240,17 +240,35 @@ def test_trivial_structure_reduces_to_ml():
 
 # (catalog entry, basis, structure) decoded in batches: C2 (8 conditioned
 # symbols, split 4|4), C5 (12, split 6|6), entry 1 over B1 (groups of
-# four) and the trivial structure (no conditioning, one group of 16).
+# four), the trivial structure (no conditioning, one group of 16) and a
+# synthetic structure with four conditioned symbols and groups of sizes
+# 3, 1, 4 and 4, listed by lowest symbol as detect_groups lists them.
 TRIVIAL = GroupStructure((), (tuple(range(16)),), 16)
+MIXED = GroupStructure((0, 5, 10, 15), ((1, 6, 11), (2,), (3, 4, 7, 8), (9, 12, 13, 14)), 8)
 BATCH_CASES = {"C2": (1, "B2", None), "C5": (5, "B2", None),
-               "B1": (1, "B1", None), "trivial": (1, "B2", TRIVIAL)}
+               "B1": (1, "B1", None), "trivial": (1, "B2", TRIVIAL), "mixed": (None, None, MIXED)}
+
+
+def mixed_channels(trials, rng):
+    """Channels on which each group's columns of MIXED span a subspace
+    orthogonal to the other groups'; the conditioned columns are free."""
+    G = rng.standard_normal((trials, 16, 16))
+    for t in range(trials):
+        Q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        lo = 0
+        for g in MIXED.groups:
+            G[t][:, g] = Q[:, lo:lo + len(g)] @ rng.standard_normal((len(g), len(g)))
+            lo += len(g)
+    return G
 
 
 def batch_case(name, trials, seed):
     entry, basis, gs = BATCH_CASES[name]
+    rng = np.random.default_rng(seed)
+    if entry is None:
+        return gs, mixed_channels(trials, rng), rng
     code = build(entry, basis)
     gs = gs or detect_groups(hurwitz_radon(code))
-    rng = np.random.default_rng(seed)
     H = (rng.standard_normal((trials, 2, 4)) + 1j * rng.standard_normal((trials, 2, 4))) / np.sqrt(2)
     return gs, real_channel(code, H), rng
 
@@ -317,6 +335,48 @@ def test_decode_rejects_mismatched_shapes(y_shape, g_shape):
     with pytest.raises(ValueError, match="does not match G"):
         conditional_group_decode(np.zeros(y_shape), np.eye(16) * np.ones(g_shape),
                                  gs, pam_levels(2))
+
+
+def reference_groups(adj, target):
+    """detect_groups written out: every conditioning set of the wanted size,
+    its components by breadth-first search over Python sets, and the least
+    (exponent, set size, mask) among the sets that split the graph."""
+    n = len(adj)
+    neighbours = [{w for w in range(n) if adj[v][w]} for v in range(n)]
+    best = None
+    for mask in range(1 << n):
+        cond = {i for i in range(n) if mask >> i & 1}
+        if target is not None and len(cond) != target:
+            continue
+        rest, comps = set(range(n)) - cond, []
+        while rest:
+            comp, queue = set(), [min(rest)]
+            while queue:
+                v = queue.pop(0)
+                if v not in comp:
+                    comp.add(v)
+                    queue.extend(neighbours[v] & rest - comp)
+            comps.append(tuple(sorted(comp)))
+            rest -= comp
+        key = (len(cond) + max(map(len, comps), default=0), len(cond), mask)
+        if len(comps) >= 2 and (best is None or key < best[0]):
+            best = (key, tuple(sorted(cond)), tuple(sorted(comps)))
+    if best is None:
+        return (), (tuple(range(n)),), n
+    return best[1], best[2], best[0][0]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_detect_groups_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.8), 1)
+    b = (upper | upper.T) * rng.uniform(0.5, 2.0, (n, n)) + np.eye(n)
+    b = np.maximum(b, b.T)
+    adj = adjacency(b)
+    for target in (None, *range(n)):
+        gs = detect_groups(b, target)
+        assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adj, target), target
 
 
 PROPERTY_CODES = {name: (code, detect_groups(hurwitz_radon(code)))
