@@ -17,7 +17,6 @@ from .algebra import (
     build_params,
     catalog,
     catalog_entry,
-    check_conditions,
     derive_ab,
     division_check,
     division_table,
@@ -35,7 +34,6 @@ from .codebook import (
     build_code,
     c4_transform,
     encode,
-    export_generators,
     make_basis,
     min_det_search,
 )
@@ -54,12 +52,9 @@ from .fastdecode import (
     stack_real,
 )
 from .channel import (
-    ChannelInstance,
     WerRecord,
-    sample_channel,
     simulate_wer,
     snr_to_sigma2,
-    transmit,
     wilson_interval,
     write_wer_csv,
 )
@@ -70,18 +65,16 @@ __all__ = [
     "ContextMismatchError", "FieldContext", "FieldElement",
     "CodeParams", "ConditionsReport", "DegenerateAlgebraError",
     "DivisionCertificate", "UnsupportedBranchError", "UnsupportedFormError",
-    "build_params", "catalog", "catalog_entry", "check_conditions",
-    "derive_ab", "division_check", "division_table", "normalized_codeword",
-    "permuted_representation", "representation", "representation_det_exact",
+    "build_params", "catalog", "catalog_entry", "derive_ab", "division_check",
+    "division_table", "normalized_codeword", "permuted_representation",
+    "representation", "representation_det_exact",
     "DispersionCode", "MinDetResult", "SymbolBasis",
     "UnsupportedBasisError", "UnsupportedVariantError",
-    "build_code", "c4_transform", "encode", "export_generators",
-    "make_basis", "min_det_search",
+    "build_code", "c4_transform", "encode", "make_basis", "min_det_search",
     "BudgetExceededError", "DecodeResult", "GroupStructure",
     "StructureInvalidError", "adjacency", "conditional_group_decode",
     "detect_groups", "hurwitz_radon", "ml_exhaustive", "pam_levels",
     "real_channel", "stack_real",
-    "ChannelInstance", "WerRecord", "sample_channel", "simulate_wer",
-    "snr_to_sigma2", "transmit", "wilson_interval", "write_wer_csv",
+    "WerRecord", "simulate_wer", "snr_to_sigma2", "wilson_interval", "write_wer_csv",
     "__version__",
 ]

@@ -182,7 +182,10 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
     (c, -c') over Q: division exactly when c is not represented by
     x^2 + c'*y^2.  Otherwise u*sigma(u) must be a proper element of
     Q(sqrt(-c)) and the test moves to the quaternion algebra
-    (-c', 2 + t) over Q with t the rational trace of u*sigma(u).
+    (-c', 2 + t) over Q with t the rational trace of u*sigma(u).  There
+    u*sigma(u) = x + y*w with x^2 + c*y^2 = N(u) = 1, so 2 + t = 2 + 2x
+    lies in [0, 4], with the ends only at u*sigma(u) = -1 and +1, which
+    are decided before; the tested value is strictly between 0 and 4.
     """
     if ctx.cprime not in (1, 2):
         raise UnsupportedFormError(f"division test implemented for cprime in {{1, 2}}, got {ctx.cprime}")
@@ -195,16 +198,7 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
         if not u_sigma.in_q_omega() or u_sigma.is_rational():
             return DivisionCertificate(None, "degenerate", None, None,
                                        "u*sigma(u) is not a proper element of Q(sqrt(-c))")
-        t = 2 * u_sigma.coords[0]  # trace of u*sigma(u) down to Q
-        q = 2 + t
-        if q == 0:
-            return DivisionCertificate(None, "degenerate", Fraction(0), None,
-                                       "2 + trace(u*sigma(u)) = 0, quaternion symbol undefined")
-        if q < 0:
-            # The form x^2 + c'*y^2 is positive definite, so a negative value
-            # is never a norm and the algebra is division.
-            return DivisionCertificate(True, "trace_form", q, None,
-                                       f"2 + t = {q} < 0 cannot be a norm from Q(sqrt(-{ctx.cprime}))")
+        q = 2 + 2 * u_sigma.coords[0]  # 2 + the trace of u*sigma(u) down to Q
         branch, subject = "trace_form", f"2 + t = {q}"
     is_division, wit, s = _norm_verdict(q, ctx.cprime)
     detail = (f"{subject} is not represented by x^2 + {ctx.cprime}*y^2" if is_division
@@ -280,11 +274,6 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
     report = _conditions(ctx, u, a, b)
     cert = division_check(ctx, u)
     return CodeParams(ctx, u, a, b, epsilon, k, lprime, report, cert, name)
-
-
-def check_conditions(p: CodeParams) -> ConditionsReport:
-    """Re-derive the shaping conditions for an existing parameter set."""
-    return _conditions(p.ctx, p.u, p.a, p.b)
 
 
 # ----------------------------------------------------------------------

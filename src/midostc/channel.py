@@ -180,7 +180,6 @@ class WerRecord:
     trials: int
     word_errors: int
     wer: float
-    seed: int
 
 
 def wilson_interval(errors: int, trials: int) -> tuple:
@@ -245,7 +244,7 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
                         break
                     errors += batch_errors
                     trials = batch[3]
-            records.append(WerRecord(float(snr_db), trials, errors, errors / trials, seed))
+            records.append(WerRecord(float(snr_db), trials, errors, errors / trials))
     finally:
         if pool:
             pool.close()

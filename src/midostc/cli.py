@@ -78,7 +78,8 @@ def _parse_rational_vector(text: str):
 
 
 def _resolve_options(args) -> None:
-    """Refuse options that another given option would override, then fill in the defaults."""
+    """Refuse options that another given option would override, expand --code
+    into --example, --basis and --variant, then fill in the defaults."""
     def given(names):
         return [f"--{n}" for n in names if getattr(args, n, None) is not None]
 
@@ -89,6 +90,10 @@ def _resolve_options(args) -> None:
     for option, clash in refused:
         if clash:
             raise ValueError(f"--{option} {getattr(args, option)} cannot be combined with {', '.join(clash)}")
+    if getattr(args, "code", None) is not None:
+        if args.code.upper() not in CODE_SHORTCUTS:
+            raise ValueError(f"unknown code shortcut {args.code!r}, known: {sorted(CODE_SHORTCUTS)}")
+        args.example, args.basis, args.variant = CODE_SHORTCUTS[args.code.upper()]
     for name, value in OPTION_DEFAULTS.items():
         if getattr(args, name, value) is None:
             setattr(args, name, value)
@@ -104,28 +109,12 @@ def _params_from_args(args) -> algebra.CodeParams:
     return algebra.build_params(ctx, u, k=Fraction(args.k), lprime=Fraction(args.lprime))
 
 
-def _resolve_code(args) -> tuple:
-    """(params, basis_id, variant) from --code or --example/--basis/--variant."""
-    if args.code is not None:
-        name = args.code.upper()
-        if name not in CODE_SHORTCUTS:
-            raise ValueError(f"unknown code shortcut {args.code!r}, known: {sorted(CODE_SHORTCUTS)}")
-        example, basis, variant = CODE_SHORTCUTS[name]
-        return algebra.catalog_entry(example), basis, variant
-    params = _params_from_args(args)
-    return params, args.basis, args.variant
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_construct(args) -> int:
-    try:
-        params = _params_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    params = _params_from_args(args)
     doc = algebra.params_to_json(params)
     if params.division.is_division is False and params.conditions.ok:
         doc["note"] = "not a division algebra (no nonvanishing determinant certificate); " \
@@ -143,11 +132,11 @@ def cmd_division_table(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    code = codebook.build_code(*_resolve_code(args))
+    code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     b = fastdecode.hurwitz_radon(code)
     adj = fastdecode.adjacency(b)
     gs = fastdecode.detect_groups(b, args.target)
-    b_out = [[0.0 if (i != j and not adj[i, j]) else _sig12(float(b[i, j]))
+    b_out = [[0.0 if (i != j and not adj[i, j]) else float(b[i, j])
               for j in range(16)] for i in range(16)]
     doc = {
         "code": code.name,
@@ -163,7 +152,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mindet(args) -> int:
-    code = codebook.build_code(*_resolve_code(args))
+    code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     res = codebook.min_det_search(code, args.strategy, n=args.samples, seed=args.seed)
     lines = [
         "code,strategy,candidates,min_abs_det,energy_scale,witness",
@@ -178,7 +167,7 @@ def cmd_decode_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("decode-verify needs at least one trial")
     sigma2 = channel.snr_to_sigma2(args.snr_db)
-    code = codebook.build_code(*_resolve_code(args))
+    code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
     pam = fastdecode.pam_levels(2)
     matches = 0
@@ -228,7 +217,7 @@ def _parse_snr_list(text: str):
 
 
 def cmd_simulate(args) -> int:
-    code = codebook.build_code(*_resolve_code(args))
+    code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     b = fastdecode.hurwitz_radon(code)
     gs = fastdecode.detect_groups(b)
     snrs = _parse_snr_list(args.snr)

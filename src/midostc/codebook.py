@@ -158,7 +158,6 @@ class MinDetResult:
     candidates: int
     min_abs_det: float            # with the energy scale factored out
     witness: tuple                # the 16 symbol differences
-    det: complex
 
 
 def _sparse_difference_vectors() -> np.ndarray:
@@ -214,24 +213,5 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     if best is None:
         raise ValueError("every sampled difference is zero")
     witness, det = best
-    return MinDetResult(strategy, candidates, float(abs(det)),
-                        tuple(int(v) for v in witness), complex(det))
+    return MinDetResult(strategy, candidates, float(abs(det)), tuple(int(v) for v in witness))
 
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def export_generators(code: DispersionCode) -> dict:
-    """JSON-ready description of the generator set (row-major re/im pairs)."""
-    return {
-        "name": code.name,
-        "basis": code.basis.id,
-        "variant": code.variant,
-        "energy_scale": code.energy_scale,
-        "block_scale": code.block_scale,
-        "generators": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in g]
-            for g in code.generators
-        ],
-    }

@@ -17,6 +17,11 @@ class ContextMismatchError(ValueError):
     """Raised when elements of different field contexts are combined."""
 
 
+# Largest c or c' accepted: the squarefree test and the norm-form search
+# each run up to sqrt(MAX_C), about 31,600 steps.
+MAX_C = 10 ** 9
+
+
 def _is_squarefree(n: int) -> bool:
     if n <= 0:
         return False
@@ -32,12 +37,15 @@ class FieldContext:
     """The field Q(sqrt(-c'), sqrt(-c)).
 
     c and c' must be positive, squarefree and distinct, which keeps the
-    four embeddings of L pairwise distinct (c*c' is then never a square).
+    four embeddings of L pairwise distinct (c*c' is then never a square),
+    and at most MAX_C.
     """
 
     __slots__ = ("c", "cprime")
 
     def __init__(self, c: int, cprime: int):
+        if c > MAX_C or cprime > MAX_C:
+            raise ValueError(f"c and cprime must be at most MAX_C = {MAX_C}, got c={c}, cprime={cprime}")
         if not _is_squarefree(c) or not _is_squarefree(cprime):
             raise ValueError(f"c and cprime must be positive squarefree, got c={c}, cprime={cprime}")
         if c == cprime:

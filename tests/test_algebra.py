@@ -15,7 +15,6 @@ from midostc.algebra import (
     build_params,
     catalog,
     catalog_entry,
-    check_conditions,
     derive_ab,
     division_check,
     division_table,
@@ -234,6 +233,25 @@ def test_division_check_catalog_details():
     assert p4.division.detail == "5 is not represented by x^2 + 2*y^2"
 
 
+def test_trace_form_value_lies_strictly_between_0_and_4():
+    # u*sigma(u) = x + y*w has x^2 + c*y^2 = N(u) = 1, so 2 + t = 2 + 2x is
+    # in [0, 4], and the ends (u*sigma(u) = -1 or +1) never reach this branch
+    rng = random.Random(11)
+    values = []
+    for c, cprime in ((2, 1), (3, 1), (6, 1), (11, 1), (3, 2), (5, 2), (7, 2)):
+        ctx = FieldContext(c, cprime)
+        for _ in range(40):
+            z = ctx.element(*[rng.randint(-3, 3) for _ in range(4)])
+            if z == ctx.zero():
+                continue
+            for u in (z / z.tau(), z / z.sigma(), z / z.sigma_tau()):
+                cert = division_check(ctx, u)
+                if cert.branch == "trace_form":
+                    values.append(cert.tested_value)
+    assert len(values) > 300
+    assert all(0 < q < 4 for q in values), min(values, key=lambda q: min(q, 4 - q))
+
+
 def test_build_params_does_not_raise_on_condition_failure():
     ctx = FieldContext(2, 1)
     u = ctx.element(0, 0, F(1, 2), F(1, 2))
@@ -242,13 +260,6 @@ def test_build_params_does_not_raise_on_condition_failure():
     assert not p.conditions.negative_ok
     flipped = build_params(ctx, u, k=-1)
     assert flipped.conditions.ok
-
-
-def test_check_conditions_matches_stored():
-    for p in catalog():
-        again = check_conditions(p)
-        assert again.ok == p.conditions.ok
-        assert again.alpha == p.conditions.alpha
 
 
 def test_representation_of_one_is_identity():

@@ -3,10 +3,12 @@
 bench/tracer.py patches functions by attribute name and bench/run.py
 draws oracle instances through channel and fastdecode internals; a name
 lost in a refactor would make every traced run fail with a KeyError, and
-a changed return type would make every oracle check fail.
+a changed return type would make every oracle check fail.  The commands
+that certify_catalog runs must also keep printing the same bytes.
 """
 
 import ast
+import hashlib
 import importlib.util
 import os
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 from midostc import channel, fastdecode
+from midostc.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,12 +50,16 @@ def test_oracle_verify_names_exist():
         assert hasattr(modules[module], attr), f"{module}.{attr}"
 
 
-def _tiny_round(workload):
-    """One TINY round of a bench workload, plus its untimed passes; its checks."""
+def _load_run():
     # loaded like tracer.py; bench/run.py puts bench/ on sys.path and sets
     # the BLAS thread variables, which are restored afterwards
     with mock.patch.object(sys, "path", list(sys.path)), mock.patch.dict(os.environ):
-        run = _load("bench_run", "run.py")
+        return _load("bench_run", "run.py")
+
+
+def _tiny_round(workload):
+    """One TINY round of a bench workload, plus its untimed passes; its checks."""
+    run = _load_run()
     cls = getattr(run, workload)
     checks = run.Checks()
     built = run.build_codes(cls.codes, run.Clock())
@@ -81,3 +88,54 @@ def test_certify_catalog_round_has_no_failed_checks():
     assert ops == 1
     assert checks.attempted > len(run.TINY.cert_argvs)
     assert checks.failed == 0, checks.misses
+
+
+# sha256 of the stdout of every certify_catalog command: a change to any
+# printed byte of construct, division-table, analyze or mindet shows here
+CERT_STDOUT_SHA256 = {
+    "construct --example 1":
+        "88a24bba784c10fd22ad1a6f53f3af0a2656abc74fda303eeee58fa6b3953621",
+    "construct --example 2":
+        "d9894cff22478750851fcd08246576c12ed9b3dd37f613d6502f56ec5de9795a",
+    "construct --example 3":
+        "e4a101331ede4851f8f26e0640baa4b8d578ea0db8eef4ca9e09a1f06906b538",
+    "construct --example 4":
+        "c9588aec4163f9701e071f72d91f3d6acf1ed7e16946b7fbb83af33bcffa2d0b",
+    "construct --example 5":
+        "6f117e347bc7ac14143c9904339873ed5ace31b4efda0effdcbeccf8cd512e28",
+    "division-table":
+        "5dc06c3854f313ed2bf4addf9e853713cbc109d87958bcb6c38ea405f9b72473",
+    "analyze --code C2":
+        "64ec0c8fe357f5b12697a4690b82b8dccd74332c5a6bf93ce77a60d002804a76",
+    "analyze --code C3":
+        "72539b8359d3759555279b5520bf61541c99c0a57046e6a21b6199b8b4785ee5",
+    "analyze --code C4":
+        "7f752e34e84e75c7b4091f522e9fa9bfe776955210f059c38c83f4f405550080",
+    "analyze --code C5":
+        "3768c1aad01f03400e60f2dfb7034a1fa9f6069872e8538c1129f10135bb0489",
+    "analyze --example 1 --basis B1":
+        "1138ed74a7cf8ac2a60046af325ddd4a2bdcb0dc6962e135386b7b832f088dbf",
+    "mindet --code C2":
+        "57b927c69abc302f27b79e520310e4c1242abab9970f848e6edbd6a610e70b40",
+    "mindet --code C3":
+        "35b2c51ea62a4622d5b9467cb8ddf88936d75c0d0dd1056e859574fe3362a8c8",
+    "mindet --code C4":
+        "a101aaa0d2b4a9049ad6f46dbe1f087ea6a87b8371c3fc1b79e08fa0ce011e1c",
+    "mindet --code C5":
+        "ba7a7797257abf529a3e5264e49a6d2f29601277e08cfb54b1947472ce83ab7c",
+    "mindet --example 1 --basis B1":
+        "9484b8db30cd5b4a5ae21887f2840f26ca852480a66794e7bb2c5e0d6377c445",
+    "mindet --example 2":
+        "83c69263fc99cc8ae1bf21ed30573282fdb88c56623ee47e25c593d622a156a0",
+    "mindet --example 3":
+        "e81a34a1a4504e51be76f0f713ad9fee7c0253b22bca8785c67cd80e863fdaff",
+}
+
+
+def test_certify_commands_print_pinned_bytes(capsys):
+    run = _load_run()
+    printed = {}
+    for argv in run.CERT_ARGVS:
+        assert main(list(argv)) == 0, argv
+        printed[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert printed == CERT_STDOUT_SHA256

@@ -54,7 +54,7 @@ def test_construct_condition_failure_exit_code(capsys):
 
 def test_construct_error_paths(capsys):
     rc, out, err = run(capsys, ["construct"])
-    assert rc == 1 and "construction failed" in err
+    assert rc == 1 and err == "error: either --example or all of --c, --cprime, --u are required\n"
     rc, out, err = run(capsys, ["construct", "--c", "3", "--cprime", "1",
                                 "--u", "1,2,3"])
     assert rc == 1
@@ -252,11 +252,20 @@ def test_snr_range_point_limit():
      "--example 1 cannot be combined with --lprime"),
     (["analyze", "--example", "3", "--c", "3", "--cprime", "1", "--u", "1,0,0,0"],
      "--example 3 cannot be combined with --c, --cprime, --u"),
+    (["construct", "--c", "10000000000000061", "--cprime", "1", "--u=1,0,0,0"],
+     "c and cprime must be at most MAX_C = 1000000000, got c=10000000000000061"),
+    (["construct", "--c", "3", "--cprime", "1000000000000000003", "--u=1,0,0,0"],
+     "c and cprime must be at most MAX_C = 1000000000, got c=3, cprime=1000000000000000003"),
+    (["analyze", "--c", "10000000000000061", "--cprime", "1", "--u=1,0,0,0"],
+     "c and cprime must be at most MAX_C = 1000000000, got c=10000000000000061"),
+    (["analyze", "--c", "3", "--cprime", "1000000000000000003", "--u=1,0,0,0"],
+     "c and cprime must be at most MAX_C = 1000000000, got c=3, cprime=1000000000000000003"),
 ], ids=["verify-snr-nan", "verify-snr-minus-inf", "verify-snr-overflow", "verify-trials-0",
         "simulate-snr-overflow", "analyze-target-99", "analyze-target-negative",
         "mindet-samples-0", "mindet-samples-negative", "mindet-sparse-samples", "mindet-sparse-seed",
         "mindet-sparse-samples-and-seed", "code-with-example-and-basis", "code-with-variant",
-        "code-with-params", "example-with-k", "example-with-lprime", "example-with-unit"])
+        "code-with-params", "example-with-k", "example-with-lprime", "example-with-unit",
+        "construct-huge-c", "construct-huge-cprime", "analyze-huge-c", "analyze-huge-cprime"])
 def test_out_of_range_options_are_errors(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 1 and err.startswith("error: ") and message in err

@@ -16,7 +16,6 @@ from midostc.codebook import (
     build_code,
     c4_transform,
     encode,
-    export_generators,
     make_basis,
     min_det_search,
 )
@@ -241,12 +240,3 @@ def test_determinants_are_quantized():
         d = algebra.representation_det_exact(p, xs)
         assert (2 * d).denominator == 1
 
-
-def test_export_generators_shape():
-    code = build_code(algebra.catalog_entry(1), "B2")
-    doc = export_generators(code)
-    assert doc["name"] == "example1-B2"
-    assert len(doc["generators"]) == 16
-    assert len(doc["generators"][0]) == 4
-    assert doc["generators"][0][0][0] == [pytest.approx(code.generators[0, 0, 0].real),
-                                          pytest.approx(code.generators[0, 0, 0].imag)]
