@@ -137,6 +137,10 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
 # division certification
 
 
+# Largest n*d searched for q = n/d: about sqrt(n*d) = 10^6 steps, under half a second.
+MAX_NORM_SEARCH = 10 ** 12
+
+
 def _integer_decompositions(n: int, cprime: int):
     """All (s1, s2) with s1, s2 >= 0 integers and s1^2 + cprime*s2^2 = n."""
     out = []
@@ -212,8 +216,11 @@ def _norm_verdict(q: Fraction, cprime: int) -> tuple:
     x^2 + cprime*y^2 over Q.  With q = n/d in lowest terms that holds
     exactly when n*d is a sum s1^2 + cprime*s2^2 of integers (the search is
     complete for cprime in {1, 2} by the Davenport-Cassels lemma, see
-    representable), and then (s1/d, s2/d) is the witness."""
-    decomps = _integer_decompositions(q.numerator * q.denominator, cprime)
+    representable), and then (s1/d, s2/d) is the witness; n*d > MAX_NORM_SEARCH raises."""
+    nd = q.numerator * q.denominator
+    if nd > MAX_NORM_SEARCH:
+        raise ValueError(f"norm search for q = {q}: n*d exceeds MAX_NORM_SEARCH = {MAX_NORM_SEARCH}")
+    decomps = _integer_decompositions(nd, cprime)
     if not decomps:
         return True, None, None
     s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))

@@ -185,27 +185,32 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1, drawn and evaluated _SAMPLE_SLICE at a
-    time so that memory stays flat in n.  A strictly positive minimum over
-    the sparse set is the evidence expected from a division algebra
-    (nonvanishing determinants).
+    {-2, 0, 2}^16, n at least 1.  Either set is evaluated _SAMPLE_SLICE
+    differences at a time, so that memory stays flat in n.  A strictly
+    positive minimum over the sparse set is the evidence expected from a
+    division algebra (nonvanishing determinants).
     """
     if strategy == "sparse_exhaustive":
-        slices = [_sparse_difference_vectors()]
+        sparse = _sparse_difference_vectors()
+        n, draw = len(sparse), lambda lo, m: sparse[lo:lo + m]
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
         rng = np.random.default_rng(seed)
-        slices = ((rng.integers(-1, 2, size=(min(_SAMPLE_SLICE, n - lo), 16)) * 2).astype(float)
-                  for lo in range(0, n, _SAMPLE_SLICE))
+        draw = lambda lo, m: (rng.integers(-1, 2, size=(m, 16)) * 2).astype(float)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    A = code.generators / code.energy_scale
+    # sum_i s_i A_i as two real products, since the differences are real
+    A = (code.generators / code.energy_scale).reshape(16, 16)
     candidates, best = 0, None
-    for S in slices:
+    for lo in range(0, n, _SAMPLE_SLICE):
+        S = draw(lo, min(_SAMPLE_SLICE, n - lo))
         S = S[np.any(S != 0, axis=1)]
         if len(S):
-            dets = np.linalg.det(np.einsum("ni,ijk->njk", S, A))
+            M = np.empty((len(S), 16), dtype=complex)
+            M.real = S @ A.real
+            M.imag = S @ A.imag
+            dets = np.linalg.det(M.reshape(-1, 4, 4))
             i = int(np.argmin(np.abs(dets)))
             candidates += len(S)
             if best is None or abs(dets[i]) < abs(best[1]):     # the first minimum wins

@@ -1,8 +1,9 @@
 """Exact arithmetic in the biquadratic field L = Q(w', w).
 
 Here w'^2 = -c' and w^2 = -c for positive squarefree integers c != c'.
-Elements are stored as four rational coordinates over the basis
-{1, w', w, w'w}, so every ring operation is exact.  Floating point
+Elements have four rational coordinates over the basis {1, w', w, w'w},
+stored as integer numerators over one positive common denominator, so
+every ring operation is exact integer arithmetic.  Floating point
 enters only through embed(), which sends w' to i*sqrt(c') and w to
 i*sqrt(c) (hence w'w to -sqrt(c*c')).
 """
@@ -84,16 +85,31 @@ class FieldContext:
         return self.element(0, 0, 0, 1)
 
 
-class FieldElement:
-    """An element a1 + a2*w' + a3*w + a4*w'w with exact rational coordinates."""
+def _element(ctx: FieldContext, n1: int, n2: int, n3: int, n4: int, den: int) -> "FieldElement":
+    """(n1 + n2*w' + n3*w + n4*w'w) / den for den > 0, brought to lowest terms by one gcd."""
+    g = math.gcd(n1, n2, n3, n4, den)
+    x = object.__new__(FieldElement)
+    x.ctx, x.nums, x.den = ctx, (n1 // g, n2 // g, n3 // g, n4 // g), den // g
+    return x
 
-    __slots__ = ("ctx", "coords")
+
+class FieldElement:
+    """a1 + a2*w' + a3*w + a4*w'w, stored as integer numerators `nums` over one
+    denominator `den` in lowest terms (den > 0, gcd(den, *nums) == 1), a unique
+    form; `coords` gives the rational coordinates a1..a4 as Fractions."""
+
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: FieldContext, coords):
         if len(coords) != 4:
             raise ValueError("need exactly four coordinates")
-        self.ctx = ctx
-        self.coords = tuple(Fraction(a) for a in coords)
+        fs = [Fraction(a) for a in coords]
+        self.ctx, self.den = ctx, math.lcm(*(f.denominator for f in fs))
+        self.nums = tuple(f.numerator * (self.den // f.denominator) for f in fs)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -108,12 +124,13 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        return _element(self.ctx, *(a * db + b * da for a, b in zip(self.nums, other.nums)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-a for a in self.coords))
+        return _element(self.ctx, *(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -127,22 +144,23 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.ctx, tuple(a * other for a in self.coords))
+            p = other.numerator
+            return _element(self.ctx, *(n * p for n in self.nums), self.den * other.denominator)
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        a1, a2, a3, a4 = self.coords
-        b1, b2, b3, b4 = other.coords
+        a1, a2, a3, a4 = self.nums
+        b1, b2, b3, b4 = other.nums
         c = self.ctx.c
         cp = self.ctx.cprime
         # Multiplication table of the basis: w'^2 = -c', w^2 = -c,
         # (w'w)^2 = c*c', w'*w = w'w, w'*(w'w) = -c'*w, w*(w'w) = -c*w'.
-        return FieldElement(self.ctx, (
-            a1 * b1 - cp * a2 * b2 - c * a3 * b3 + c * cp * a4 * b4,
-            a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
-            a1 * b3 + a3 * b1 - cp * (a2 * b4 + a4 * b2),
-            a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
-        ))
+        return _element(self.ctx,
+                        a1 * b1 - cp * a2 * b2 - c * a3 * b3 + c * cp * a4 * b4,
+                        a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
+                        a1 * b3 + a3 * b1 - cp * (a2 * b4 + a4 * b2),
+                        a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -177,55 +195,55 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.element(other)
+            return not any(self.nums[1:]) and self.nums[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coords == other.coords
+        return self.ctx == other.ctx and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.coords))
+        return hash((self.ctx, self.nums, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.nums)
 
     # ------------------------------------------------------------------
     # Galois action and invariants
 
     def sigma(self) -> "FieldElement":
         """The automorphism fixing w and negating w' (and hence w'w)."""
-        a1, a2, a3, a4 = self.coords
-        return FieldElement(self.ctx, (a1, -a2, a3, -a4))
+        n1, n2, n3, n4 = self.nums
+        return _element(self.ctx, n1, -n2, n3, -n4, self.den)
 
     def tau(self) -> "FieldElement":
         """The automorphism fixing w' and negating w (and hence w'w)."""
-        a1, a2, a3, a4 = self.coords
-        return FieldElement(self.ctx, (a1, a2, -a3, -a4))
+        n1, n2, n3, n4 = self.nums
+        return _element(self.ctx, n1, n2, -n3, -n4, self.den)
 
     def sigma_tau(self) -> "FieldElement":
         """sigma composed with tau; under embed() this is complex conjugation."""
-        a1, a2, a3, a4 = self.coords
-        return FieldElement(self.ctx, (a1, -a2, -a3, a4))
+        n1, n2, n3, n4 = self.nums
+        return _element(self.ctx, n1, -n2, -n3, n4, self.den)
 
     def norm(self) -> Fraction:
         """Product of the four Galois conjugates, always a rational number."""
         p = self * self.sigma() * self.tau() * self.sigma_tau()
-        if p.coords[1] != 0 or p.coords[2] != 0 or p.coords[3] != 0:
+        if not p.is_rational():
             raise ArithmeticError("norm came out irrational, arithmetic bug")
-        return p.coords[0]
+        return Fraction(p.nums[0], p.den)
 
     # ------------------------------------------------------------------
     # subfields and sign tests
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def in_q_omega(self) -> bool:
         """Membership in Q(w) = Q(sqrt(-c)), the fixed field of sigma."""
-        return self.coords[1] == 0 and self.coords[3] == 0
+        return self.nums[1] == 0 and self.nums[3] == 0
 
     def is_conjugation_fixed(self) -> bool:
         """True when the element is fixed by sigma_tau, i.e. embeds to a real number."""
-        return self.coords[1] == 0 and self.coords[2] == 0
+        return self.nums[1] == 0 and self.nums[2] == 0
 
     def real_sign(self) -> int:
         """Exact sign of the (real) embedded value a1 - a4*sqrt(c*c').
@@ -234,7 +252,7 @@ class FieldElement:
         """
         if not self.is_conjugation_fixed():
             raise ValueError("element does not embed to a real number")
-        a1, a4 = self.coords[0], self.coords[3]
+        a1, a4 = self.nums[0], self.nums[3]    # den > 0 keeps every sign below
         q = self.ctx.c * self.ctx.cprime
         if a4 == 0:
             return (a1 > 0) - (a1 < 0)
@@ -251,11 +269,11 @@ class FieldElement:
 
     def embed(self) -> complex:
         """Complex value under w' -> i*sqrt(c'), w -> i*sqrt(c)."""
-        a1, a2, a3, a4 = self.coords
+        # n / den is the correctly rounded float(Fraction(n, den))
+        a1, a2, a3, a4 = (n / self.den for n in self.nums)
         rc = math.sqrt(self.ctx.c)
         rcp = math.sqrt(self.ctx.cprime)
-        return complex(float(a1) - float(a4) * rcp * rc,
-                       float(a2) * rcp + float(a3) * rc)
+        return complex(a1 - a4 * rcp * rc, a2 * rcp + a3 * rc)
 
     def __str__(self) -> str:
         a1, a2, a3, a4 = self.coords

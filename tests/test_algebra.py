@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,22 @@ def test_trace_form_value_lies_strictly_between_0_and_4():
                     values.append(cert.tested_value)
     assert len(values) > 300
     assert all(0 < q < 4 for q in values), min(values, key=lambda q: min(q, 4 - q))
+
+
+def test_trace_form_norm_search_is_bounded():
+    # the search for 2 + t = n/d runs about sqrt(n*d) steps: n*d = 3.4e9
+    # still gets a verdict, n*d = 1.9e16 (about a minute unbounded) is refused
+    ctx = FieldContext(3, 1)
+    z = ctx.element(7, 11, 13, 17)
+    cert = division_check(ctx, z / z.tau())
+    assert cert.branch == "trace_form" and cert.is_division is False
+    q = cert.tested_value
+    assert 10 ** 9 < q.numerator * q.denominator <= algebra.MAX_NORM_SEARCH
+    z = ctx.element(101, 103, 107, 109)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_NORM_SEARCH"):
+        division_check(ctx, z / z.tau())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_build_params_does_not_raise_on_condition_failure():

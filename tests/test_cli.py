@@ -1,5 +1,6 @@
 """End-to-end checks of every CLI subcommand through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,23 @@ def test_mindet_random_defaults_to_1000_samples_and_seed_0(capsys):
     assert rc == 0 and out.splitlines()[1].split(",")[1:3] == ["random", "1000"]
     assert run(capsys, ["mindet", "--code", "C2", "--strategy", "random",
                         "--samples", "1000", "--seed", "0"])[1] == out
+
+
+# sha256 of the stdout of a random mindet over 40,000 differences, three
+# slices of the search; the C5 minimum is a rounding residue of a zero
+# determinant, so it pins the float arithmetic too
+MINDET_RANDOM_SHA256 = {
+    "C2": "10f15ccbb29407daf9cf6dbccb459db385aaf1614e956cc5ba03326796219e3a",
+    "C5": "57505fffe818a4224edcdeba72d2da6ee0004035db894c5178af9a38da3e6de4",
+}
+
+
+@pytest.mark.parametrize("code", sorted(MINDET_RANDOM_SHA256))
+def test_mindet_random_output_is_pinned(capsys, code):
+    rc, out, err = run(capsys, ["mindet", "--code", code, "--strategy", "random",
+                                "--samples", "40000", "--seed", "3"])
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == MINDET_RANDOM_SHA256[code]
 
 
 def test_decode_verify_agreement(capsys):

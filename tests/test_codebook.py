@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midostc import algebra, codebook
 from midostc.codebook import (
@@ -104,6 +106,19 @@ def test_encode_is_linear():
         lhs = encode(code, list(s + 0.5 * t))
         rhs = encode(code, list(s)) + 0.5 * encode(code, list(t))
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from((1, 2, 4, 5)), k=st.integers(-3, 3),
+       s=st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+       t=st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+def test_symbol_packing_and_encode_are_linear(n, k, s, t):
+    # exact on the field coefficients, to rounding on the codewords
+    code = build_code(algebra.catalog_entry(n), "B2" if n == 4 else "B1")
+    st_ = [a + k * b for a, b in zip(s, t)]
+    xs, xt, xst = (codebook._symbols_to_coefficients(code.params, code.basis, v) for v in (s, t, st_))
+    assert xst == tuple(a + k * b for a, b in zip(xs, xt))
+    assert np.allclose(encode(code, st_), encode(code, s) + k * encode(code, t), atol=1e-10)
 
 
 def test_energy_normalization_closed_form():
@@ -219,10 +234,35 @@ def test_min_det_random_strategy():
 
 def test_min_det_random_slices_do_not_change_the_result(monkeypatch):
     code = build_code(algebra.catalog_entry(1), "B2")
-    whole = min_det_search(code, "random", n=500, seed=5)
+    cases = (("random", 500), ("sparse_exhaustive", 39360))
+    whole = [min_det_search(code, strategy, n=500, seed=5) for strategy, _ in cases]
     monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 7)
-    assert min_det_search(code, "random", n=500, seed=5) == whole
-    assert whole.candidates == 500
+    for (strategy, candidates), res in zip(cases, whole):
+        assert min_det_search(code, strategy, n=500, seed=5) == res
+        assert res.candidates == candidates
+
+
+def test_generators_match_exact_determinants():
+    # det(sum_i s_i A_i) of the float generators against the exact
+    # determinant of the field coefficients the same symbols pack into
+    rng = np.random.default_rng(21)
+    codes = []
+    for n in range(1, 6):
+        for basis in ("B1", "B2", "B3"):
+            try:
+                codes.append(build_code(algebra.catalog_entry(n), basis))
+            except UnsupportedBasisError:
+                continue
+            if n == 1:
+                codes.append(c4_transform(codes[-1]))
+    assert len(codes) == 14   # 11 plain, C4 on each basis of entry 1
+    for code in codes:
+        A = code.generators / code.energy_scale
+        for s in rng.integers(-1, 2, size=(12, 16)) * 2:
+            d_num = abs(np.linalg.det(np.einsum("i,ijk->jk", s, A)))
+            xs = codebook._symbols_to_coefficients(code.params, code.basis, s.tolist())
+            d_exact = abs(algebra.representation_det_exact(code.params, xs))
+            assert abs(d_num - float(d_exact)) <= 1e-9 * max(1.0, float(d_exact)), code.name
 
 
 def test_determinants_are_quantized():

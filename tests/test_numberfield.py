@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midostc.numberfield import ContextMismatchError, FieldContext
 
@@ -201,3 +203,77 @@ def test_equality_and_hash():
     assert ctx.element(2) == 2 and ctx.element(2) == Fraction(2)
     assert len({a, b, ctx.one()}) == 2
     assert bool(ctx.zero()) is False and bool(a) is True
+
+
+# ----------------------------------------------------------------------
+# properties of the integer-numerator form against a Fraction reference
+
+PAIRS = ((3, 1), (6, 1), (11, 1), (5, 2), (7, 2), (2, 3))
+_rational = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+_coords = st.tuples(_rational, _rational, _rational, _rational)
+
+
+def ref_mul(ctx, a, b):
+    """The multiplication table on Fraction coordinates."""
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    c, cp = ctx.c, ctx.cprime
+    return (a1 * b1 - cp * a2 * b2 - c * a3 * b3 + c * cp * a4 * b4,
+            a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
+            a1 * b3 + a3 * b1 - cp * (a2 * b4 + a4 * b2),
+            a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2)
+
+
+def ref_conjugates(a):
+    """(sigma, tau, sigma_tau) of Fraction coordinates."""
+    a1, a2, a3, a4 = a
+    return (a1, -a2, a3, -a4), (a1, a2, -a3, -a4), (a1, -a2, -a3, a4)
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(PAIRS), a=_coords, b=_coords)
+def test_arithmetic_matches_fraction_reference(pair, a, b):
+    ctx = FieldContext(*pair)
+    x, y = ctx.element(*a), ctx.element(*b)
+    sa, ta, sta = ref_conjugates(a)
+    conj_prod = ref_mul(ctx, ref_mul(ctx, sa, ta), sta)
+    norm = ref_mul(ctx, a, conj_prod)
+    assert norm[1:] == (0, 0, 0)
+    cases = [
+        (x, a), (y, b),
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (x * y, ref_mul(ctx, a, b)),
+        (-x, tuple(-p for p in a)),
+        (x * b[0], tuple(p * b[0] for p in a)),
+        (x.sigma(), sa), (x.tau(), ta), (x.sigma_tau(), sta),
+    ]
+    if norm[0]:
+        cases.append((x.inverse(), tuple(p / norm[0] for p in conj_prod)))
+    for got, expected in cases:
+        assert got.coords == expected
+        assert in_lowest_terms(got)
+    assert x.norm() == norm[0]
+    assert bool(x) is any(a)
+    assert x.is_rational() is (a[1:] == (0, 0, 0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(PAIRS), a=_coords, b=_coords, k=st.integers(1, 30))
+def test_equal_values_by_different_routes_compare_and_hash_equal(pair, a, b, k):
+    ctx = FieldContext(*pair)
+    x, y = ctx.element(*a), ctx.element(*b)
+    routes = [x, (x * k) / k, x + y - y, (x * Fraction(k, 7)) * Fraction(7, k)]
+    if y:
+        routes.append(x * y / y)
+    for z in routes:
+        assert z == x and hash(z) == hash(x)
+        assert (z.nums, z.den) == (x.nums, x.den)
+    assert ctx.element(Fraction(2, 4)) == ctx.element(Fraction(1, 2))
+    assert hash(ctx.element(Fraction(2, 4))) == hash(ctx.element(Fraction(1, 2)))
+    assert ctx.element(Fraction(2, 4)) == Fraction(1, 2) and ctx.element(6, 0, 0, 0) / 3 == 2
+    assert ctx.element(Fraction(1, 2)) != Fraction(1, 3) and ctx.element(Fraction(1, 2)) != 1
