@@ -1,5 +1,6 @@
 """Quadratic-form structure detection and the two decoders."""
 
+import hashlib
 import itertools
 import types
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc import algebra, codebook, fastdecode
+from midostc import algebra, channel, codebook, fastdecode
+from midostc.cli import CODE_SHORTCUTS
 from midostc.fastdecode import (
     BudgetExceededError,
     GroupStructure,
@@ -308,6 +310,56 @@ def test_batched_zero_signal_tie_break(name):
         assert np.array_equal(res.symbols[i], single.symbols)
         assert res.symbols[i][first] == -1.0
         oracle = ml_exhaustive(y[i], G[i], pam_levels(2))
+        assert abs(res.metric[i] - oracle.metric) <= 1e-9
+
+
+# sha256 of the decoded symbols (int8, trial-major) of trials 0..4095 of
+# SNR point 0 at 15 dB, seed 11, drawn and decoded in batches of 256: a
+# change to the decoder's arithmetic that flips any decision shows here.
+DECISIONS_SHA256 = {
+    "C2": "07eea093eb836028356255501686a9d633f9ae643d6b335670ebc299467c77eb",
+    "C3": "7108d314c21f004adf91a5e4d430af4db5ed99ae32d019803aab261717adbc72",
+    "C5": "33c70ab611e5fde6ddbab1d90227fc3608e7ce5575a1259538818561af41e5f9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS_SHA256))
+def test_decisions_at_15_db_are_pinned(name):
+    example, basis, variant = CODE_SHORTCUTS[name]
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    gs = detect_groups(hurwitz_radon(code))
+    sigma2 = channel.snr_to_sigma2(15.0)
+    digest = hashlib.sha256()
+    for lo in range(0, 4096, channel.BATCH_SIZE):
+        _, y, G = channel.draw_trials(11, 0, lo, lo + channel.BATCH_SIZE, code.generators, sigma2)
+        res = conditional_group_decode(y, G, gs, pam_levels(2))
+        digest.update(res.symbols.astype(np.int8).tobytes())
+    assert digest.hexdigest() == DECISIONS_SHA256[name]
+
+
+# Six symbols: two conditioned (one per half of the assignment grid) and
+# groups of three and one, on channels with the two groups' columns in
+# orthogonal subspaces of R^8.
+SIX = GroupStructure((0, 5), ((1, 2, 3), (4,)), 5)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_block_orthogonal_six_symbol_channel_matches_oracle(m):
+    rng = np.random.default_rng(43 + m)
+    pam = pam_levels(m)
+    trials = 24
+    G = rng.standard_normal((trials, 8, 6))
+    for t in range(trials):
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        G[t][:, [1, 2, 3]] = Q[:, :3] @ rng.standard_normal((3, 3))
+        G[t][:, [4]] = Q[:, 3:4] * rng.uniform(0.5, 2.0)
+    s0 = rng.choice(pam, (trials, 6))
+    y = np.einsum("bij,bj->bi", G, s0) + 0.7 * rng.standard_normal((trials, 8))
+    res = conditional_group_decode(y, G, SIX, pam)
+    assert res.visits == m ** 2 * (m ** 3 + m)
+    for i in range(trials):
+        oracle = ml_exhaustive(y[i], G[i], pam)
+        assert np.array_equal(res.symbols[i], oracle.symbols), i
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
 
 
