@@ -8,8 +8,10 @@ receive SNR is 4 / sigma2, so sigma2 = 4 * 10^(-snr_db/10).
 Determinism ("philox-ss-v1"): trial t of SNR point p draws symbols,
 channel and noise, in that order, from the Philox generator of
 SeedSequence(entropy=seed, spawn_key=(p, t)).  draw_trials is the one
-source of that draw: it derives the keys with numpy's SeedSequence hash
-and works on a whole range of trials at once.  _trial_rng,
+source of that draw.  It runs numpy's SeedSequence hash for a whole range
+of trials as numpy columns, and its one Python loop rekeys a single
+Philox per trial for the raw words and normals; everything else works on
+the whole range at once.  _trial_rng,
 sample_channel, transmit and ChannelInstance are kept as the written-out
 form of philox-ss-v1 that bench/ and the tests read; nothing in src/
 calls them.  Workers run whole batches of BATCH_SIZE trials and the
@@ -46,8 +48,8 @@ def _trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(ss))
 
 
-# numpy's SeedSequence hash (pool size 4), in Python ints so that it is
-# exact for entropy words of any count.
+# numpy's SeedSequence hash (pool size 4).  _trial_keys runs it on uint32
+# columns, whose wraparound is the hash's arithmetic mod 2^32.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -64,19 +66,6 @@ def _words(n: int) -> list:
     return out
 
 
-def _mix_in(pool: list, hash_const: int, words: list) -> tuple:
-    """Mix entropy words beyond the first four into a copy of the pool."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(4):
-            v = w ^ hash_const
-            hash_const = hash_const * _MULT_A & _MASK32
-            v = v * hash_const & _MASK32
-            r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = r ^ r >> 16
-    return pool, hash_const
-
-
 def _point_pool(seed: int, point_index: int) -> tuple:
     """The pool and hash constant of SeedSequence(entropy=seed,
     spawn_key=(point_index, t)) before the words of t are mixed in: as the
@@ -88,24 +77,39 @@ def _point_pool(seed: int, point_index: int) -> tuple:
     return [int(v) for v in pool], _INIT_A * pow(_MULT_A, 16 + 4 * extra, 1 << 32) & _MASK32
 
 
-def _philox_key(pool: list) -> tuple:
-    """SeedSequence.generate_state(2, np.uint64) of a mixed pool."""
-    hash_const = _INIT_B
-    out = []
-    for v in pool:
-        v ^= hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        v = v * hash_const & _MASK32
-        out.append(v ^ v >> 16)
-    return (out[0] | out[1] << 32, out[2] | out[3] << 32)
-
-
 def _trial_keys(seed: int, point_index: int, start: int, stop: int):
-    """Philox keys of trials start..stop-1: the key _trial_rng(seed,
-    point_index, t) starts from, derived without building a SeedSequence."""
-    pool, hash_const = _point_pool(seed, point_index)
-    for t in range(start, stop):
-        yield _philox_key(_mix_in(pool, hash_const, _words(t))[0])
+    """Philox keys of trials start..stop-1, as tuples of two ints: the key
+    _trial_rng(seed, point_index, t) starts from, derived without building
+    a SeedSequence.
+
+    Each run of trials that share their upper words (and so their word
+    count) is hashed at once: one uint32 column per word of t and per pool
+    word, one numpy pass per hash step, then generate_state(2, np.uint64).
+    """
+    pool, pool_hash = _point_pool(seed, point_index)
+    while start < stop:
+        end = min(stop, ((start >> 32) + 1) << 32)
+        n, low = end - start, start & _MASK32
+        words = [np.arange(low, low + n, dtype=np.uint32),
+                 *(np.full(n, w, dtype=np.uint32) for w in _words(start)[1:])]
+        mixed = [np.full(n, v, dtype=np.uint32) for v in pool]
+        hash_const = pool_hash
+        for w in words:
+            for dst in range(4):
+                v = w ^ hash_const
+                hash_const = hash_const * _MULT_A & _MASK32
+                v *= hash_const
+                r = _MIX_MULT_L * mixed[dst] - _MIX_MULT_R * (v ^ v >> 16)
+                mixed[dst] = r ^ r >> 16
+        out = []
+        hash_const = _INIT_B
+        for v in mixed:
+            v ^= hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            v *= hash_const
+            out.append((v ^ v >> 16).astype(np.uint64))
+        yield from zip((out[0] | out[1] << 32).tolist(), (out[2] | out[3] << 32).tolist())
+        start = end
 
 
 def sample_channel(rng: np.random.Generator) -> np.ndarray:
@@ -127,15 +131,17 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     vectors y (B, 16) and their real channels G (B, 16, 16).
 
     Bit for bit the draws of _trial_rng(seed, point_index, t) in the order
-    symbols, channel, noise, by a cheaper route: one Philox per call,
-    rekeyed for each trial from _trial_keys with counter 0 and an empty
-    buffer.  A trial's symbols are the top bits of the 32-bit halves of
-    eight raw words, low half first, which is what integers(0, 2, 16)
-    returns; its channel and noise are one run of 32 normals.  Everything
-    after the draw works on the whole batch.  Raises ValueError for a
-    negative seed, point index or trial index.
+    symbols, channel, noise, by a cheaper route.  _trial_keys hashes the
+    Philox keys of the whole range in numpy columns; the one loop over
+    trials rekeys a single Philox with each key (counter 0, empty buffer)
+    and takes eight raw words and 32 normals.  A trial's symbols are the
+    top bits of the 32-bit halves of the raw words, low half first, which
+    is what integers(0, 2, 16) returns; its channel and noise are the
+    normals.  Everything after the loop works on the whole batch, the
+    codewords as two real products of the symbols with the generators.
+    Raises ValueError for a negative seed, point index or trial index.
     """
-    # numpy integers would overflow in the key hash, which needs Python ints
+    # numpy integers would overflow in the key hash's index arithmetic
     seed, point_index, start, stop = map(operator.index, (seed, point_index, start, stop))
     for name, value in (("seed", seed), ("point index", point_index), ("trial index", start)):
         if value < 0:
@@ -156,7 +162,12 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     z = normals.reshape(n, 2, 2, 4, 2)
     H = (z[:, 0, ..., 0] + 1j * z[:, 0, ..., 1]) * SQRT_HALF
     noise = (z[:, 1, ..., 0] + 1j * z[:, 1, ..., 1]) * math.sqrt(sigma2 / 2.0)
-    Y = H @ np.einsum("bi,ijk->bjk", s0, generators) + noise
+    # sum_i s_i A_i as two real products, since the symbols are real
+    A = generators.reshape(len(generators), -1)
+    X = np.empty((n, A.shape[1]), dtype=complex)
+    X.real = s0 @ A.real
+    X.imag = s0 @ A.imag
+    Y = H @ X.reshape(n, *generators.shape[1:]) + noise
     return s0, stack_real(Y), _real_channel(generators, H)
 
 

@@ -70,11 +70,18 @@ def _emit_json(obj, output: str | None) -> None:
     _emit(json.dumps(_round_floats(obj), indent=2) + "\n", output)
 
 
-def _parse_rational_vector(text: str):
+def _parse_rational(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{option} needs a finite rational such as 3, -1/2 or 0.25, got {text!r}") from None
+
+
+def _parse_rational_vector(option: str, text: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise ValueError(f"expected four comma-separated rationals, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)
+        raise ValueError(f"--{option} needs four comma-separated rationals, got {len(parts)}")
+    return tuple(_parse_rational(option, p) for p in parts)
 
 
 def _resolve_options(args) -> None:
@@ -105,8 +112,9 @@ def _params_from_args(args) -> algebra.CodeParams:
     if args.c is None or args.cprime is None or args.u is None:
         raise ValueError("either --example or all of --c, --cprime, --u are required")
     ctx = FieldContext(args.c, args.cprime)
-    u = ctx.element(*_parse_rational_vector(args.u))
-    return algebra.build_params(ctx, u, k=Fraction(args.k), lprime=Fraction(args.lprime))
+    u = ctx.element(*_parse_rational_vector("u", args.u))
+    return algebra.build_params(ctx, u, k=_parse_rational("k", args.k),
+                                lprime=_parse_rational("lprime", args.lprime))
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,7 +93,8 @@ def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple
     wp = ctx.omega_prime()
     if len(s) != 16:
         raise ValueError(f"need 16 real symbols, got {len(s)}")
-    vals = [Fraction(x) for x in s]
+    # numpy integers would overflow in the exact layer's int arithmetic
+    vals = [Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x) for x in s]
     xs = []
     for j in range(4):
         s1, s2, s3, s4 = vals[4 * j: 4 * j + 4]

@@ -181,7 +181,7 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     return DecodeResult(S[i].copy(), float(metrics[i]), count)
 
 
-_BLOCK_VALUES = 1 << 16  # objective values built at a time: candidates x trials x assignments
+_BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignments
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure) -> None:
@@ -216,35 +216,57 @@ def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, gr
     assignment with flat index ia * len(Tb) + ib is Ta[ia] followed by
     Tb[ib] and argmin keeps the lexicographic tie-break.  Each group
     (g, Sg), an index array and its candidate grid, adds the minimum over
-    its candidates s of s^T K_gg s - 2 (z_g - K_ga a - K_gb b)^T s, split
-    into an a-part ua and a b-part vb laid out (candidates, trials,
-    assignments).
+    its candidates s of q(s) + l(s), with q(s) = s^T K_gg s and l(s) =
+    2 (K_ga a + K_gb b - z_g)^T s split into an a-part la and a b-part lb.
+
+    Sg is the lexicographic grid of an alphabet symmetric about zero, so
+    candidate S-1-j is minus candidate j: q is even and l odd, and the
+    minimum over such a pair is q(s) - |la(s) + lb(s)|.  The group minimum
+    is then built on the first half of Sg only, as q(s_0) - max_j (|la(s_j)
+    + lb(s_j)| - q(s_j) + q(s_0)), with q(s_0) laid on the conditioned part
+    (t^T K t - 2 z^T t on a and on b, plus the cross term) of every
+    assignment.  Once the assignment is chosen, each group's symbols come
+    from an exact argmin over all of Sg: q + l on the first half and q - l
+    on the mirrored second half, in grid order.
     """
+    Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
     terms = []
     for g, Sg in groups:
-        lin = _quadratic(Sg, K[:, g[:, None], g], z[:, g])                      # (B, S)
-        ua = lin[:, None, :] + 2.0 * (Ta @ K[:, a[:, None], g] @ Sg.T)           # (B, A, S)
-        vb = 2.0 * (Tb @ K[:, b[:, None], g] @ Sg.T)                            # (B, B_, S)
-        terms.append([ua, vb])
-    # The conditioned part t^T K t - 2 z^T t rides on the first group's terms.
-    terms[0][0] += _quadratic(Ta, K[:, a[:, None], a], z[:, a])[:, :, None]
-    terms[0][1] += _quadratic(Tb, K[:, b[:, None], b], z[:, b])[:, :, None]
-    terms = [(ua.transpose(2, 0, 1).copy(), vb.transpose(2, 0, 1).copy()) for ua, vb in terms]
+        half = Sg[:len(Sg) - len(Sg) // 2]
+        q = ((half @ K[:, g[:, None], g]) * half).sum(axis=-1)                  # (B, H)
+        la = 2.0 * ((Ta @ K[:, a[:, None], g] - z[:, None, g]) @ half.T)        # (B, A, H)
+        lb = 2.0 * (Tb @ K[:, b[:, None], g] @ half.T)                          # (B, B_, H)
+        Qa += q[:, :1]
+        terms.append((q.T, (q[:, 1:] - q[:, :1]).T, la.transpose(2, 0, 1).copy(),
+                      lb.transpose(2, 0, 1).copy()))
+    Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
     Kab = K[:, a[:, None], b]
-    step = max(1, _BLOCK_VALUES // (len(Ta) * len(Tb) * max(len(Sg) for _, Sg in groups)))
+    step = max(1, _BLOCK_VALUES // (len(Ta) * len(Tb)))
+    bufs = np.empty((2, min(step, len(K)), len(Ta), len(Tb)))
     best = np.empty(len(K), dtype=int)
     for lo in range(0, len(K), step):
-        total = 2.0 * (Ta @ Kab[lo:lo + step] @ Tb.T)                         # (trials, A, B_)
-        for ua, vb in terms:
-            total += (ua[:, lo:lo + step, :, None] + vb[:, lo:lo + step, None, :]).min(axis=0)
-        best[lo:lo + step] = total.reshape(len(total), -1).argmin(axis=1)
+        hi = lo + step
+        block = 2.0 * (Ta @ Kab[lo:hi] @ Tb.T)                                   # (trials, A, B_)
+        block += Qa[lo:hi, :, None]
+        block += Qb[lo:hi, None, :]
+        x, y = bufs[:, :len(block)]
+        for _, d, la, lb in terms:
+            # x = max_j |la_j + lb_j| - d_j, with d_j = q(s_j) - q(s_0)
+            np.abs(np.add(la[0, lo:hi, :, None], lb[0, lo:hi, None, :], out=x), out=x)
+            for j in range(1, len(la)):
+                np.abs(np.add(la[j, lo:hi, :, None], lb[j, lo:hi, None, :], out=y), out=y)
+                np.maximum(x, np.subtract(y, d[j - 1, lo:hi, None, None], out=y), out=x)
+            block -= x
+        best[lo:hi] = block.reshape(len(block), -1).argmin(axis=1)
     ia, ib = np.divmod(best, len(Tb))
     s = np.empty(K.shape[:2])
     s[:, a] = Ta[ia]
     s[:, b] = Tb[ib]
     trials = np.arange(len(K))
-    for (g, Sg), (ua, vb) in zip(groups, terms):
-        s[:, g] = Sg[(ua[:, trials, ia] + vb[:, trials, ib]).argmin(axis=0)]
+    for (g, Sg), (q, _, la, lb) in zip(groups, terms):
+        l = la[:, trials, ia] + lb[:, trials, ib]                               # (H, B)
+        metric = np.concatenate([q + l, (q - l)[:len(Sg) // 2][::-1]])
+        s[:, g] = Sg[metric.argmin(axis=0)]
     return s
 
 
@@ -262,10 +284,12 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     happens, so a wrong structure fails loudly instead of degrading to a
     heuristic; the error names the first failing trial of the batch.
 
-    Returns the symbols and the residual metric ||y - G s||^2 per trial,
+    The alphabet pam must be symmetric about zero, as pam_levels is: the
+    group search pairs each candidate with its negative.  Returns the
+    symbols and the residual metric ||y - G s||^2 per trial,
     shaped like y's batch (a float for a single trial).  Visits are per
     trial: M^|conditioned| * sum_i M^|group_i| candidate enumerations.
-    The group terms scale with the rows passed (about 18 KB per C5 row at
+    The group terms scale with the rows passed (about 15 KB per C5 row at
     peak); the callers in this package pass at most channel.BATCH_SIZE rows.
     """
     y = np.asarray(y, dtype=float)
@@ -273,12 +297,14 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
         raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
                          "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
+    levels = tuple(pam)
+    if sorted(levels) != sorted(-v for v in levels):
+        raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)
     K = Gt @ Gb
     z = (Gt @ Yb[..., None])[..., 0]
     _verify_structure(K, gs)
-    levels = tuple(pam)
     m = len(levels)
     cond = np.array(gs.conditioned, dtype=np.intp)
     a, b = np.split(cond, [len(cond) // 2])

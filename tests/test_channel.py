@@ -65,7 +65,7 @@ def test_draw_trials_rows_are_single_draws():
 @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 130])
 def test_trial_keys_are_seed_sequence_states(seed):
     for point in (0, 2 ** 33):
-        for trial in (0, 2 ** 32 - 1, 2 ** 32):
+        for trial in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, trial))
             want = tuple(int(v) for v in ss.generate_state(2, np.uint64))
             assert next(_trial_keys(seed, point, trial, trial + 1)) == want
@@ -78,6 +78,19 @@ def test_draw_trials_across_trial_2_32_equal_reference_draw():
     s0, y, G = draw_trials(2 ** 40 + 3, 2 ** 33, start, start + 6, generators, sigma2)
     for i in range(6):
         ref = reference_draw(2 ** 40 + 3, 2 ** 33, start + i, generators, sigma2)
+        assert np.array_equal(s0[i], ref[0])
+        assert np.array_equal(y[i], ref[1])
+        assert np.array_equal(G[i], ref[2])
+
+
+def test_draw_trials_across_trial_2_64_equal_reference_draw():
+    # a five-word seed, and trial indices going from two words to three
+    generators = shortcut_code("C2").generators
+    sigma2 = snr_to_sigma2(9.0)
+    seed, start = 2 ** 130 + 5, 2 ** 64 - 4
+    s0, y, G = draw_trials(seed, 7, start, start + 8, generators, sigma2)
+    for i in range(8):
+        ref = reference_draw(seed, 7, start + i, generators, sigma2)
         assert np.array_equal(s0[i], ref[0])
         assert np.array_equal(y[i], ref[1])
         assert np.array_equal(G[i], ref[2])

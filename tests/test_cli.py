@@ -290,6 +290,25 @@ def test_out_of_range_options_are_errors(capsys, argv, message):
     assert out == ""
 
 
+RAW = ["--c", "3", "--cprime", "1"]
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "mindet"])
+@pytest.mark.parametrize("options, message", [
+    (["--u=1/0,0,0,0"], "--u needs a finite rational such as 3, -1/2 or 0.25, got '1/0'"),
+    (["--u=1,0,zero,0"], "--u needs a finite rational such as 3, -1/2 or 0.25, got 'zero'"),
+    (["--u=1,0,0"], "--u needs four comma-separated rationals, got 3"),
+    (["--u=-1/2,-1/2,-1/2,1/2", "--k", "nan"], "--k needs a finite rational such as 3, -1/2 or 0.25, got 'nan'"),
+    (["--u=-1/2,-1/2,-1/2,1/2", "--k", "2/0"], "--k needs a finite rational such as 3, -1/2 or 0.25, got '2/0'"),
+    (["--u=-1/2,-1/2,-1/2,1/2", "--lprime", "inf"],
+     "--lprime needs a finite rational such as 3, -1/2 or 0.25, got 'inf'"),
+], ids=["u-zero-denominator", "u-word", "u-three-parts", "k-nan", "k-zero-denominator", "lprime-inf"])
+def test_unparsable_rationals_name_the_option(capsys, command, options, message):
+    rc, out, err = run(capsys, [command, *RAW, *options])
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_snr_range_parsing(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["simulate", "--code", "C2", "--snr", "8:12:2", "--seed", "5",

@@ -265,6 +265,20 @@ def test_generators_match_exact_determinants():
             assert abs(d_num - float(d_exact)) <= 1e-9 * max(1.0, float(d_exact)), code.name
 
 
+def test_numpy_integer_symbols_pack_like_python_ints():
+    # at this k the exact determinant's numerators pass 2^63, where numpy
+    # int64 arithmetic would overflow
+    entry = algebra.catalog_entry(1)
+    p = algebra.build_params(entry.ctx, entry.u, k=Fraction(1, 100000000003))
+    basis = make_basis(p.ctx, "B2")
+    s = np.array([1, -1, 1, 1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1, 1, 1])
+    want = algebra.representation_det_exact(p, codebook._symbols_to_coefficients(p, basis, s.tolist()))
+    assert want == Fraction(160000000038400000001320, 10000000000600000000009)
+    for symbols in (s, s.astype(np.int32), list(s)):
+        got = algebra.representation_det_exact(p, codebook._symbols_to_coefficients(p, basis, symbols))
+        assert got == want
+
+
 def test_determinants_are_quantized():
     # exact representation dets over B2 integer symbols land in (1/2) Z for
     # the first catalog entry, which is why the sparse minimum is no

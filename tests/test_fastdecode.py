@@ -363,6 +363,28 @@ def test_block_orthogonal_six_symbol_channel_matches_oracle(m):
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
 
 
+def test_odd_symmetric_alphabet_matches_oracle():
+    # three levels: the all-zero candidate of each group is its own negative
+    rng = np.random.default_rng(47)
+    pam = (-1.0, 0.0, 1.0)
+    G = rng.standard_normal((12, 8, 6))
+    for t in range(12):
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        G[t][:, [1, 2, 3]] = Q[:, :3] @ rng.standard_normal((3, 3))
+        G[t][:, [4]] = Q[:, 3:4]
+    y = np.einsum("bij,bj->bi", G, rng.choice(pam, (12, 6))) + 0.4 * rng.standard_normal((12, 8))
+    res = conditional_group_decode(y, G, SIX, pam)
+    for i in range(12):
+        assert np.array_equal(res.symbols[i], ml_exhaustive(y[i], G[i], pam).symbols), i
+
+
+@pytest.mark.parametrize("pam", [(0.0, 1.0), (-1.0, 1.0, 3.0)])
+def test_asymmetric_alphabet_is_rejected(pam):
+    gs, G, _ = batch_case("C2", 2, 48)
+    with pytest.raises(ValueError, match="symmetric about zero"):
+        conditional_group_decode(np.zeros((2, 16)), G, gs, pam)
+
+
 def test_batch_names_the_trial_that_breaks_orthogonality():
     gs, G, rng = batch_case("C2", 5, 42)
     G[3] = rng.standard_normal((16, 16))      # not a real channel of this code
