@@ -223,22 +223,22 @@ def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, gr
     candidate S-1-j is minus candidate j: q is even and l odd, and the
     minimum over such a pair is q(s) - |la(s) + lb(s)|.  The group minimum
     is then built on the first half of Sg only, as q(s_0) - max_j (|la(s_j)
-    + lb(s_j)| - q(s_j) + q(s_0)), with q(s_0) laid on the conditioned part
-    (t^T K t - 2 z^T t on a and on b, plus the cross term) of every
-    assignment.  Once the assignment is chosen, each group's symbols come
-    from an exact argmin over all of Sg: q + l on the first half and q - l
-    on the mirrored second half, in grid order.
+    + lb(s_j)| - q(s_j) + q(s_0)); q(s_0) is the same for every assignment
+    of a trial, so the search over assignments leaves it out.  Each
+    assignment starts from its conditioned part: t^T K t - 2 z^T t on a and
+    on b, plus the cross term.  Once the assignment is chosen, each group's
+    symbols come from an exact argmin over all of Sg: q + l on the first
+    half and q - l on the mirrored second half, in grid order.
     """
-    Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
     terms = []
     for g, Sg in groups:
         half = Sg[:len(Sg) - len(Sg) // 2]
         q = ((half @ K[:, g[:, None], g]) * half).sum(axis=-1)                  # (B, H)
         la = 2.0 * ((Ta @ K[:, a[:, None], g] - z[:, None, g]) @ half.T)        # (B, A, H)
         lb = 2.0 * (Tb @ K[:, b[:, None], g] @ half.T)                          # (B, B_, H)
-        Qa += q[:, :1]
         terms.append((q.T, (q[:, 1:] - q[:, :1]).T, la.transpose(2, 0, 1).copy(),
                       lb.transpose(2, 0, 1).copy()))
+    Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
     Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
     Kab = K[:, a[:, None], b]
     step = max(1, _BLOCK_VALUES // (len(Ta) * len(Tb)))
