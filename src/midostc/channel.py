@@ -139,13 +139,16 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     is what integers(0, 2, 16) returns; its channel and noise are the
     normals.  Everything after the loop works on the whole batch, the
     codewords as two real products of the symbols with the generators.
-    Raises ValueError for a negative seed, point index or trial index.
+    Raises ValueError for a negative seed, point index or trial index,
+    and for an empty range (stop <= start).
     """
     # numpy integers would overflow in the key hash's index arithmetic
     seed, point_index, start, stop = map(operator.index, (seed, point_index, start, stop))
     for name, value in (("seed", seed), ("point index", point_index), ("trial index", start)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if stop <= start:
+        raise ValueError(f"trial range start={start}, stop={stop} is empty: need stop > start")
     n = stop - start
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)

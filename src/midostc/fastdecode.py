@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_VISIT_BUDGET = 1 << 20
+_NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measured within 5 eps
 STRUCTURAL_ZERO_RTOL = 1e-9
 ORTHOGONALITY_TOL = 1e-8
 
@@ -165,20 +166,47 @@ def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
 def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     """Brute-force maximum likelihood over the full symbol hypercube.
 
-    Ties are broken toward the lexicographically smallest symbol vector
-    (argmin hits the first minimum and candidates are enumerated in
-    lexicographic order).
+    One trial: y of shape (r,) and G of shape (r, n).  Every one of the m^n
+    candidates is scored, split into a prefix u of n // 2 symbols and a
+    suffix v of the rest, each from its lexicographic grid U or V.  With
+    a_u = y - G_u u and b_v = G_v v, candidate (u, v) scores |a_u|^2 +
+    |b_v|^2 - 2 a_u^T b_v, all of them in one (|U|, |V|) array from one GEMM.
+    That score only prunes: each prefix u whose best score lies within
+    _NEAR_TIE_RTOL (relative to the largest terms) of the overall best keeps
+    its block of |V| candidates [u | V], and the surviving blocks, still in
+    lexicographic order, are rescored as a residual matrix y - G S^T and its
+    column sums of squares.  The decision and the reported metric
+    ||y - G s||^2 are argmin and minimum of that rescoring, the arithmetic
+    of a search over the whole grid, so ties (s and -s at y = 0, say) go to
+    the lexicographically smallest symbol vector and the metric is that
+    search's value bit for bit.  Nothing here uses the Gram matrix or any
+    group structure: this is the independent reference for the decoders.
     """
+    y = np.asarray(y, dtype=float)
+    G = np.asarray(G)
+    if y.ndim != 1 or G.ndim != 2 or G.shape[0] != len(y):
+        raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: "
+                         "need one trial, y (r,) with G (r, n)")
     n = G.shape[1]
     m = len(pam)
     count = m ** n
     if count > DEFAULT_VISIT_BUDGET:
         raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
-    S = _candidate_grid(tuple(pam), n)
+    h = n // 2
+    U, V = _candidate_grid(tuple(pam), h), _candidate_grid(tuple(pam), n - h)
+    a = y[:, None] - G[:, :h] @ U.T
+    b = G[:, h:] @ V.T
+    qa, qb = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->j", b, b)
+    # the squares ride along in the GEMM as two extra rows: [-2a; qa; 1]^T [b; 1; qb]
+    left = np.vstack([-2.0 * a, qa, np.ones(len(U))])
+    right = np.vstack([b, np.ones(len(V)), qb])
+    best = (left.T @ right).min(axis=1)                             # per prefix u
+    near = np.flatnonzero(best <= best.min() + _NEAR_TIE_RTOL * (qa.max() + qb.max() + y @ y))
+    S = np.concatenate([np.repeat(U[near], len(V), axis=0), np.tile(V, (len(near), 1))], axis=1)
     D = y[:, None] - G @ S.T
     metrics = np.einsum("ij,ij->j", D, D)
     i = int(np.argmin(metrics))
-    return DecodeResult(S[i].copy(), float(metrics[i]), count)
+    return DecodeResult(S[i], float(metrics[i]), count)
 
 
 _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignments

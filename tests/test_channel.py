@@ -127,6 +127,13 @@ def test_negative_seed_and_indices_are_rejected(call, message):
         call(*c2_code_and_structure())
 
 
+@pytest.mark.parametrize("start, stop", [(5, 5), (5, 3)], ids=["empty", "reversed"])
+def test_empty_trial_range_is_rejected(start, stop):
+    code, _ = c2_code_and_structure()
+    with pytest.raises(ValueError, match=f"trial range start={start}, stop={stop} is empty"):
+        draw_trials(1, 0, start, stop, code.generators, 0.1)
+
+
 def test_batched_real_channel_equals_per_channel_stacks():
     code, _ = c2_code_and_structure()
     rng = np.random.default_rng(37)

@@ -186,6 +186,71 @@ def test_ml_tie_break_is_lexicographic():
     assert np.array_equal(res.symbols, res2.symbols)
 
 
+def reference_ml(y, G, pam):
+    """The full-grid search: one residual column per candidate, first minimum."""
+    S = fastdecode._candidate_grid(tuple(pam), G.shape[1])
+    D = y[:, None] - G @ S.T
+    metrics = np.einsum("ij,ij->j", D, D)
+    i = int(np.argmin(metrics))
+    return S[i], float(metrics[i])
+
+
+ALPHABETS = {"pam2": pam_levels(2), "pam4": pam_levels(4), "three-levels": (-1.0, 0.0, 1.0)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), alphabet=st.sampled_from(sorted(ALPHABETS)), rows=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1), integral=st.booleans(), zero=st.booleans())
+def test_ml_exhaustive_equals_full_grid_search(n, alphabet, rows, seed, integral, zero):
+    # integral channels and signals tie many candidates exactly; y = 0 ties s and -s
+    pam = ALPHABETS[alphabet]
+    rng = np.random.default_rng(seed)
+    if integral:
+        G = rng.integers(-2, 3, (rows, n)).astype(float)
+        noise = rng.integers(-1, 2, rows)
+    else:
+        G = rng.standard_normal((rows, n))
+        noise = rng.standard_normal(rows)
+    y = np.zeros(rows) if zero else G @ rng.choice(pam, n) + noise
+    res = ml_exhaustive(y, G, pam)
+    symbols, metric = reference_ml(y, G, pam)
+    assert np.array_equal(res.symbols, symbols)
+    assert res.metric == metric
+    assert res.visits == len(pam) ** n
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C5"])
+def test_ml_exhaustive_zero_signal_ties_equal_full_grid_search(name):
+    # at y = 0, C3 and C5 tie more candidates than s and -s, within rounding
+    # of each other; the oracle still picks what the full-grid search picks
+    example, basis, variant = CODE_SHORTCUTS[name]
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    _, _, G = channel.draw_trials(5, 1, 0, 4, code.generators, 0.1)
+    for Gi in G:
+        res = ml_exhaustive(np.zeros(16), Gi, pam_levels(2))
+        symbols, metric = reference_ml(np.zeros(16), Gi, pam_levels(2))
+        assert np.array_equal(res.symbols, symbols)
+        assert res.metric == metric
+
+
+@pytest.mark.parametrize("y_shape, g_shape", [
+    ((2, 16), (2, 16, 16)),      # a batch: the oracle takes one trial
+    ((15,), (16, 16)),           # y shorter than G's 16 rows
+    ((16,), (2, 16, 16)),
+    ((16,), (16,)),
+])
+def test_ml_exhaustive_rejects_mismatched_shapes(y_shape, g_shape):
+    with pytest.raises(ValueError, match="does not match G"):
+        ml_exhaustive(np.zeros(y_shape), np.ones(g_shape), pam_levels(2))
+
+
+def test_ml_budget_guard_builds_no_grid():
+    calls = fastdecode._candidate_grid.cache_info()[:2]
+    with pytest.raises(BudgetExceededError):
+        ml_exhaustive(np.zeros(4), np.ones((4, 21)), pam_levels(2))   # 2^21 > 2^20
+    assert fastdecode._candidate_grid.cache_info()[:2] == calls
+
+
 def test_conditional_matches_oracle():
     rng = np.random.default_rng(26)
     code = build(1, "B2")
@@ -335,6 +400,29 @@ def test_decisions_at_15_db_are_pinned(name):
         res = conditional_group_decode(y, G, gs, pam_levels(2))
         digest.update(res.symbols.astype(np.int8).tobytes())
     assert digest.hexdigest() == DECISIONS_SHA256[name]
+
+
+# sha256 of ml_exhaustive's symbols (int8) and metric (float64), trial by
+# trial, for trials 0..199 of SNR point 0 at 10 dB, seed 11, as the
+# full-grid search gave them: a flipped decision or a changed bit of a
+# reported metric shows here.
+ORACLE_SHA256 = {
+    "C2": "febb63c173296983ffc421b4186075a7cb5e9dc5e2d4f2fd08e83100460b1b0a",
+    "C5": "6732c1c75b7c54a805ba448eeb8f79d0a4cf22850a268dd4aba7e98b45758b20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SHA256))
+def test_oracle_at_10_db_is_pinned(name):
+    example, basis, variant = CODE_SHORTCUTS[name]
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    _, y, G = channel.draw_trials(11, 0, 0, 200, code.generators, channel.snr_to_sigma2(10.0))
+    digest = hashlib.sha256()
+    for yi, Gi in zip(y, G):
+        res = ml_exhaustive(yi, Gi, pam_levels(2))
+        digest.update(res.symbols.astype(np.int8).tobytes())
+        digest.update(np.float64(res.metric).tobytes())
+    assert digest.hexdigest() == ORACLE_SHA256[name]
 
 
 # Six symbols: two conditioned (one per half of the assignment grid) and
