@@ -221,8 +221,9 @@ def test_ml_exhaustive_equals_full_grid_search(n, alphabet, rows, seed, integral
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C5"])
 def test_ml_exhaustive_zero_signal_ties_equal_full_grid_search(name):
-    # at y = 0, C3 and C5 tie more candidates than s and -s, within rounding
-    # of each other; the oracle still picks what the full-grid search picks
+    # at y = 0 these channels tie more candidates than s and -s, within
+    # rounding of each other; the oracle still picks what the full-grid
+    # search picks (a bare argmin over the split scores does not)
     example, basis, variant = CODE_SHORTCUTS[name]
     code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
     _, _, G = channel.draw_trials(5, 1, 0, 4, code.generators, 0.1)
