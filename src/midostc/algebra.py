@@ -125,6 +125,9 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
     real_ok = ab_tau.is_conjugation_fixed()
     negative_ok = real_ok and ab_tau.real_sign() < 0
     alpha = -ab_tau.embed().real if negative_ok else None
+    if alpha is not None and not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha = -a*b*tau(u) is positive but its double is {abs(alpha)}: "
+                         "the parameters leave double precision")
     # The sigma branch is not part of the gate: the generic a = k*w derivation
     # needs it, but a directly supplied a = l*(1 + u*sigma(u)) does not, and
     # the shaping conditions below are what the normalized codeword requires.
@@ -268,7 +271,8 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
     """Assemble CodeParams, deriving (a, b) unless they are supplied.
 
     Condition failures do not raise; they are recorded on the report and
-    alpha stays None (the normalized codeword then refuses to build).
+    alpha stays None (the normalized codeword then refuses to build).  An
+    alpha that is positive but 0 or infinite as a double raises ValueError.
     """
     k = Fraction(k)
     lprime = Fraction(lprime)
@@ -304,13 +308,9 @@ def representation_elements(p: CodeParams, xs):
     ]
 
 
-def _embed_grid(grid) -> np.ndarray:
-    return np.array([[entry.embed() for entry in row] for row in grid], dtype=complex)
-
-
 def representation(p: CodeParams, xs) -> np.ndarray:
     """Embedded 4x4 codeword matrix of the left regular representation."""
-    return _embed_grid(representation_elements(p, xs))
+    return np.array([[e.embed() for e in row] for row in representation_elements(p, xs)], dtype=complex)
 
 
 _SWAP = (0, 3, 2, 1)  # rows/columns 2 and 4 exchanged
@@ -322,8 +322,7 @@ def permuted_representation(p: CodeParams, xs) -> np.ndarray:
     The two transpositions cancel, so the determinant is unchanged, and the
     result exposes four 2x2 generalized Alamouti blocks.
     """
-    grid = representation_elements(p, xs)
-    return _embed_grid([[grid[_SWAP[i]][_SWAP[j]] for j in range(4)] for i in range(4)])
+    return representation(p, xs)[np.ix_(_SWAP, _SWAP)]
 
 
 def normalized_codeword(p: CodeParams, xs) -> np.ndarray:

@@ -142,13 +142,10 @@ def cmd_division_table(args) -> int:
 def cmd_analyze(args) -> int:
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     b = fastdecode.hurwitz_radon(code)
-    adj = fastdecode.adjacency(b)
     gs = fastdecode.detect_groups(b, args.target)
-    b_out = [[0.0 if (i != j and not adj[i, j]) else float(b[i, j])
-              for j in range(16)] for i in range(16)]
     doc = {
         "code": code.name,
-        "b_matrix": b_out,
+        "b_matrix": np.where(fastdecode.adjacency(b) | np.eye(len(b), dtype=bool), b, 0.0).tolist(),
         "conditioned": [i + 1 for i in gs.conditioned],
         "groups": [[i + 1 for i in g] for g in gs.groups],
         "exponent": gs.exponent,

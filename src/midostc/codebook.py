@@ -141,7 +141,11 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
     gens = np.stack([_encode_unscaled(params, basis, block_scale, unit) for unit in np.eye(16)])
-    scale = math.sqrt(TARGET_ENERGY / float(np.sum(np.abs(gens) ** 2)))
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(np.abs(gens) ** 2))
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")
+    scale = math.sqrt(TARGET_ENERGY / energy)
     return DispersionCode(params, basis, variant, gens * scale, scale, block_scale)
 
 

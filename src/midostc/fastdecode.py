@@ -4,7 +4,8 @@ The mutual-orthogonality structure of a linear dispersion code is read
 off the matrix b[l, m] = ||A_l A_m^H + A_m A_l^H||_F.  A structural zero
 there makes the corresponding real-channel columns orthogonal for every
 channel realization, which is what allows conditioning on a subset of
-symbols and decoding the rest in independent groups.
+symbols and decoding the rest in independent groups.  One scale-free rule,
+_coupled, judges b and every trial's Gram matrix alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 DEFAULT_VISIT_BUDGET = 1 << 20
 _NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measured within 5 eps
-STRUCTURAL_ZERO_RTOL = 1e-9
 ORTHOGONALITY_TOL = 1e-8
 
 
@@ -44,10 +44,22 @@ def hurwitz_radon(code) -> np.ndarray:
     return np.linalg.norm(P + P.swapaxes(0, 1), axis=(2, 3))
 
 
+def _coupled(M: np.ndarray) -> np.ndarray:
+    """|M_lm| > ORTHOGONALITY_TOL * sqrt(M_ll M_mm), for one matrix or a (..., n, n) stack."""
+    d = np.sqrt(np.einsum("...ii->...i", M))
+    return np.abs(M) > ORTHOGONALITY_TOL * (d[..., :, None] * d[..., None, :])
+
+
 def adjacency(b: np.ndarray) -> np.ndarray:
-    """Boolean coupling matrix; entries below STRUCTURAL_ZERO_RTOL * max(b) are structural zeros."""
-    thresh = STRUCTURAL_ZERO_RTOL * float(b.max())
-    adj = b > thresh
+    """Boolean coupling matrix of b under _coupled's rule, diagonal False.  A zero or
+    non-finite self-coupling has left double precision, and is refused (ValueError)."""
+    diag = np.diagonal(b)
+    lost = np.flatnonzero(~(np.isfinite(diag) & (diag > 0)))
+    if len(lost):
+        i = lost[0]
+        raise ValueError(f"symbol {i + 1} has self-coupling b = {diag[i]:.3e}, not a positive finite double: "
+                         "the parameters leave double precision and its couplings cannot be decided")
+    adj = _coupled(b)
     np.fill_diagonal(adj, False)
     return adj
 
@@ -213,22 +225,18 @@ _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignment
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure) -> None:
-    """Raise unless every cross-group block of every trial's K is (numerically) zero."""
+    """Raise unless no trial's K couples two groups, under the rule of _coupled."""
     label = np.full(K.shape[-1], -1)
     for i, g in enumerate(gs.groups):
         label[list(g)] = i
     cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
-    d = np.sqrt(np.einsum("bii->bi", K))
-    dots = np.abs(K) / (d[:, :, None] * d[:, None, :] + 1e-300)
-    bad = np.flatnonzero(np.where(cross, dots, 0.0).max(axis=(1, 2)) > ORTHOGONALITY_TOL)
-    if len(bad):
-        b = bad[0]
-        for gi, gj in itertools.combinations(gs.groups, 2):
-            worst = dots[b][np.ix_(gi, gj)].max()
-            if worst > ORTHOGONALITY_TOL:
-                raise StructureInvalidError(
-                    f"trial {b} of the batch: groups {gi} and {gj} are not orthogonal for "
-                    f"this channel (max normalized inner product {worst:.3e})")
+    bad = _coupled(K) & cross
+    if bad.any():
+        t, l, m = np.argwhere(bad)[0]
+        dot = abs(K[t, l, m]) / np.sqrt(K[t, l, l]) / np.sqrt(K[t, m, m])
+        raise StructureInvalidError(
+            f"trial {t} of the batch: groups {gs.groups[label[l]]} and {gs.groups[label[m]]} are not "
+            f"orthogonal for this channel (normalized inner product {dot:.3e})")
 
 
 def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:

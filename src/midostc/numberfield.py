@@ -179,20 +179,6 @@ class FieldElement:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return not any(self.nums[1:]) and self.nums[0] * other.denominator == other.numerator * self.den
@@ -268,9 +254,13 @@ class FieldElement:
     # embedding and text form
 
     def embed(self) -> complex:
-        """Complex value under w' -> i*sqrt(c'), w -> i*sqrt(c)."""
+        """Complex value under w' -> i*sqrt(c'), w -> i*sqrt(c); ValueError if a coordinate overflows."""
         # n / den is the correctly rounded float(Fraction(n, den))
-        a1, a2, a3, a4 = (n / self.den for n in self.nums)
+        try:
+            a1, a2, a3, a4 = (n / self.den for n in self.nums)
+        except OverflowError:
+            raise ValueError("a field element overflows a double when embedded: "
+                             "the parameters leave double precision") from None
         rc = math.sqrt(self.ctx.c)
         rcp = math.sqrt(self.ctx.cprime)
         return complex(a1 - a4 * rcp * rc, a2 * rcp + a3 * rc)

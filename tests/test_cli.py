@@ -309,6 +309,33 @@ def test_unparsable_rationals_name_the_option(capsys, command, options, message)
     assert err == f"error: {message}\n"
 
 
+UNIT = "--u=-1/2,-1/2,-1/2,1/2"
+
+
+@pytest.mark.parametrize("command, k", [
+    *((command, k) for command in ("construct", "analyze", "mindet") for k in ("1e400", "1e-400")),
+    ("analyze", "1e200"), ("mindet", "1e200"),      # the generators' energy overflows
+])
+def test_parameters_outside_double_precision_are_refused(capsys, command, k):
+    rc, out, err = run(capsys, [command, *RAW, UNIT, "--k", k])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the parameters leave double precision" in err
+
+
+def test_lost_self_coupling_is_refused_alike_by_every_decoding_command(capsys):
+    # at k = 1e-300 a generator's self-coupling underflows to 0
+    opts = [*RAW, UNIT, "--k", "1e-300"]
+    errs = []
+    for argv in (["analyze", *opts], ["decode-verify", *opts], ["simulate", *opts, "--snr", "10"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == "", argv
+        errs.append(err)
+    assert errs[0].startswith("error: symbol ") and errs[0].count("\n") == 1
+    assert "the parameters leave double precision" in errs[0]
+    assert errs == [errs[0]] * 3
+
+
 def test_simulate_snr_range_parsing(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["simulate", "--code", "C2", "--snr", "8:12:2", "--seed", "5",

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from midostc.fastdecode import (
     real_channel,
     stack_real,
 )
+from midostc.numberfield import FieldContext
 
 # Frozen structures for the first catalog entry (0-based symbol indices).
 B2_CONDITIONED = (4, 5, 6, 7, 8, 9, 10, 11)
@@ -548,3 +550,47 @@ def test_decoder_agrees_with_oracle_property(name, h, s0, noise):
     r_ml = ml_exhaustive(y, G, pam_levels(2))
     # degenerate channels (say H = 0) tie many vectors, so compare metrics
     assert abs(r_cg.metric - r_ml.metric) <= 1e-9
+
+
+# Every catalog entry over every basis defined for it, plus C4.
+MARGIN_CODES = ([(n, "B2", "plain") for n in range(1, 6)] + [(n, "B1", "plain") for n in (1, 2, 3, 5)]
+                + [(1, "B3", "plain"), (5, "B3", "plain"), (1, "B2", "C4")])
+
+
+@pytest.mark.parametrize("entry, basis, variant", MARGIN_CODES,
+                         ids=[f"{n}-{basis}-{variant}" for n, basis, variant in MARGIN_CODES])
+def test_catalog_couplings_clear_the_rule_by_a_margin(entry, basis, variant):
+    b = hurwitz_radon(codebook.build_code(algebra.catalog_entry(entry), basis, variant))
+    d = np.sqrt(np.diag(b))
+    off = ~np.eye(16, dtype=bool)
+    normalized, coupled = (b / np.outer(d, d))[off], adjacency(b)[off]
+    assert normalized[~coupled].max(initial=0.0) <= 1e-15
+    assert normalized[coupled].min() >= 0.1
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+def test_adjacency_refuses_a_lost_self_coupling(value):
+    b = np.full((4, 4), 0.5) + np.eye(4)
+    b[2, 2] = value
+    with pytest.raises(ValueError, match="symbol 3 .* the parameters leave double precision"):
+        adjacency(b)
+
+
+@pytest.mark.parametrize("lprime", ["1", "1e-20"])
+@pytest.mark.parametrize("k", ["1e-300", "1e-20", "4/7", "123456789012345678901/7", "1e100"])
+@pytest.mark.parametrize("basis", ["B1", "B2", "B3"])
+def test_detected_structure_holds_on_every_trial_at_extreme_scales(basis, k, lprime):
+    # either detect_groups refuses, or the structure it publishes survives
+    # the per-trial check on a whole batch
+    ctx = FieldContext(3, 1)
+    u = ctx.element(Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2))
+    params = algebra.build_params(ctx, u, k=Fraction(k), lprime=Fraction(lprime))
+    code = codebook.build_code(params, basis)
+    try:
+        gs = detect_groups(hurwitz_radon(code))
+    except ValueError as exc:
+        assert "the parameters leave double precision" in str(exc)
+        return
+    _, y, G = channel.draw_trials(0, 0, 0, 64, code.generators, channel.snr_to_sigma2(15.0))
+    res = conditional_group_decode(y, G, gs, pam_levels(2))
+    assert res.symbols.shape == (64, 16)
