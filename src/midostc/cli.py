@@ -201,11 +201,17 @@ def cmd_decode_verify(args) -> int:
 
 
 def _parse_snr_list(text: str):
+    def number(part):
+        try:
+            return float(part)
+        except ValueError:
+            raise ValueError(f"--snr needs numbers in dB, got {part!r} in {text!r}") from None
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("range form is start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+            raise ValueError(f"--snr range form is start:stop:step, got {text!r}")
+        start, stop, step = map(number, parts)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"SNR range {text!r} needs a finite start, stop and step")
         if step <= 0:
@@ -218,7 +224,7 @@ def _parse_snr_list(text: str):
             out.append(round(v, 9))
             v += step
         return out
-    return [float(p) for p in text.split(",")]
+    return [number(p) for p in text.split(",")]
 
 
 def cmd_simulate(args) -> int:

@@ -13,6 +13,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -166,12 +167,13 @@ class MinDetResult:
     witness: tuple                # the 16 symbol differences
 
 
+@lru_cache(maxsize=1)
 def _sparse_difference_vectors() -> np.ndarray:
     """All difference vectors supported on at most two field coefficients.
 
     PAM differences per real symbol are {-2, 0, 2}; each field coefficient
     owns four consecutive symbols.  Duplicates across coefficient pairs are
-    harmless for a minimum.
+    harmless for a minimum.  Built once; the array is read-only.
     """
     deltas = (-2, 0, 2)
     combos = np.array(list(itertools.product(deltas, repeat=8)), dtype=float)
@@ -182,7 +184,9 @@ def _sparse_difference_vectors() -> np.ndarray:
         block[:, 4 * j: 4 * j + 4] = combos[:, :4]
         block[:, 4 * k: 4 * k + 4] = combos[:, 4:]
         out.append(block)
-    return np.concatenate(out)
+    sparse = np.concatenate(out)
+    sparse.setflags(write=False)
+    return sparse
 
 
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
@@ -191,8 +195,8 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1.  Either set is evaluated _SAMPLE_SLICE
-    differences at a time, so that memory stays flat in n.  A strictly
+    {-2, 0, 2}^16, n at least 1, seed non-negative.  Either set is evaluated
+    _SAMPLE_SLICE differences at a time, so that memory stays flat in n.  A strictly
     positive minimum over the sparse set is the evidence expected from a
     division algebra (nonvanishing determinants).
     """
@@ -202,6 +206,8 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         draw = lambda lo, m: (rng.integers(-1, 2, size=(m, 16)) * 2).astype(float)
     else:

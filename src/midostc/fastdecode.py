@@ -10,7 +10,6 @@ _coupled, judges b and every trial's Gram matrix alike.
 
 from __future__ import annotations
 
-import array
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,15 +76,32 @@ class GroupStructure:
         return not self.conditioned and len(self.groups) == 1
 
 
+def _components(coupled: np.ndarray, rem: np.ndarray):
+    """Flood-fill every bitmask in rem at once, one component per round: yield the
+    indices into rem that still have bits left and, for each, the component of its
+    lowest remaining bit (so components come in order of their lowest symbol)."""
+    idx, r = np.arange(len(rem)), rem
+    while len(idx):
+        rest = rem[idx]
+        comp = frontier = r & -r
+        while frontier.any():
+            frontier = coupled[frontier] & rest & ~comp
+            comp = comp | frontier
+        yield idx, comp
+        r = r & ~comp
+        idx, r = idx[r != 0], r[r != 0]
+
+
 def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> GroupStructure:
     """Find a conditioning set whose removal splits the coupling graph.
 
-    Scans conditioning sets exhaustively with bitmask flood fills (pruned
-    by the best exponent found so far), so the result is deterministic and
-    invariant under symbol permutations.  The exponent is |conditioned|
-    plus the size of the largest remaining group: enumerating M^exponent
-    candidates dominates the conditional decoder's complexity.  With
-    target_conditioned given, only sets of that size are considered; it
+    Decides all 2^n - 1 proper conditioning sets at once, flooding their
+    complements as uint32 bitmask columns, and takes the least (exponent,
+    |set|, mask) among those that leave two or more components, so the result
+    is deterministic and invariant under symbol permutations.  The exponent
+    is |conditioned| plus the size of the largest remaining group: enumerating
+    M^exponent candidates dominates the conditional decoder's complexity.
+    With target_conditioned given, only sets of that size are considered; it
     must lie in 0..n-1.  Groups come out in order of their lowest symbol.
     Returns the trivial structure when nothing splits.
     """
@@ -94,43 +110,31 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         raise ValueError("bitmask search is sized for small generator sets")
     if target_conditioned is not None and not 0 <= target_conditioned < n:
         raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
-    adj = adjacency(b) @ (1 << np.arange(n, dtype=np.uint64))
-    # coupled[mask]: the symbols coupled to any symbol in mask
-    table = np.zeros(1 << n, dtype=np.uint64)
+    adj = adjacency(b) @ (1 << np.arange(n, dtype=np.uint32))
+    # coupled[mask]: the symbols coupled to any symbol in mask; size[mask]: its popcount
+    coupled, size = np.zeros(1 << n, dtype=np.uint32), np.zeros(1 << n, dtype=np.uint8)
     for v in range(n):
-        table[1 << v:2 << v] = table[:1 << v] | adj[v]
-    coupled = array.array("Q", table.tobytes())
+        coupled[1 << v:2 << v] = coupled[:1 << v] | adj[v]
+        size[1 << v:2 << v] = size[:1 << v] + 1
     full = (1 << n) - 1
-    best = None  # (exponent, conditioned size, mask, components)
-    for mask in range(full):
-        t = mask.bit_count()
-        if target_conditioned is not None:
-            if t != target_conditioned:
-                continue
-        elif best is not None and t + 1 >= best[0]:
-            continue
-        rem = full & ~mask
-        comps = []
-        r = rem
-        while r:
-            comp = frontier = r & -r
-            while frontier:
-                frontier = coupled[frontier] & rem & ~comp
-                comp |= frontier
-            comps.append(comp)
-            r &= ~comp
-        if len(comps) < 2:
-            continue
-        expo = t + max(cm.bit_count() for cm in comps)
-        key = (expo, t, mask)
-        if best is None or key < best[:3]:
-            best = (expo, t, mask, comps)
-    if best is None:
+    masks = np.arange(full, dtype=np.uint32)
+    if target_conditioned is not None:
+        masks = masks[size[:full] == target_conditioned]
+    count, largest = np.zeros(len(masks), dtype=np.uint8), np.zeros(len(masks), dtype=np.uint8)
+    for idx, comp in _components(coupled, full ^ masks):
+        count[idx] += 1
+        largest[idx] = np.maximum(largest[idx], size[comp])
+    t = size[masks].astype(np.int64)
+    expo = t + largest
+    key = np.where(count >= 2, ((expo * (n + 1) + t) << n) + masks, np.iinfo(np.int64).max)
+    best = int(np.argmin(key))
+    if count[best] < 2:
         return GroupStructure((), (tuple(range(n)),), n)
-    expo, _, mask, comps = best
+    mask = int(masks[best])
+    comps = [int(comp[0]) for _, comp in _components(coupled, np.array([full ^ mask], dtype=np.uint32))]
     cond = tuple(i for i in range(n) if mask >> i & 1)
     groups = tuple(tuple(i for i in range(n) if cm >> i & 1) for cm in comps)
-    return GroupStructure(cond, groups, expo)
+    return GroupStructure(cond, groups, int(expo[best]))
 
 
 # ----------------------------------------------------------------------

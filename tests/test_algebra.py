@@ -1,5 +1,6 @@
 """Crossed-product algebra parameters, conditions, division verdicts."""
 
+import itertools
 import math
 import random
 import time
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midostc import algebra
 from midostc.algebra import (
@@ -345,6 +348,27 @@ def test_det_exact_matches_numpy_on_random_grids():
         d = algebra.det_exact(grid)
         num = np.linalg.det(np.array([[e.embed() for e in row] for row in grid]))
         assert abs(num - d.embed()) <= 1e-8 * max(1.0, abs(num))
+
+
+def reference_det(grid):
+    """The Leibniz sum over the 24 permutations of the columns (72 products)."""
+    acc = grid[0][0].ctx.zero()
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = grid[0][perm[0]] * grid[1][perm[1]] * grid[2][perm[2]] * grid[3][perm[3]]
+        acc = acc + term * (-1 if inversions % 2 else 1)
+    return acc
+
+
+CATALOG_CONTEXTS = [catalog_entry(n).ctx for n in range(1, 6)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ctx=st.sampled_from(CATALOG_CONTEXTS),
+       coords=st.lists(st.integers(-3, 3), min_size=64, max_size=64))
+def test_det_exact_equals_the_leibniz_sum(ctx, coords):
+    grid = [[ctx.element(*coords[16 * r + 4 * c:16 * r + 4 * c + 4]) for c in range(4)] for r in range(4)]
+    assert algebra.det_exact(grid) == reference_det(grid)
 
 
 def test_params_json_shape():

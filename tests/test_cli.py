@@ -227,9 +227,12 @@ def test_simulate_output_is_pinned(capsys):
     (["--snr", "0:10:nan"], "SNR range '0:10:nan' needs a finite start, stop and step"),
     (["--snr", "0:10:inf"], "SNR range '0:10:inf' needs a finite start, stop and step"),
     (["--snr", "0:10:0.00001"], "SNR range '0:10:0.00001' has more than 1000 points"),
+    (["--snr", ""], "--snr needs numbers in dB, got '' in ''"),
+    (["--snr", "15,,16"], "--snr needs numbers in dB, got '' in '15,,16'"),
+    (["--snr", "0:10"], "--snr range form is start:stop:step, got '0:10'"),
 ], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative",
         "range-stop-inf", "range-start-minus-inf", "range-step-nan", "range-step-inf",
-        "range-too-many-points"])
+        "range-too-many-points", "snr-empty", "snr-empty-item", "range-two-parts"])
 def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     path = tmp_path / "out.csv"
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
@@ -253,6 +256,8 @@ def test_snr_range_point_limit():
     (["analyze", "--code", "C2", "--target=-3"], "target_conditioned must be in 0..15, got -3"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples", "0"], "samples must be at least 1"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples=-4"], "samples must be at least 1"),
+    (["mindet", "--code", "C2", "--strategy", "random", "--samples", "5", "--seed=-1"],
+     "seed must be non-negative, got -1"),
     (["mindet", "--code", "C2", "--samples=-4"],
      "--strategy sparse_exhaustive cannot be combined with --samples"),
     (["mindet", "--code", "C2", "--seed", "3"],
@@ -280,8 +285,8 @@ def test_snr_range_point_limit():
      "c and cprime must be at most MAX_C = 1000000000, got c=3, cprime=1000000000000000003"),
 ], ids=["verify-snr-nan", "verify-snr-minus-inf", "verify-snr-overflow", "verify-trials-0",
         "simulate-snr-overflow", "analyze-target-99", "analyze-target-negative",
-        "mindet-samples-0", "mindet-samples-negative", "mindet-sparse-samples", "mindet-sparse-seed",
-        "mindet-sparse-samples-and-seed", "code-with-example-and-basis", "code-with-variant",
+        "mindet-samples-0", "mindet-samples-negative", "mindet-seed-negative", "mindet-sparse-samples",
+        "mindet-sparse-seed", "mindet-sparse-samples-and-seed", "code-with-example-and-basis", "code-with-variant",
         "code-with-params", "example-with-k", "example-with-lprime", "example-with-unit",
         "construct-huge-c", "construct-huge-cprime", "analyze-huge-c", "analyze-huge-cprime"])
 def test_out_of_range_options_are_errors(capsys, argv, message):

@@ -232,6 +232,19 @@ def test_min_det_random_strategy():
         min_det_search(code, "full_exhaustive")
 
 
+def test_sparse_difference_set_is_built_once_and_read_only():
+    sparse = codebook._sparse_difference_vectors()
+    assert codebook._sparse_difference_vectors() is sparse
+    assert sparse.shape == (39360, 16) and not sparse.flags.writeable
+    with pytest.raises(ValueError):
+        sparse[0, 0] = 1.0
+
+
+def test_min_det_search_repeats_on_one_code():
+    code = build_code(algebra.catalog_entry(1), "B2")
+    assert min_det_search(code) == min_det_search(code)
+
+
 def test_min_det_random_slices_do_not_change_the_result(monkeypatch):
     code = build_code(algebra.catalog_entry(1), "B2")
     cases = (("random", 500), ("sparse_exhaustive", 39360))

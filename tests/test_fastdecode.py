@@ -531,6 +531,28 @@ def test_detect_groups_matches_brute_force(seed):
         assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adj, target), target
 
 
+@pytest.mark.parametrize("separator, small, large", [(4, 6, 8), (5, 7, 8)], ids=["n18", "n20"])
+def test_detect_groups_finds_a_planted_separator(separator, small, large):
+    # Two cliques joined only through a separator set that is coupled to every
+    # symbol.  Any splitting set holds the whole separator, and then keeping x
+    # and y symbols of the two cliques costs separator + small + large - min(x, y),
+    # so the least set is the separator alone, with exponent separator + large.
+    # Below that size nothing splits.
+    n = separator + small + large
+    rng = np.random.default_rng(n)
+    sep, a, c = np.split(rng.permutation(n), [separator, separator + small])
+    adj = np.zeros((n, n), dtype=bool)
+    for block in (np.r_[sep, a], np.r_[sep, c]):
+        adj[np.ix_(block, block)] = True
+    b = np.where(adj, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+    b = np.maximum(b, b.T)
+    groups = tuple(sorted((tuple(sorted(a.tolist())), tuple(sorted(c.tolist())))))
+    planted = GroupStructure(tuple(sorted(sep.tolist())), groups, separator + large)
+    assert detect_groups(b) == planted
+    assert detect_groups(b, separator) == planted
+    assert detect_groups(b, separator - 1) == GroupStructure((), (tuple(range(n)),), n)
+
+
 PROPERTY_CODES = {name: (code, detect_groups(hurwitz_radon(code)))
                   for name, code in (("C2", build(1, "B2")), ("C5", build(5, "B2")))}
 _unit = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
