@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt
 
@@ -75,34 +75,20 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
 
 @dataclass(frozen=True)
 class ConditionsReport:
-    """Exact record of the codeword-shaping conditions for (u, a, b)."""
+    """Exact record of the codeword-shaping conditions for (u, a, b); its field
+    names are the keys of the "conditions" object that construct prints."""
 
     norm_u: Fraction
     u_sigma_u: FieldElement
     u_tau_u: FieldElement
     ab_tau_u: FieldElement
-    norm_ok: bool            # N(u) == 1
-    sigma_minus_one: bool    # u*sigma(u) == -1 (informational, see below)
-    epsilon_ok: bool         # u*tau(u) in {-1, i, -i}
-    real_ok: bool            # a*b*tau(u) fixed by conjugation
-    negative_ok: bool        # embedded a*b*tau(u) strictly negative
-    alpha: float | None      # -embed(a*b*tau(u)) when real and negative
+    norm_ok: bool                    # N(u) == 1
+    u_sigma_u_is_minus_one: bool     # u*sigma(u) == -1 (informational, see below)
+    epsilon_ok: bool                 # u*tau(u) in {-1, i, -i}
+    ab_tau_u_real: bool              # a*b*tau(u) fixed by conjugation
+    ab_tau_u_negative: bool          # embedded a*b*tau(u) strictly negative
+    alpha: float | None              # -embed(a*b*tau(u)) when real and negative
     ok: bool
-
-    def summary(self) -> dict:
-        return {
-            "norm_u": str(self.norm_u),
-            "u_sigma_u": str(self.u_sigma_u),
-            "u_tau_u": str(self.u_tau_u),
-            "ab_tau_u": str(self.ab_tau_u),
-            "norm_ok": self.norm_ok,
-            "u_sigma_u_is_minus_one": self.sigma_minus_one,
-            "epsilon_ok": self.epsilon_ok,
-            "ab_tau_u_real": self.real_ok,
-            "ab_tau_u_negative": self.negative_ok,
-            "alpha": self.alpha,
-            "ok": self.ok,
-        }
 
 
 def _epsilon_candidates(ctx: FieldContext):
@@ -410,9 +396,18 @@ def _element_json(x: FieldElement):
     return [str(a) for a in x.coords]
 
 
+def _record_json(record) -> dict:
+    """A certificate dataclass as JSON keyed by its field names: exact values as
+    strings, a tuple as a list of strings, anything else (None, bool, float, str) as is."""
+    def value(v):
+        if isinstance(v, tuple):
+            return [str(w) for w in v]
+        return str(v) if isinstance(v, (Fraction, FieldElement)) else v
+    return {f.name: value(getattr(record, f.name)) for f in fields(record)}
+
+
 def params_to_json(p: CodeParams) -> dict:
     """JSON-ready dict with rationals rendered as "num/den" strings."""
-    cert = p.division
     return {
         "name": p.name,
         "c": p.ctx.c,
@@ -424,12 +419,6 @@ def params_to_json(p: CodeParams) -> dict:
         "epsilon": _element_json(p.epsilon),
         "scale_k": str(p.scale_k),
         "scale_lprime": str(p.scale_lprime),
-        "conditions": p.conditions.summary(),
-        "division": {
-            "is_division": cert.is_division,
-            "branch": cert.branch,
-            "tested_value": str(cert.tested_value) if cert.tested_value is not None else None,
-            "witness": [str(w) for w in cert.witness] if cert.witness else None,
-            "detail": cert.detail,
-        },
+        "conditions": _record_json(p.conditions),
+        "division": _record_json(p.division),
     }

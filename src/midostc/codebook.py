@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CodeParams, build_params, normalized_codeword
+from .algebra import CodeParams, build_params, normalized_codeword, representation_det_exact
 from .numberfield import FieldContext, FieldElement
 
 
@@ -141,8 +141,8 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    gens = np.stack([_encode_unscaled(params, basis, block_scale, unit) for unit in np.eye(16)])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
+        gens = np.stack([_encode_unscaled(params, basis, block_scale, unit) for unit in np.eye(16)])
         energy = float(np.sum(np.abs(gens) ** 2))
     if not 0.0 < energy < math.inf:
         raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")
@@ -163,7 +163,7 @@ def c4_transform(code: DispersionCode) -> DispersionCode:
 class MinDetResult:
     strategy: str
     candidates: int
-    min_abs_det: float            # with the energy scale factored out
+    min_abs_det: float            # exact |det| at the witness, energy scale factored out
     witness: tuple                # the 16 symbol differences
 
 
@@ -196,9 +196,11 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
     {-2, 0, 2}^16, n at least 1, seed non-negative.  Either set is evaluated
-    _SAMPLE_SLICE differences at a time, so that memory stays flat in n.  A strictly
-    positive minimum over the sparse set is the evidence expected from a
-    division algebra (nonvanishing determinants).
+    _SAMPLE_SLICE differences at a time, so that memory stays flat in n.  Float
+    determinants rank the differences; the minimum is the exact determinant
+    at the first-ranked witness.  A strictly positive minimum over the sparse
+    set is the evidence expected from a division algebra (nonvanishing
+    determinants).
     """
     if strategy == "sparse_exhaustive":
         sparse = _sparse_difference_vectors()
@@ -229,6 +231,10 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
                 best = (S[i], dets[i])
     if best is None:
         raise ValueError("every sampled difference is zero")
-    witness, det = best
-    return MinDetResult(strategy, candidates, float(abs(det)), tuple(int(v) for v in witness))
+    witness = tuple(int(v) for v in best[0])
+    exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
+    if exact and float(exact) == 0.0:
+        raise ValueError("the exact minimum determinant is nonzero but 0 as a double: "
+                         "the parameters leave double precision")
+    return MinDetResult(strategy, candidates, float(exact), witness)
 

@@ -118,7 +118,7 @@ def test_catalog_example5_is_trace_form():
     assert d.branch == "trace_form"
     assert d.detail == "2 + t = 1 is a norm from Q(sqrt(-1)): 1 = 1 + 0"
     # u*sigma(u) is an eighth root of unity, not -1; the conditions pass anyway
-    assert not p.conditions.sigma_minus_one
+    assert not p.conditions.u_sigma_u_is_minus_one
     assert p.conditions.ok
 
 
@@ -277,7 +277,7 @@ def test_build_params_does_not_raise_on_condition_failure():
     u = ctx.element(0, 0, F(1, 2), F(1, 2))
     p = build_params(ctx, u)
     assert not p.conditions.ok
-    assert not p.conditions.negative_ok
+    assert not p.conditions.ab_tau_u_negative
     flipped = build_params(ctx, u, k=-1)
     assert flipped.conditions.ok
 

@@ -10,11 +10,14 @@ that certify_catalog runs must also keep printing the same bytes.
 import ast
 import hashlib
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import midostc
 from midostc import channel, fastdecode
 from midostc.cli import main
 
@@ -34,6 +37,23 @@ def test_tracer_targets_exist():
     for owner, attr, _, _ in tracer.TARGETS:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
     assert callable(channel._trial_rng)
+
+
+SUBMODULES = ("algebra", "channel", "codebook", "fastdecode", "numberfield")
+
+
+def test_fresh_import_loads_the_five_submodules_and_not_the_cli():
+    # bench/run.py times a fresh `import midostc` as part of setup_s and reads
+    # midostc.__version__ and midostc.__file__
+    probe = ("import json, sys, midostc; print(json.dumps([sorted(m for m in sys.modules if m.startswith('midostc')),"
+             f" midostc.__version__, [hasattr(midostc, n) for n in {SUBMODULES!r}]]))")
+    src = str(Path(midostc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    loaded, version, present = json.loads(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                                         capture_output=True, text=True).stdout)
+    assert loaded == ["midostc", *(f"midostc.{name}" for name in SUBMODULES)]
+    assert version == midostc.__version__ and isinstance(version, str)
+    assert all(present)
 
 
 def test_oracle_verify_names_exist():
@@ -122,7 +142,7 @@ CERT_STDOUT_SHA256 = {
     "mindet --code C4":
         "a101aaa0d2b4a9049ad6f46dbe1f087ea6a87b8371c3fc1b79e08fa0ce011e1c",
     "mindet --code C5":
-        "ba7a7797257abf529a3e5264e49a6d2f29601277e08cfb54b1947472ce83ab7c",
+        "d974f7943a3ed2c4563d2dbf186c9988fa6343e2c981e4c574d5dc5fd54664cc",
     "mindet --example 1 --basis B1":
         "9484b8db30cd5b4a5ae21887f2840f26ca852480a66794e7bb2c5e0d6377c445",
     "mindet --example 2":

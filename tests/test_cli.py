@@ -1,9 +1,13 @@
 """End-to-end checks of every CLI subcommand through main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from midostc import algebra, channel
 from midostc.cli import _parse_snr_list, main
@@ -126,11 +130,11 @@ def test_mindet_random_defaults_to_1000_samples_and_seed_0(capsys):
 
 
 # sha256 of the stdout of a random mindet over 40,000 differences, three
-# slices of the search; the C5 minimum is a rounding residue of a zero
-# determinant, so it pins the float arithmetic too
+# slices of the search; the C5 witness has an exact zero determinant, which
+# prints as 0 where the float determinant leaves a rounding residue
 MINDET_RANDOM_SHA256 = {
     "C2": "10f15ccbb29407daf9cf6dbccb459db385aaf1614e956cc5ba03326796219e3a",
-    "C5": "57505fffe818a4224edcdeba72d2da6ee0004035db894c5178af9a38da3e6de4",
+    "C5": "368680b219625b83484efa0d68f3e09135446ff83cae7527246e26075fe588bd",
 }
 
 
@@ -320,6 +324,7 @@ UNIT = "--u=-1/2,-1/2,-1/2,1/2"
 @pytest.mark.parametrize("command, k", [
     *((command, k) for command in ("construct", "analyze", "mindet") for k in ("1e400", "1e-400")),
     ("analyze", "1e200"), ("mindet", "1e200"),      # the generators' energy overflows
+    ("mindet", "1e-300"),                           # the exact minimum underflows
 ])
 def test_parameters_outside_double_precision_are_refused(capsys, command, k):
     rc, out, err = run(capsys, [command, *RAW, UNIT, "--k", k])
@@ -366,3 +371,82 @@ def test_code_shortcuts_resolve(capsys):
         rc, out, _ = run(capsys, ["analyze", "--code", name])
         assert rc == 0
         assert json.loads(out)["code"] == expected
+
+
+# ----------------------------------------------------------------------
+# every subcommand on generated argv
+
+_SCALES = ("1", "4/7", "0", "-1", "1e-300", "1e-100", "1e200", "1e250", "1e400", "nan", "inf", "1/0", "")
+# (c, c', u) of the catalog entries 1 to 5, then junk units
+_CATALOG_UNITS = (("3", "1", "-1/2,-1/2,-1/2,1/2"), ("6", "1", "-1,-1,-1/2,1/2"),
+                  ("11", "1", "-3/2,-3/2,-1/2,1/2"), ("5", "2", "3,0,0,1"), ("3", "1", "0,1/2,0,-1/2"))
+_JUNK_UNITS = ("1,0,0,0", "0,0,0,0", "1,2", "1/0,0,0,0", "nan,0,0,0", "")
+_SNR_PARTS = ("10", "12.5", "-3", "0", "nan", "inf", "-inf", "")
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [f"--{name}={v}"]))
+
+
+def _options(*strategies):
+    return st.tuples(*strategies).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def _raw(c, cprime, u):
+    return ["--c", c, "--cprime", cprime, f"--u={u}"]
+
+
+_catalog_unit = st.sampled_from(_CATALOG_UNITS).map(lambda t: _raw(*t))
+_code_selection = st.one_of(                # raw catalog units twice as often as the others
+    st.sampled_from(("C2", "C3", "C4", "C5", "c2", "C9", "")).map(lambda v: ["--code", v]),
+    st.tuples(st.sampled_from(("1", "2", "3", "4", "5", "0", "x")),
+              _option("basis", ("B1", "B2", "B3", "B9"))).map(lambda t: ["--example", t[0], *t[1]]),
+    _catalog_unit, _catalog_unit,
+    st.tuples(st.sampled_from(("3", "2", "4", "0", "-3", "10000000000")), st.sampled_from(("1", "2", "3", "0")),
+              st.sampled_from(_JUNK_UNITS + tuple(u for _, _, u in _CATALOG_UNITS))).map(lambda t: _raw(*t)),
+    st.just([]))
+_snr = st.one_of(
+    st.lists(st.sampled_from(_SNR_PARTS), min_size=1, max_size=3).map(",".join),
+    st.lists(st.sampled_from(("0", "10", "12", "1", "5", "-1", "nan", "inf", "")),
+             min_size=2, max_size=4).map(":".join))
+_EXTRA = {
+    "construct": st.just([]),
+    "division-table": st.just([]),
+    "analyze": _option("target", range(-2, 18)),
+    "mindet": _options(_option("strategy", ("sparse_exhaustive", "random")),
+                       _option("samples", (1, 7, 2000, 0, -4)), _option("seed", (0, 3, -1))),
+    "decode-verify": _options(_option("trials", (1, 3, 8, 0, -1)), _option("seed", (0, 5, -1)),
+                              _option("snr-db", ("10", "-4000", "nan", "inf", ""))),
+    "simulate": _options(_snr.map(lambda v: [f"--snr={v}"]), _option("max-trials", (1, 256, 512, 0)),
+                         _option("min-errors", (1, 10, 0)), _option("threads", (1, 0, -1)),
+                         _option("seed", (0, 5, -1))),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_EXTRA)))
+    argv = [command]
+    if command != "division-table":
+        argv += draw(_options(_code_selection, _option("k", _SCALES), _option("lprime", _SCALES)))
+    return argv + draw(_EXTRA[command])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["analyze", *RAW, UNIT, "--k=1e250"])       # the generators overflow a double
+def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:           # argparse refuses the command line
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err
+    if rc == 1 and argv[0] == "construct" and not err:
+        # construct prints its certificate and exits 1 when the shaping conditions fail
+        assert json.loads(out)["conditions"]["ok"] is False
+    elif rc == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -616,3 +616,27 @@ def test_detected_structure_holds_on_every_trial_at_extreme_scales(basis, k, lpr
     _, y, G = channel.draw_trials(0, 0, 0, 64, code.generators, channel.snr_to_sigma2(15.0))
     res = conditional_group_decode(y, G, gs, pam_levels(2))
     assert res.symbols.shape == (64, 16)
+
+
+_mantissa = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(basis=st.sampled_from(("B1", "B2", "B3")),
+       k=st.tuples(_mantissa, st.integers(-320, 320)), lprime=st.tuples(_mantissa, st.integers(-320, 320)))
+def test_detected_structure_holds_on_every_trial_at_generated_scales(basis, k, lprime):
+    # k and l' = m * 10^e: either the code is refused as leaving double
+    # precision, or the structure analyze publishes survives a whole batch
+    ctx = FieldContext(3, 1)
+    u = ctx.element(Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2))
+    try:
+        params = algebra.build_params(ctx, u, k=k[0] * Fraction(10) ** k[1],
+                                      lprime=lprime[0] * Fraction(10) ** lprime[1])
+        code = codebook.build_code(params, basis)
+        gs = detect_groups(hurwitz_radon(code))
+    except ValueError as exc:
+        assert "the parameters leave double precision" in str(exc)
+        return
+    _, y, G = channel.draw_trials(0, 0, 0, 64, code.generators, channel.snr_to_sigma2(10.0))
+    res = conditional_group_decode(y, G, gs, pam_levels(2))
+    assert res.symbols.shape == (64, 16)
