@@ -333,7 +333,8 @@ def normalized_codeword(p: CodeParams, xs) -> np.ndarray:
 
 def det_exact(grid) -> FieldElement:
     """Exact determinant of a 4x4 grid of field elements, by Laplace expansion
-    along the 2x2 minors of rows 1-2 against those of rows 3-4 (30 products)."""
+    along the 2x2 minors of rows 1-2 against those of rows 3-4 (30 products).
+    A grid of numpy arrays, such as a (4, 4, N) array, gives N determinants."""
     def minors(r, s):
         return {(j, k): r[j] * s[k] - r[k] * s[j] for j, k in itertools.combinations(range(4), 2)}
     top, bottom = minors(grid[0], grid[1]), minors(grid[2], grid[3])

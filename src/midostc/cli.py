@@ -96,7 +96,7 @@ def _resolve_options(args) -> None:
         refused.append(("strategy", given(("samples", "seed"))))
     for option, clash in refused:
         if clash:
-            raise ValueError(f"--{option} {getattr(args, option)} cannot be combined with {', '.join(clash)}")
+            raise ValueError(f"--{option} {getattr(args, option) or repr('')} cannot be combined with {', '.join(clash)}")
     if getattr(args, "code", None) is not None:
         if args.code.upper() not in CODE_SHORTCUTS:
             raise ValueError(f"unknown code shortcut {args.code!r}, known: {sorted(CODE_SHORTCUTS)}")
@@ -142,6 +142,8 @@ def cmd_division_table(args) -> int:
 def cmd_analyze(args) -> int:
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     b = fastdecode.hurwitz_radon(code)
+    if args.target is not None and not 0 <= args.target < len(b):
+        raise ValueError(f"--target must be in 0..{len(b) - 1}, got {args.target}")
     gs = fastdecode.detect_groups(b, args.target)
     doc = {
         "code": code.name,
@@ -157,6 +159,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mindet(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     res = codebook.min_det_search(code, args.strategy, n=args.samples, seed=args.seed)
     lines = [

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CodeParams, build_params, normalized_codeword, representation_det_exact
+from .algebra import CodeParams, build_params, det_exact, normalized_codeword, representation_det_exact
 from .numberfield import FieldContext, FieldElement
 
 
@@ -32,6 +32,7 @@ class UnsupportedVariantError(ValueError):
 
 TARGET_ENERGY = 16.0  # average squared Frobenius norm per codeword
 _SAMPLE_SLICE = 1 << 14  # random differences drawn and evaluated at a time
+_TIE = 1e-9             # ties: |det| within _TIE * its absolute Leibniz sum, far above rounding
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,9 @@ def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple
     return tuple(xs)
 
 
-def _encode_unscaled(params: CodeParams, basis: SymbolBasis, block_scale: float, s) -> np.ndarray:
+def _codeword(params: CodeParams, block_scale: float, xs) -> np.ndarray:
     # block_scale is 1.0 for plain codes, where the scalings change no value
-    m = normalized_codeword(params, _symbols_to_coefficients(params, basis, s))
+    m = normalized_codeword(params, xs)
     m[0:2, 2:4] *= block_scale
     m[2:4, 0:2] /= block_scale
     return m
@@ -114,7 +115,8 @@ def _encode_unscaled(params: CodeParams, basis: SymbolBasis, block_scale: float,
 
 def encode(code: DispersionCode, s) -> np.ndarray:
     """Energy-normalized 4x4 codeword for sixteen real symbols."""
-    return _encode_unscaled(code.params, code.basis, code.block_scale, s) * code.energy_scale
+    xs = _symbols_to_coefficients(code.params, code.basis, s)
+    return _codeword(code.params, code.block_scale, xs) * code.energy_scale
 
 
 def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain") -> DispersionCode:
@@ -141,8 +143,12 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
+    # symbol 4j + t packs into x_j alone, as the t-th slot image below
+    wp, zero = params.ctx.omega_prime(), params.ctx.zero()
+    slots = (basis.beta1, wp * basis.beta1, basis.beta2, wp * basis.beta2)
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
-        gens = np.stack([_encode_unscaled(params, basis, block_scale, unit) for unit in np.eye(16)])
+        gens = np.stack([_codeword(params, block_scale, [slots[i % 4] if j == i // 4 else zero for j in range(4)])
+                         for i in range(16)])
         energy = float(np.sum(np.abs(gens) ** 2))
     if not 0.0 < energy < math.inf:
         raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")
@@ -189,21 +195,33 @@ def _sparse_difference_vectors() -> np.ndarray:
     return sparse
 
 
+def _abs_permanent(X: np.ndarray) -> np.ndarray:
+    """Permanents of a (4, 4, N) array by det_exact's expansion with every sign + (column
+    pair p meets its complement 5 - p); for X = |M|, the absolute Leibniz sum of det(M)."""
+    def minors(r, s):
+        return [X[r, j] * X[s, k] + X[r, k] * X[s, j] for j, k in itertools.combinations(range(4), 2)]
+    return sum(t * b for t, b in zip(minors(0, 1), reversed(minors(2, 3))))
+
+
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
                    n: int = 1000, seed: int = 0) -> MinDetResult:
     """Minimum |det| over codeword differences, energy scale factored out.
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1, seed non-negative.  Either set is evaluated
-    _SAMPLE_SLICE differences at a time, so that memory stays flat in n.  Float
-    determinants rank the differences; the minimum is the exact determinant
-    at the first-ranked witness.  A strictly positive minimum over the sparse
-    set is the evidence expected from a division algebra (nonvanishing
-    determinants).
+    {-2, 0, 2}^16, n at least 1, seed non-negative, and drops the zero ones.
+    Either set is evaluated _SAMPLE_SLICE differences at a time, so that
+    memory stays flat in n.  Float determinants, det_exact's expansion over a
+    slice at once, rank the differences.  The witness is the first in
+    enumeration order whose |det| lies within _TIE times its own absolute
+    Leibniz sum of the minimum (a later slice must beat it by more), a margin
+    far above rounding: ties and exact zeros do not depend on the formula.
+    The minimum is the exact determinant at the witness.  A strictly positive
+    minimum over the sparse set is the evidence expected from a division
+    algebra (nonvanishing determinants).
     """
     if strategy == "sparse_exhaustive":
-        sparse = _sparse_difference_vectors()
+        sparse = _sparse_difference_vectors()     # has no zero difference
         n, draw = len(sparse), lambda lo, m: sparse[lo:lo + m]
     elif strategy == "random":
         if n < 1:
@@ -211,23 +229,25 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-        draw = lambda lo, m: (rng.integers(-1, 2, size=(m, 16)) * 2).astype(float)
+        def draw(lo, m):
+            S = (rng.integers(-1, 2, size=(m, 16)) * 2).astype(float)
+            return S[np.any(S != 0, axis=1)]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    # sum_i s_i A_i as two real products, since the differences are real
+    # entry (r, c) of sum_i s_i A_i over a slice is row 4r + c of a (16, m) array
     A = (code.generators / code.energy_scale).reshape(16, 16)
     candidates, best = 0, None
     for lo in range(0, n, _SAMPLE_SLICE):
         S = draw(lo, min(_SAMPLE_SLICE, n - lo))
-        S = S[np.any(S != 0, axis=1)]
         if len(S):
-            M = np.empty((len(S), 16), dtype=complex)
-            M.real = S @ A.real
-            M.imag = S @ A.imag
-            dets = np.linalg.det(M.reshape(-1, 4, 4))
-            i = int(np.argmin(np.abs(dets)))
+            M = np.empty((16, len(S)), dtype=complex)
+            M.real = A.real.T @ S.T
+            M.imag = A.imag.T @ S.T
+            M = M.reshape(4, 4, -1)
+            dets, tol = np.abs(det_exact(M)), _TIE * _abs_permanent(np.abs(M))
             candidates += len(S)
-            if best is None or abs(dets[i]) < abs(best[1]):     # the first minimum wins
+            i = int(np.argmax(dets <= dets.min() + tol))
+            if best is None or dets[i] < best[1] - tol[i]:
                 best = (S[i], dets[i])
     if best is None:
         raise ValueError("every sampled difference is zero")
@@ -237,4 +257,3 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
         raise ValueError("the exact minimum determinant is nonzero but 0 as a double: "
                          "the parameters leave double precision")
     return MinDetResult(strategy, candidates, float(exact), witness)
-

@@ -64,7 +64,7 @@ class FieldContext:
         return f"FieldContext(c={self.c}, cprime={self.cprime})"
 
     def element(self, a1=0, a2=0, a3=0, a4=0) -> "FieldElement":
-        return FieldElement(self, (Fraction(a1), Fraction(a2), Fraction(a3), Fraction(a4)))
+        return FieldElement(self, (a1, a2, a3, a4))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -103,7 +103,7 @@ class FieldElement:
     def __init__(self, ctx: FieldContext, coords):
         if len(coords) != 4:
             raise ValueError("need exactly four coordinates")
-        fs = [Fraction(a) for a in coords]
+        fs = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in coords]
         self.ctx, self.den = ctx, math.lcm(*(f.denominator for f in fs))
         self.nums = tuple(f.numerator * (self.den // f.denominator) for f in fs)
 
@@ -120,7 +120,8 @@ class FieldElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.element(other)
+            n1, n2, n3, n4, q = *self.nums, other.denominator
+            return _element(self.ctx, n1 * q + other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
@@ -133,9 +134,7 @@ class FieldElement:
         return _element(self.ctx, *(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.element(other)
-        if not isinstance(other, FieldElement):
+        if not isinstance(other, (int, Fraction, FieldElement)):
             return NotImplemented
         return self + (-other)
 

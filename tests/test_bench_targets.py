@@ -136,19 +136,19 @@ CERT_STDOUT_SHA256 = {
     "analyze --example 1 --basis B1":
         "1138ed74a7cf8ac2a60046af325ddd4a2bdcb0dc6962e135386b7b832f088dbf",
     "mindet --code C2":
-        "57b927c69abc302f27b79e520310e4c1242abab9970f848e6edbd6a610e70b40",
+        "85ba5a26141ffbfbd031b0d7b7a08c2f624925361cb8a82afb309453f0a875a3",
     "mindet --code C3":
-        "35b2c51ea62a4622d5b9467cb8ddf88936d75c0d0dd1056e859574fe3362a8c8",
+        "1fc99314dfaa02336616bde6196e41bd6a6dfb9cbeef97ef4990abf2a4340c39",
     "mindet --code C4":
         "a101aaa0d2b4a9049ad6f46dbe1f087ea6a87b8371c3fc1b79e08fa0ce011e1c",
     "mindet --code C5":
-        "d974f7943a3ed2c4563d2dbf186c9988fa6343e2c981e4c574d5dc5fd54664cc",
+        "fcfb47b534cf2ae615213d2abc07c3edd6405541a72d3a380dfd69d5859580a3",
     "mindet --example 1 --basis B1":
-        "9484b8db30cd5b4a5ae21887f2840f26ca852480a66794e7bb2c5e0d6377c445",
+        "ff13f8742ebe045d95446cf55b3370016154d77028155246a5183f79e4a9db2a",
     "mindet --example 2":
-        "83c69263fc99cc8ae1bf21ed30573282fdb88c56623ee47e25c593d622a156a0",
+        "25685c3b4bd790cbf0fdb36a05fa6aaed36262fc0df54f817eac67505ff399ac",
     "mindet --example 3":
-        "e81a34a1a4504e51be76f0f713ad9fee7c0253b22bca8785c67cd80e863fdaff",
+        "5d0f32c5bd46f34639b89456227c959121f48b053e84e3b3df81ffec80200435",
 }
 
 

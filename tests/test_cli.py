@@ -133,8 +133,8 @@ def test_mindet_random_defaults_to_1000_samples_and_seed_0(capsys):
 # slices of the search; the C5 witness has an exact zero determinant, which
 # prints as 0 where the float determinant leaves a rounding residue
 MINDET_RANDOM_SHA256 = {
-    "C2": "10f15ccbb29407daf9cf6dbccb459db385aaf1614e956cc5ba03326796219e3a",
-    "C5": "368680b219625b83484efa0d68f3e09135446ff83cae7527246e26075fe588bd",
+    "C2": "8172c2ce96d2d00cd0b46069a21322f930171704a09198b092cccf75e32be19a",
+    "C5": "5621e37c6dfe5e85353201ff7a36feb5010384a53194e190240f7ae9ea4e7951",
 }
 
 
@@ -256,8 +256,8 @@ def test_snr_range_point_limit():
     (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-4000"], "got -4000.0 dB"),
     (["decode-verify", "--code", "C2", "--trials", "0"], "at least one trial"),
     (["simulate", "--code", "C2", "--snr=10,-4000"], "got -4000.0 dB"),
-    (["analyze", "--code", "C2", "--target", "99"], "target_conditioned must be in 0..15, got 99"),
-    (["analyze", "--code", "C2", "--target=-3"], "target_conditioned must be in 0..15, got -3"),
+    (["analyze", "--code", "C2", "--target", "99"], "--target must be in 0..15, got 99"),
+    (["analyze", "--code", "C2", "--target=-3"], "--target must be in 0..15, got -3"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples", "0"], "samples must be at least 1"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples=-4"], "samples must be at least 1"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples", "5", "--seed=-1"],
@@ -287,12 +287,17 @@ def test_snr_range_point_limit():
      "c and cprime must be at most MAX_C = 1000000000, got c=10000000000000061"),
     (["analyze", "--c", "3", "--cprime", "1000000000000000003", "--u=1,0,0,0"],
      "c and cprime must be at most MAX_C = 1000000000, got c=3, cprime=1000000000000000003"),
+    (["analyze", "--code", "C5", "--target", "16"], "--target must be in 0..15, got 16"),
+    (["mindet", "--example", "2", "--strategy", "random", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["mindet", "--code", "C4", "--strategy", "random", "--seed=-2"], "--seed must be non-negative, got -2"),
+    (["mindet", "--code", "", "--k", "2"], "--code '' cannot be combined with --k"),
 ], ids=["verify-snr-nan", "verify-snr-minus-inf", "verify-snr-overflow", "verify-trials-0",
         "simulate-snr-overflow", "analyze-target-99", "analyze-target-negative",
         "mindet-samples-0", "mindet-samples-negative", "mindet-seed-negative", "mindet-sparse-samples",
         "mindet-sparse-seed", "mindet-sparse-samples-and-seed", "code-with-example-and-basis", "code-with-variant",
         "code-with-params", "example-with-k", "example-with-lprime", "example-with-unit",
-        "construct-huge-c", "construct-huge-cprime", "analyze-huge-c", "analyze-huge-cprime"])
+        "construct-huge-c", "construct-huge-cprime", "analyze-huge-c", "analyze-huge-cprime",
+        "analyze-target-16", "mindet-samples-names-option", "mindet-seed-names-option", "empty-code-is-visible"])
 def test_out_of_range_options_are_errors(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 1 and err.startswith("error: ") and message in err
@@ -435,6 +440,9 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argv())
 @example(argv=["analyze", *RAW, UNIT, "--k=1e250"])       # the generators overflow a double
+@example(argv=["analyze", "--code", "C3", "--target=17"])   # range errors that name their option
+@example(argv=["mindet", "--example", "2", "--strategy=random", "--samples=-4"])
+@example(argv=["mindet", *RAW, UNIT, "--strategy=random", "--seed=-1"])
 def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -450,3 +458,7 @@ def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
         assert json.loads(out)["conditions"]["ok"] is False
     elif rc == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if argv[0] in ("analyze", "mindet") and any(
+            bound in err for bound in ("must be at least 1", "must be non-negative", "must be in 0..")):
+        # a range error of --target, --samples or --seed names its option
+        assert err.startswith(("error: --target ", "error: --samples ", "error: --seed ")), (argv, err)

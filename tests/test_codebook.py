@@ -1,6 +1,7 @@
 """Symbol bases, dispersion codes, energy, minimum determinants."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from midostc import algebra, codebook
 from midostc.codebook import (
@@ -121,6 +123,27 @@ def test_symbol_packing_and_encode_are_linear(n, k, s, t):
     assert np.allclose(encode(code, st_), encode(code, s) + k * encode(code, t), atol=1e-10)
 
 
+def _catalog_codes():
+    """Entries 1-5 on every basis each supports, and C4 on each basis of entry 1."""
+    codes = []
+    for n in range(1, 6):
+        for basis in ("B1", "B2", "B3"):
+            try:
+                codes.append(build_code(algebra.catalog_entry(n), basis))
+            except UnsupportedBasisError:
+                continue
+            if n == 1:
+                codes.append(c4_transform(codes[-1]))
+    return codes
+
+
+def test_generators_are_the_codewords_of_unit_symbols():
+    # build_code places slot images, encode packs symbols: one codeword path
+    for code in _catalog_codes():
+        for i, unit in enumerate(np.eye(16)):
+            assert encode(code, unit).tobytes() == code.generators[i].tobytes(), (code.name, i)
+
+
 def test_energy_normalization_closed_form():
     # with unit-power uncorrelated symbols, E||X||_F^2 = sum_i ||A_i||_F^2,
     # which the energy scale pins to TARGET_ENERGY exactly
@@ -230,6 +253,10 @@ def test_min_det_random_strategy():
     assert res.witness == res2.witness
     with pytest.raises(ValueError):
         min_det_search(code, "full_exhaustive")
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        min_det_search(code, "random", n=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        min_det_search(code, "random", seed=-1)
 
 
 def test_sparse_difference_set_is_built_once_and_read_only():
@@ -259,15 +286,7 @@ def test_generators_match_exact_determinants():
     # det(sum_i s_i A_i) of the float generators against the exact
     # determinant of the field coefficients the same symbols pack into
     rng = np.random.default_rng(21)
-    codes = []
-    for n in range(1, 6):
-        for basis in ("B1", "B2", "B3"):
-            try:
-                codes.append(build_code(algebra.catalog_entry(n), basis))
-            except UnsupportedBasisError:
-                continue
-            if n == 1:
-                codes.append(c4_transform(codes[-1]))
+    codes = _catalog_codes()
     assert len(codes) == 14   # 11 plain, C4 on each basis of entry 1
     for code in codes:
         A = code.generators / code.energy_scale
@@ -307,3 +326,55 @@ def test_determinants_are_quantized():
         d = algebra.representation_det_exact(p, xs)
         assert (2 * d).denominator == 1
 
+
+# the seven codes mindet certifies: C2, C3, C4, C5, entry 1 on B1, entries 2 and 3
+CERTIFIED = ((1, "B2", "plain"), (1, "B3", "plain"), (1, "B2", "C4"), (5, "B2", "plain"),
+             (1, "B1", "plain"), (2, "B2", "plain"), (3, "B2", "plain"))
+
+
+def abs_leibniz(M):
+    """Sum of the absolute Leibniz terms of det over a stack of 4x4 matrices."""
+    X = np.abs(M)
+    return sum(X[:, 0, p[0]] * X[:, 1, p[1]] * X[:, 2, p[2]] * X[:, 3, p[3]]
+               for p in itertools.permutations(range(4)))
+
+
+@pytest.mark.parametrize("n, basis, variant", CERTIFIED)
+def test_min_det_witness_does_not_depend_on_the_determinant_formula(n, basis, variant):
+    # LAPACK's determinants as the reference: the witness is their first
+    # difference within the tie tolerance of the minimum, and nothing lies
+    # near the edge of that tolerance, where two formulas could disagree
+    code = build_code(algebra.catalog_entry(n), basis, variant)
+    sparse = codebook._sparse_difference_vectors()
+    M = np.einsum("ni,ijk->njk", sparse, code.generators / code.energy_scale)
+    dets, tol = np.abs(np.linalg.det(M)), codebook._TIE * abs_leibniz(M)
+    ties = dets <= dets.min() + tol
+    assert not np.any(~ties & (dets <= dets.min() + 100 * tol))
+    res = min_det_search(code)
+    assert res.witness == tuple(int(v) for v in sparse[np.argmax(ties)])
+
+
+def test_min_det_tolerance_tells_a_tiny_minimum_apart():
+    # at k = 1e-100 determinants span 200 orders of magnitude: a tolerance
+    # scaled by the largest |det| would tie 2.4e-199 with 3.072e-197
+    entry = algebra.catalog_entry(1)
+    code = build_code(algebra.build_params(entry.ctx, entry.u, k=Fraction(1, 10 ** 100)))
+    assert min_det_search(code).min_abs_det == 2.4e-199
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(parts=hnp.arrays(np.int64, st.tuples(st.integers(1, 40), st.just(4), st.just(4), st.just(2)),
+                        elements=st.integers(-10 ** 6, 10 ** 6)),
+       exponent=st.integers(-30, 30))
+def test_closed_form_determinant_equals_lapack(parts, exponent):
+    # min_det_search ranks by algebra.det_exact over (4, 4, N) float arrays,
+    # with ties judged against codebook._abs_permanent of |M|; the error is
+    # relative to the Hadamard bound, which caps |det|.  Entries lie in
+    # [-10, 10] in steps of 1e-5, so no product of four leaves the normal range
+    M = (parts[..., 0] + 1j * parts[..., 1]) * 1e-5 * 2.0 ** exponent
+    got = algebra.det_exact(np.moveaxis(M, 0, -1))
+    want = np.linalg.det(M)
+    bound = np.prod(np.linalg.norm(M, axis=2), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+    leibniz = abs_leibniz(M)
+    assert np.all(np.abs(codebook._abs_permanent(np.abs(np.moveaxis(M, 0, -1))) - leibniz) <= 1e-12 * leibniz)

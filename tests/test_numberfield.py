@@ -268,3 +268,24 @@ def test_equal_values_by_different_routes_compare_and_hash_equal(pair, a, b, k):
     assert hash(ctx.element(Fraction(2, 4))) == hash(ctx.element(Fraction(1, 2)))
     assert ctx.element(Fraction(2, 4)) == Fraction(1, 2) and ctx.element(6, 0, 0, 0) / 3 == 2
     assert ctx.element(Fraction(1, 2)) != Fraction(1, 3) and ctx.element(Fraction(1, 2)) != 1
+
+
+_scalar = st.one_of(st.integers(-10 ** 20, 10 ** 20), _rational)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(PAIRS), a=_coords, r=_scalar)
+def test_scalar_addition_matches_the_element_route(pair, a, r):
+    # int and Fraction operands skip the element construction, and must land
+    # on the same lowest-terms form as adding the element ctx.element(r)
+    ctx = FieldContext(*pair)
+    x, e = ctx.element(*a), ctx.element(r)
+    for got, via in ((x + r, x + e), (r + x, e + x), (x - r, x - e), (r - x, e - x)):
+        assert (got.nums, got.den) == (via.nums, via.den)
+        assert got == via and hash(got) == hash(via) and in_lowest_terms(got)
+    assert (x + r).coords == (a[0] + r, *a[1:])
+    n = r.numerator
+    for coords in ((n,), (0, n, 0, -n), (n, 1, -2, 3)):
+        whole, frac = ctx.element(*coords), ctx.element(*map(Fraction, coords))
+        assert (whole.nums, whole.den) == (frac.nums, frac.den) and whole == frac
+        assert hash(whole) == hash(frac) and in_lowest_terms(whole)
