@@ -143,9 +143,8 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    # symbol 4j + t packs into x_j alone, as the t-th slot image below
     wp, zero = params.ctx.omega_prime(), params.ctx.zero()
-    slots = (basis.beta1, wp * basis.beta1, basis.beta2, wp * basis.beta2)
+    slots = (basis.beta1, wp * basis.beta1, basis.beta2, wp * basis.beta2)  # symbol 4j + t packs into x_j as slots[t]
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
         gens = np.stack([_codeword(params, block_scale, [slots[i % 4] if j == i // 4 else zero for j in range(4)])
                          for i in range(16)])
@@ -196,11 +195,10 @@ def _sparse_difference_vectors() -> np.ndarray:
 
 
 def _abs_permanent(X: np.ndarray) -> np.ndarray:
-    """Permanents of a (4, 4, N) array by det_exact's expansion with every sign + (column
-    pair p meets its complement 5 - p); for X = |M|, the absolute Leibniz sum of det(M)."""
+    """Permanents of X (4, 4, N): det_exact's expansion with every sign +; of |M|, det(M)'s absolute Leibniz sums."""
     def minors(r, s):
         return [X[r, j] * X[s, k] + X[r, k] * X[s, j] for j, k in itertools.combinations(range(4), 2)]
-    return sum(t * b for t, b in zip(minors(0, 1), reversed(minors(2, 3))))
+    return sum(t * b for t, b in zip(minors(0, 1), reversed(minors(2, 3))))   # column pair p meets pair 5 - p
 
 
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
@@ -210,15 +208,15 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients; "random" samples n full-width differences from
     {-2, 0, 2}^16, n at least 1, seed non-negative, and drops the zero ones.
-    Either set is evaluated _SAMPLE_SLICE differences at a time, so that
-    memory stays flat in n.  Float determinants, det_exact's expansion over a
-    slice at once, rank the differences.  The witness is the first in
-    enumeration order whose |det| lies within _TIE times its own absolute
-    Leibniz sum of the minimum (a later slice must beat it by more), a margin
-    far above rounding: ties and exact zeros do not depend on the formula.
-    The minimum is the exact determinant at the witness.  A strictly positive
-    minimum over the sparse set is the evidence expected from a division
-    algebra (nonvanishing determinants).
+    Either set is ranked _SAMPLE_SLICE differences at a time, so that memory
+    stays flat in n, by float determinants in det_exact's expansion.  The
+    witness is the first difference whose |det| lies within _TIE times its own
+    absolute Leibniz sum of the minimum; a later slice replaces it only with a
+    minimum smaller by more than that margin, which is far above rounding, so
+    ties and exact zeros do not depend on the formula.  A term that overflows
+    a double refuses the search.  The minimum is the exact determinant at the
+    witness; a strictly positive one over the sparse set is the nonvanishing
+    determinant expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
         sparse = _sparse_difference_vectors()     # has no zero difference
@@ -244,16 +242,18 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
             M.real = A.real.T @ S.T
             M.imag = A.imag.T @ S.T
             M = M.reshape(4, 4, -1)
-            dets, tol = np.abs(det_exact(M)), _TIE * _abs_permanent(np.abs(M))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dets, tol = np.abs(det_exact(M)), _TIE * _abs_permanent(np.abs(M))
+            if not np.isfinite(dets + tol).all():
+                raise ValueError("a determinant term overflows a double: the parameters leave double precision")
             candidates += len(S)
-            i = int(np.argmax(dets <= dets.min() + tol))
-            if best is None or dets[i] < best[1] - tol[i]:
-                best = (S[i], dets[i])
+            i, j = int(np.argmax(dets <= dets.min() + tol)), int(np.argmin(dets))
+            if best is None or dets[j] < best[1] - tol[j]:     # best holds the witness and its slice's minimum
+                best = (S[i], dets[j])
     if best is None:
         raise ValueError("every sampled difference is zero")
     witness = tuple(int(v) for v in best[0])
     exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
     if exact and float(exact) == 0.0:
-        raise ValueError("the exact minimum determinant is nonzero but 0 as a double: "
-                         "the parameters leave double precision")
+        raise ValueError("the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision")
     return MinDetResult(strategy, candidates, float(exact), witness)

@@ -338,6 +338,14 @@ def test_parameters_outside_double_precision_are_refused(capsys, command, k):
     assert "the parameters leave double precision" in err
 
 
+def test_mindet_refuses_a_determinant_term_that_overflows(capsys):
+    # at l' = 1e160 the generators' energy is a double, but their entries
+    # reach 2.7e80 and a product of four of them is not
+    rc, out, err = run(capsys, ["mindet", *RAW, UNIT, "--lprime", "1e160"])
+    assert rc == 1 and out == ""
+    assert err == "error: a determinant term overflows a double: the parameters leave double precision\n"
+
+
 def test_lost_self_coupling_is_refused_alike_by_every_decoding_command(capsys):
     # at k = 1e-300 a generator's self-coupling underflows to 0
     opts = [*RAW, UNIT, "--k", "1e-300"]
@@ -381,7 +389,7 @@ def test_code_shortcuts_resolve(capsys):
 # ----------------------------------------------------------------------
 # every subcommand on generated argv
 
-_SCALES = ("1", "4/7", "0", "-1", "1e-300", "1e-100", "1e200", "1e250", "1e400", "nan", "inf", "1/0", "")
+_SCALES = ("1", "4/7", "0", "-1", "1e-300", "1e-100", "1e160", "1e200", "1e250", "1e400", "nan", "inf", "1/0", "")
 # (c, c', u) of the catalog entries 1 to 5, then junk units
 _CATALOG_UNITS = (("3", "1", "-1/2,-1/2,-1/2,1/2"), ("6", "1", "-1,-1,-1/2,1/2"),
                   ("11", "1", "-3/2,-3/2,-1/2,1/2"), ("5", "2", "3,0,0,1"), ("3", "1", "0,1/2,0,-1/2"))
@@ -440,6 +448,7 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argv())
 @example(argv=["analyze", *RAW, UNIT, "--k=1e250"])       # the generators overflow a double
+@example(argv=["mindet", *RAW, UNIT, "--lprime=1e160"])    # a determinant term overflows a double
 @example(argv=["analyze", "--code", "C3", "--target=17"])   # range errors that name their option
 @example(argv=["mindet", "--example", "2", "--strategy=random", "--samples=-4"])
 @example(argv=["mindet", *RAW, UNIT, "--strategy=random", "--seed=-1"])

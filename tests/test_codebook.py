@@ -339,19 +339,72 @@ def abs_leibniz(M):
                for p in itertools.permutations(range(4)))
 
 
+def lapack_witness(code):
+    """The first sparse difference whose LAPACK |det| lies within the tie
+    tolerance of the minimum, and whether any other lies within 100 times it."""
+    sparse = codebook._sparse_difference_vectors()
+    M = np.einsum("ni,ijk->njk", sparse, code.generators / code.energy_scale)
+    dets, tol = np.abs(np.linalg.det(M)), codebook._TIE * abs_leibniz(M)
+    ties = dets <= dets.min() + tol
+    return tuple(int(v) for v in sparse[np.argmax(ties)]), np.any(~ties & (dets <= dets.min() + 100 * tol))
+
+
 @pytest.mark.parametrize("n, basis, variant", CERTIFIED)
 def test_min_det_witness_does_not_depend_on_the_determinant_formula(n, basis, variant):
     # LAPACK's determinants as the reference: the witness is their first
     # difference within the tie tolerance of the minimum, and nothing lies
     # near the edge of that tolerance, where two formulas could disagree
     code = build_code(algebra.catalog_entry(n), basis, variant)
-    sparse = codebook._sparse_difference_vectors()
-    M = np.einsum("ni,ijk->njk", sparse, code.generators / code.energy_scale)
-    dets, tol = np.abs(np.linalg.det(M)), codebook._TIE * abs_leibniz(M)
-    ties = dets <= dets.min() + tol
-    assert not np.any(~ties & (dets <= dets.min() + 100 * tol))
-    res = min_det_search(code)
-    assert res.witness == tuple(int(v) for v in sparse[np.argmax(ties)])
+    witness, near_edge = lapack_witness(code)
+    assert not near_edge
+    assert min_det_search(code).witness == witness
+
+
+@pytest.mark.parametrize("n, basis, variant", CERTIFIED)
+def test_min_det_witness_does_not_depend_on_the_slice_size(n, basis, variant, monkeypatch):
+    code = build_code(algebra.catalog_entry(n), basis, variant)
+    want = min_det_search(code)
+    monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 1000)
+    assert min_det_search(code) == want
+
+
+def test_a_later_slice_replaces_the_witness_by_its_minimum(monkeypatch):
+    # the second slice's minimum 1.0 undercuts the first slice's 5.0 by far
+    # more than its own tolerance, although its first tie, 4.5 with a
+    # tolerance of 4.0, does not: the witness moves to that first tie
+    dets = iter([[5.0] * 4, [4.5, 1.0, 9.0, 9.0]])
+    perms = iter([[1.0] * 4, [4.0 / codebook._TIE, 1.0, 1.0, 1.0]])
+    monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 4)
+    monkeypatch.setattr(codebook, "det_exact", lambda M: np.array(next(dets, [9.0] * 4)))
+    monkeypatch.setattr(codebook, "_abs_permanent", lambda X: np.array(next(perms, [1.0] * 4)))
+    res = min_det_search(build_code(algebra.catalog_entry(1)))
+    assert res.witness == tuple(int(v) for v in codebook._sparse_difference_vectors()[4])
+
+
+@pytest.mark.parametrize("k, lprime", [("1e60", "1"), ("1e100", "1"), ("1e120", "1"), ("1", "1e160"),
+                                       ("1e60", "1e120"), ("1e-100", "1e160"), ("1e30", "1e60")])
+@pytest.mark.parametrize("basis", ["B1", "B2", "B3"])
+def test_min_det_at_extreme_scales_is_refused_or_matches_lapack(basis, k, lprime):
+    # where a term of the closed-form determinant overflows a double the
+    # search refuses, with no numpy warning (those fail the suite); elsewhere
+    # its witness is LAPACK's
+    entry = algebra.catalog_entry(1)
+    try:
+        code = build_code(algebra.build_params(entry.ctx, entry.u, k=F(k), lprime=F(lprime)), basis)
+        res = min_det_search(code)
+    except ValueError as exc:
+        assert "the parameters leave double precision" in str(exc)
+        return
+    assert res.witness == lapack_witness(code)[0]
+
+
+def test_min_det_refuses_a_determinant_term_that_overflows():
+    # entries span 1e-100 to 1e130: the energy is a double, but terms of
+    # four entries are not, nor are LAPACK's determinants
+    entry = algebra.catalog_entry(1)
+    code = build_code(algebra.build_params(entry.ctx, entry.u, k=F(1, 10 ** 100), lprime=F(10 ** 160)))
+    with pytest.raises(ValueError, match="a determinant term overflows a double: the parameters leave double"):
+        min_det_search(code)
 
 
 def test_min_det_tolerance_tells_a_tiny_minimum_apart():
