@@ -174,17 +174,17 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     return s0, stack_real(Y), _real_channel(generators, H)
 
 
-def snr_to_sigma2(snr_db: float) -> float:
+def snr_to_sigma2(snr_db: float, name: str = "SNR") -> float:
     """Noise variance per complex entry for codes with E||X||_F^2 = 16.
 
-    Raises ValueError when snr_db is not finite or the variance overflows.
+    Raises ValueError (naming snr_db as name) when it is not finite or the variance overflows.
     """
     try:
         sigma2 = 4.0 * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         sigma2 = math.inf
     if not (math.isfinite(snr_db) and math.isfinite(sigma2)):
-        raise ValueError(f"SNR must be finite and give a finite noise variance, got {snr_db} dB")
+        raise ValueError(f"{name} must be finite and give a finite noise variance, got {snr_db} dB")
     return sigma2
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,8 @@ CODE_SHORTCUTS = {
 # Values of the options that may be left out.
 OPTION_DEFAULTS = {"basis": "B2", "variant": "plain", "k": "1", "lprime": "1",
                    "samples": 1000, "seed": 0}
+# Least values of the integer options (0: non-negative).
+OPTION_MINIMA = {"seed": 0, "samples": 1, "trials": 1, "min_errors": 1, "max_trials": 1, "threads": 1}
 # Options that a given option (the key) would silently override.
 OVERRIDDEN = {"code": ("example", "basis", "variant", "c", "cprime", "u", "k", "lprime"),
               "example": ("c", "cprime", "u", "k", "lprime")}
@@ -104,6 +107,10 @@ def _resolve_options(args) -> None:
     for name, value in OPTION_DEFAULTS.items():
         if getattr(args, name, value) is None:
             setattr(args, name, value)
+    for name, least in OPTION_MINIMA.items():
+        if getattr(args, name, least) < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be {f'at least {least}' if least else 'non-negative'}, "
+                             f"got {getattr(args, name)}")
 
 
 def _params_from_args(args) -> algebra.CodeParams:
@@ -159,10 +166,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mindet(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     res = codebook.min_det_search(code, args.strategy, n=args.samples, seed=args.seed)
     lines = [
@@ -175,9 +178,7 @@ def cmd_mindet(args) -> int:
 
 
 def cmd_decode_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError("decode-verify needs at least one trial")
-    sigma2 = channel.snr_to_sigma2(args.snr_db)
+    sigma2 = channel.snr_to_sigma2(args.snr_db, "--snr-db")
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
     pam = fastdecode.pam_levels(2)
@@ -219,14 +220,14 @@ def _parse_snr_list(text: str):
             raise ValueError(f"--snr range form is start:stop:step, got {text!r}")
         start, stop, step = map(number, parts)
         if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"SNR range {text!r} needs a finite start, stop and step")
-        if step <= 0:
-            raise ValueError("step must be positive")
+            raise ValueError(f"--snr range {text!r} needs a finite start, stop and step")
+        if step <= 0 or start > stop + 1e-9:
+            raise ValueError(f"--snr range {text!r} needs a positive step and start <= stop")
         out = []
         v = start
         while v <= stop + 1e-9:
             if len(out) == MAX_SNR_POINTS:
-                raise ValueError(f"SNR range {text!r} has more than {MAX_SNR_POINTS} points")
+                raise ValueError(f"--snr range {text!r} has more than {MAX_SNR_POINTS} points")
             out.append(round(v, 9))
             v += step
         return out
@@ -235,9 +236,10 @@ def _parse_snr_list(text: str):
 
 def cmd_simulate(args) -> int:
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
-    b = fastdecode.hurwitz_radon(code)
-    gs = fastdecode.detect_groups(b)
+    gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
     snrs = _parse_snr_list(args.snr)
+    for snr_db in snrs:
+        channel.snr_to_sigma2(snr_db, "--snr")
     records = channel.simulate_wer(code, gs, snrs, seed=args.seed,
                                    min_errors=args.min_errors, max_trials=args.max_trials,
                                    threads=args.threads)
@@ -271,6 +273,7 @@ def _add_params_args(sp, with_basis=True, with_code=True):
         sp.add_argument("--code", help="shortcut name: " + ", ".join(sorted(CODE_SHORTCUTS)))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="midostc",
                                  description="Full-rate 4x2 space-time codes from crossed-product "

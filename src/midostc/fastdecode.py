@@ -5,7 +5,8 @@ off the matrix b[l, m] = ||A_l A_m^H + A_m A_l^H||_F.  A structural zero
 there makes the corresponding real-channel columns orthogonal for every
 channel realization, which is what allows conditioning on a subset of
 symbols and decoding the rest in independent groups.  One scale-free rule,
-_coupled, judges b and every trial's Gram matrix alike.
+_coupled, judges b and every trial's Gram matrix alike.  The conditional
+decoder plans each structure once and decodes same-size groups as a stack.
 """
 
 from __future__ import annotations
@@ -228,12 +229,29 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
 _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignments
 
 
-def _verify_structure(K: np.ndarray, gs: GroupStructure) -> None:
-    """Raise unless no trial's K couples two groups, under the rule of _coupled."""
-    label = np.full(K.shape[-1], -1)
-    for i, g in enumerate(gs.groups):
-        label[list(g)] = i
+@lru_cache(maxsize=32)
+def _plan(gs: GroupStructure, levels: tuple) -> tuple:
+    """Read-only arrays for decoding over gs with the alphabet levels: conditioned prefix a, suffix b
+    and their grids; each symbol's group (-1 if conditioned) and the cross-group mask; same-size
+    groups stacked as (indices (ng, k), grid, half grid); each group's (stack, row); visits."""
+    if sorted(levels) != sorted(-v for v in levels):
+        raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+    a, b = np.split(np.array(gs.conditioned, dtype=np.intp), [len(gs.conditioned) // 2])
+    sizes = [len(g) for g in gs.groups]
+    label = np.array([next((i for i, g in enumerate(gs.groups) if v in g), -1)
+                      for v in range(len(gs.conditioned) + sum(sizes))])
     cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
+    stacks = tuple((np.array([g for g in gs.groups if len(g) == k], dtype=np.intp), Sg, Sg[:len(Sg) - len(Sg) // 2])
+                   for k in sorted(set(sizes)) for Sg in [_candidate_grid(levels, k)])
+    for arr in (a, b, label, cross, *(x for stack in stacks for x in stack)):
+        arr.setflags(write=False)
+    return (a, b, _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b)), label, cross, stacks,
+            tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes)),
+            len(levels) ** len(gs.conditioned) * sum(len(levels) ** k for k in sizes))
+
+
+def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
+    """Raise unless no trial's K couples two groups, under the rule of _coupled."""
     bad = _coupled(K) & cross
     if bad.any():
         t, l, m = np.argwhere(bad)[0]
@@ -248,16 +266,15 @@ def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (((T @ K) - 2.0 * z[..., None, :]) * T).sum(axis=-1)
 
 
-def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, groups: list,
-                  Ta: np.ndarray, Tb: np.ndarray) -> np.ndarray:
+def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
     """Minimize s^T K s - 2 z^T s per trial; (B, n) symbols.
 
     The conditioned symbols split into a prefix a and a suffix b, so the
     assignment with flat index ia * len(Tb) + ib is Ta[ia] followed by
-    Tb[ib] and argmin keeps the lexicographic tie-break.  Each group
-    (g, Sg), an index array and its candidate grid, adds the minimum over
-    its candidates s of q(s) + l(s), with q(s) = s^T K_gg s and l(s) =
-    2 (K_ga a + K_gb b - z_g)^T s split into an a-part la and a b-part lb.
+    Tb[ib] and argmin keeps the lexicographic tie-break.  Each group g, with
+    candidate grid Sg, adds the minimum over its candidates s of q(s) + l(s),
+    with q(s) = s^T K_gg s and l(s) = 2 (K_ga a + K_gb b - z_g)^T s split
+    into an a-part la and a b-part lb, built per stack of same-size groups.
 
     Sg is the lexicographic grid of an alphabet symmetric about zero, so
     candidate S-1-j is minus candidate j: q is even and l odd, and the
@@ -266,47 +283,49 @@ def _decode_block(K: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, gr
     + lb(s_j)| - q(s_j) + q(s_0)); q(s_0) is the same for every assignment
     of a trial, so the search over assignments leaves it out.  Each
     assignment starts from its conditioned part: t^T K t - 2 z^T t on a and
-    on b, plus the cross term.  Once the assignment is chosen, each group's
-    symbols come from an exact argmin over all of Sg: q + l on the first
-    half and q - l on the mirrored second half, in grid order.
+    on b, plus the cross term, less the group minima in the order of
+    gs.groups.  Once the assignment is chosen, each group's symbols come
+    from an exact argmin over all of Sg: q + l on the first half and q - l
+    on the mirrored second half, in grid order.
     """
+    a, b, Ta, Tb, _, _, stacks, place, _ = plan
+    B, A, B_ = len(K), len(Ta), len(Tb)
     terms = []
-    for g, Sg in groups:
-        half = Sg[:len(Sg) - len(Sg) // 2]
-        q = ((half @ K[:, g[:, None], g]) * half).sum(axis=-1)                  # (B, H)
-        la = 2.0 * ((Ta @ K[:, a[:, None], g] - z[:, None, g]) @ half.T)        # (B, A, H)
-        lb = 2.0 * (Tb @ K[:, b[:, None], g] @ half.T)                          # (B, B_, H)
-        terms.append((q.T, (q[:, 1:] - q[:, :1]).T, la.transpose(2, 0, 1).copy(),
-                      lb.transpose(2, 0, 1).copy()))
+    for gi, _, half in stacks:
+        q = ((half @ K[:, gi[:, :, None], gi[:, None, :]]) * half).sum(axis=-1)          # (B, ng, H)
+        la = (Ta @ K[:, a[:, None], gi.ravel()] - z[:, None, gi.ravel()]).reshape(B, -1, gi.shape[1]) @ half.T
+        lb = (Tb @ K[:, b[:, None], gi.ravel()]).reshape(B, -1, gi.shape[1]) @ half.T
+        terms.append((q, q[..., 1:] - q[..., :1], 2.0 * la.reshape(B, A, *q.shape[1:]),       # (B, A, ng, H)
+                      2.0 * lb.reshape(B, B_, *q.shape[1:]).transpose(0, 2, 3, 1)))     # (B, ng, H, B_)
     Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
     Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
-    Kab = K[:, a[:, None], b]
-    step = max(1, _BLOCK_VALUES // (len(Ta) * len(Tb)))
-    bufs = np.empty((2, min(step, len(K)), len(Ta), len(Tb)))
-    best = np.empty(len(K), dtype=int)
-    for lo in range(0, len(K), step):
+    step = max(1, _BLOCK_VALUES // (A * B_))
+    bufs = np.empty((2, min(step, B), A, B_))
+    best = np.empty(B, dtype=int)
+    for lo in range(0, B, step):
         hi = lo + step
-        block = 2.0 * (Ta @ Kab[lo:hi] @ Tb.T)                                   # (trials, A, B_)
+        block = 2.0 * (Ta @ K[lo:hi, a[:, None], b] @ Tb.T)                      # (trials, A, B_)
         block += Qa[lo:hi, :, None]
         block += Qb[lo:hi, None, :]
         x, y = bufs[:, :len(block)]
-        for _, d, la, lb in terms:
-            # x = max_j |la_j + lb_j| - d_j, with d_j = q(s_j) - q(s_0)
-            np.abs(np.add(la[0, lo:hi, :, None], lb[0, lo:hi, None, :], out=x), out=x)
-            for j in range(1, len(la)):
-                np.abs(np.add(la[j, lo:hi, :, None], lb[j, lo:hi, None, :], out=y), out=y)
-                np.maximum(x, np.subtract(y, d[j - 1, lo:hi, None, None], out=y), out=x)
+        for si, g in place:
+            # x = max_j |la_j + lb_j| - d_j, with d_j = q(s_j) - q(s_0), for group g of stack si
+            _, d, la, lb = terms[si]
+            np.abs(np.add(la[lo:hi, :, g, 0, None], lb[lo:hi, None, g, 0], out=x), out=x)
+            for j in range(1, la.shape[-1]):
+                np.abs(np.add(la[lo:hi, :, g, j, None], lb[lo:hi, None, g, j], out=y), out=y)
+                np.maximum(x, np.subtract(y, d[lo:hi, g, j - 1, None, None], out=y), out=x)
             block -= x
         best[lo:hi] = block.reshape(len(block), -1).argmin(axis=1)
-    ia, ib = np.divmod(best, len(Tb))
+    ia, ib = np.divmod(best, B_)
     s = np.empty(K.shape[:2])
     s[:, a] = Ta[ia]
     s[:, b] = Tb[ib]
-    trials = np.arange(len(K))
-    for (g, Sg), (q, _, la, lb) in zip(groups, terms):
-        l = la[:, trials, ia] + lb[:, trials, ib]                               # (H, B)
-        metric = np.concatenate([q + l, (q - l)[:len(Sg) // 2][::-1]])
-        s[:, g] = Sg[metric.argmin(axis=0)]
+    trials = np.arange(B)
+    for (gi, Sg, _), (q, _, la, lb) in zip(stacks, terms):
+        l = la[trials, ia] + lb[trials, ..., ib]                                # (B, ng, H)
+        metric = np.concatenate([q + l, (q - l)[..., :len(Sg) // 2][..., ::-1]], axis=-1)
+        s[:, gi] = Sg[metric.argmin(axis=-1)]
     return s
 
 
@@ -325,35 +344,28 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     heuristic; the error names the first failing trial of the batch.
 
     The alphabet pam must be symmetric about zero, as pam_levels is: the
-    group search pairs each candidate with its negative.  Returns the
-    symbols and the residual metric ||y - G s||^2 per trial,
-    shaped like y's batch (a float for a single trial).  Visits are per
-    trial: M^|conditioned| * sum_i M^|group_i| candidate enumerations.
-    The group terms scale with the rows passed (about 15 KB per C5 row at
-    peak); the callers in this package pass at most channel.BATCH_SIZE rows.
+    group search pairs each candidate with its negative.  What depends only
+    on gs and pam is planned once per pair (_plan).  Returns the symbols and
+    the residual metric ||y - G s||^2 per trial, shaped like y's batch (a
+    float for a single trial).  Visits are per trial: M^|conditioned| *
+    sum_i M^|group_i| candidate enumerations.  The group terms scale with
+    the rows passed (about 17 KB per C5 row at peak); the callers in this
+    package pass at most channel.BATCH_SIZE rows.
     """
     y = np.asarray(y, dtype=float)
     G = np.asarray(G)
     if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
         raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
                          "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
-    levels = tuple(pam)
-    if sorted(levels) != sorted(-v for v in levels):
-        raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+    plan = _plan(gs, tuple(pam))
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)
     K = Gt @ Gb
     z = (Gt @ Yb[..., None])[..., 0]
-    _verify_structure(K, gs)
-    m = len(levels)
-    cond = np.array(gs.conditioned, dtype=np.intp)
-    a, b = np.split(cond, [len(cond) // 2])
-    Ta, Tb = _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b))
-    groups = [(np.array(g), _candidate_grid(levels, len(g))) for g in gs.groups]
-    s = _decode_block(K, z, a, b, groups, Ta, Tb)
+    _verify_structure(K, gs, *plan[4:6])
+    s = _decode_block(K, z, plan)
     resid = Yb - (Gb @ s[..., None])[..., 0]
     metric = np.einsum("bi,bi->b", resid, resid)
-    visits = m ** len(cond) * sum(m ** len(g) for g in gs.groups)
     if y.ndim == 1:
-        return DecodeResult(s[0], float(metric[0]), visits)
-    return DecodeResult(s, metric, visits)
+        return DecodeResult(s[0], float(metric[0]), plan[-1])
+    return DecodeResult(s, metric, plan[-1])

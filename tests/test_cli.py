@@ -4,13 +4,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import midostc
 from midostc import algebra, channel
-from midostc.cli import _parse_snr_list, main
+from midostc.cli import _parse_snr_list, build_parser, main
 
 
 def run(capsys, argv):
@@ -189,7 +194,7 @@ def test_decode_verify_pins_hold_in_slices(capsys, monkeypatch, code):
 
 def test_decode_verify_rejects_negative_seed(capsys):
     rc, out, err = run(capsys, ["decode-verify", "--code", "C2", "--trials", "3", "--seed", "-1"])
-    assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
+    assert rc == 1 and err == "error: --seed must be non-negative, got -1\n"
     assert out == ""
 
 
@@ -220,21 +225,22 @@ def test_simulate_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--snr", "10", "--max-trials", "0"], "max_trials must be at least 1"),
-    (["--snr", "10", "--min-errors", "0"], "min_errors must be at least 1"),
-    (["--snr", "10", "--threads", "-3"], "threads must be at least 1"),
-    (["--snr", "10:8:1"], "finite SNR points"),
-    (["--snr", "nan"], "finite SNR points"),
-    (["--snr", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
-    (["--snr", "0:inf:1"], "SNR range '0:inf:1' needs a finite start, stop and step"),
-    (["--snr=-inf:10:1"], "SNR range '-inf:10:1' needs a finite start, stop and step"),
-    (["--snr", "0:10:nan"], "SNR range '0:10:nan' needs a finite start, stop and step"),
-    (["--snr", "0:10:inf"], "SNR range '0:10:inf' needs a finite start, stop and step"),
-    (["--snr", "0:10:0.00001"], "SNR range '0:10:0.00001' has more than 1000 points"),
+    (["--snr", "10", "--max-trials", "0"], "--max-trials must be at least 1, got 0"),
+    (["--snr", "10", "--min-errors", "0"], "--min-errors must be at least 1, got 0"),
+    (["--snr", "10", "--threads", "-3"], "--threads must be at least 1, got -3"),
+    (["--snr", "10:8:1"], "--snr range '10:8:1' needs a positive step and start <= stop"),
+    (["--snr", "0:10:-1"], "--snr range '0:10:-1' needs a positive step and start <= stop"),
+    (["--snr", "nan"], "--snr must be finite and give a finite noise variance, got nan dB"),
+    (["--snr", "10", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["--snr", "0:inf:1"], "--snr range '0:inf:1' needs a finite start, stop and step"),
+    (["--snr=-inf:10:1"], "--snr range '-inf:10:1' needs a finite start, stop and step"),
+    (["--snr", "0:10:nan"], "--snr range '0:10:nan' needs a finite start, stop and step"),
+    (["--snr", "0:10:inf"], "--snr range '0:10:inf' needs a finite start, stop and step"),
+    (["--snr", "0:10:0.00001"], "--snr range '0:10:0.00001' has more than 1000 points"),
     (["--snr", ""], "--snr needs numbers in dB, got '' in ''"),
     (["--snr", "15,,16"], "--snr needs numbers in dB, got '' in '15,,16'"),
     (["--snr", "0:10"], "--snr range form is start:stop:step, got '0:10'"),
-], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "nan", "seed-negative",
+], ids=["max-trials-0", "min-errors-0", "threads-negative", "empty-range", "negative-step", "nan", "seed-negative",
         "range-stop-inf", "range-start-minus-inf", "range-step-nan", "range-step-inf",
         "range-too-many-points", "snr-empty", "snr-empty-item", "range-two-parts"])
 def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
@@ -251,11 +257,14 @@ def test_snr_range_point_limit():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=nan"], "got nan dB"),
-    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-inf"], "got -inf dB"),
+    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=nan"], "--snr-db must be finite and give a "
+                                                                          "finite noise variance, got nan dB"),
+    (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-inf"], "--snr-db must be finite and give a "
+                                                                           "finite noise variance, got -inf dB"),
     (["decode-verify", "--code", "C2", "--trials", "5", "--snr-db=-4000"], "got -4000.0 dB"),
-    (["decode-verify", "--code", "C2", "--trials", "0"], "at least one trial"),
-    (["simulate", "--code", "C2", "--snr=10,-4000"], "got -4000.0 dB"),
+    (["decode-verify", "--code", "C2", "--trials", "0"], "--trials must be at least 1, got 0"),
+    (["simulate", "--code", "C2", "--snr=10,-4000"], "--snr must be finite and give a finite noise variance, "
+                                                     "got -4000.0 dB"),
     (["analyze", "--code", "C2", "--target", "99"], "--target must be in 0..15, got 99"),
     (["analyze", "--code", "C2", "--target=-3"], "--target must be in 0..15, got -3"),
     (["mindet", "--code", "C2", "--strategy", "random", "--samples", "0"], "samples must be at least 1"),
@@ -452,6 +461,13 @@ def _argv(draw):
 @example(argv=["analyze", "--code", "C3", "--target=17"])   # range errors that name their option
 @example(argv=["mindet", "--example", "2", "--strategy=random", "--samples=-4"])
 @example(argv=["mindet", *RAW, UNIT, "--strategy=random", "--seed=-1"])
+@example(argv=["decode-verify", "--code", "C2", "--trials=0"])
+@example(argv=["decode-verify", "--code", "C2", "--seed=-1", "--snr-db=nan"])
+@example(argv=["simulate", "--code", "C2", "--snr=10", "--threads=0", "--seed=-1"])
+@example(argv=["simulate", "--code", "C2", "--snr=10", "--min-errors=0"])
+@example(argv=["simulate", "--code", "C2", "--snr=10", "--max-trials=0"])
+@example(argv=["simulate", "--code", "C2", "--snr=10:0:1"])
+@example(argv=["simulate", "--code", "C2", "--snr=10,inf"])
 def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -467,7 +483,22 @@ def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
         assert json.loads(out)["conditions"]["ok"] is False
     elif rc == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    if argv[0] in ("analyze", "mindet") and any(
-            bound in err for bound in ("must be at least 1", "must be non-negative", "must be in 0..")):
-        # a range error of --target, --samples or --seed names its option
-        assert err.startswith(("error: --target ", "error: --samples ", "error: --seed ")), (argv, err)
+    if any(bound in err for bound in ("must be at least 1", "must be non-negative", "must be in 0..",
+                                      "positive step", "must be finite", "finite SNR", "at least one trial")):
+        # a range error names its option
+        assert err.startswith(tuple(f"error: --{option} " for option in (
+            "target", "samples", "seed", "trials", "threads", "min-errors", "max-trials", "snr", "snr-db"))), (argv, err)
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # build_parser is built once per process; a call's options must not
+    # leak into the next call's namespace
+    assert build_parser() is build_parser()
+    assert run(capsys, ["mindet", "--code", "C2", "--strategy", "random", "--samples", "5"])[0] == 0
+    rc, out, err = run(capsys, ["mindet", "--code", "C2"])
+    src = str(Path(midostc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    fresh = subprocess.run([sys.executable, "-m", "midostc", "mindet", "--code", "C2"], env=env,
+                           capture_output=True, text=True)
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert out.startswith("code,strategy,") and ",sparse_exhaustive,39360," in out

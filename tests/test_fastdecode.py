@@ -1,5 +1,6 @@
 """Quadratic-form structure detection and the two decoders."""
 
+import functools
 import hashlib
 import itertools
 import types
@@ -391,18 +392,39 @@ DECISIONS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DECISIONS_SHA256))
-def test_decisions_at_15_db_are_pinned(name):
+# sha256 of the reported metrics (float64, trial-major) of the same batches:
+# a changed bit of any metric shows here even when no decision flips.
+METRICS_SHA256 = {
+    "C2": "3a3f33e111975150347c37544cb446dcbb62a2781b341c4d6cae987461e3a672",
+    "C3": "03b0806624a3809582307688676a64dde31be167092a0e735af86988242e032e",
+    "C5": "91aa4396b442111f2ccf7a2a3436be4d952a7f71c339dd6cb0dd6da927622b9f",
+}
+
+
+@functools.cache
+def decoded_at_15_db(name):
+    """sha256 of the symbols and of the metrics of the pinned 15 dB batches."""
     example, basis, variant = CODE_SHORTCUTS[name]
     code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
     gs = detect_groups(hurwitz_radon(code))
     sigma2 = channel.snr_to_sigma2(15.0)
-    digest = hashlib.sha256()
+    symbols, metrics = hashlib.sha256(), hashlib.sha256()
     for lo in range(0, 4096, channel.BATCH_SIZE):
         _, y, G = channel.draw_trials(11, 0, lo, lo + channel.BATCH_SIZE, code.generators, sigma2)
         res = conditional_group_decode(y, G, gs, pam_levels(2))
-        digest.update(res.symbols.astype(np.int8).tobytes())
-    assert digest.hexdigest() == DECISIONS_SHA256[name]
+        symbols.update(res.symbols.astype(np.int8).tobytes())
+        metrics.update(res.metric.astype(np.float64).tobytes())
+    return symbols.hexdigest(), metrics.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS_SHA256))
+def test_decisions_at_15_db_are_pinned(name):
+    assert decoded_at_15_db(name)[0] == DECISIONS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_SHA256))
+def test_metrics_at_15_db_are_pinned(name):
+    assert decoded_at_15_db(name)[1] == METRICS_SHA256[name]
 
 
 # sha256 of ml_exhaustive's symbols (int8) and metric (float64), trial by
@@ -434,6 +456,16 @@ def test_oracle_at_10_db_is_pinned(name):
 SIX = GroupStructure((0, 5), ((1, 2, 3), (4,)), 5)
 
 
+def six_channels(trials, rng):
+    """Channels of SIX: R^8 columns with groups (1, 2, 3) and (4,) in orthogonal subspaces."""
+    G = rng.standard_normal((trials, 8, 6))
+    for t in range(trials):
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        G[t][:, [1, 2, 3]] = Q[:, :3] @ rng.standard_normal((3, 3))
+        G[t][:, [4]] = Q[:, 3:4] * rng.uniform(0.5, 2.0)
+    return G
+
+
 @pytest.mark.parametrize("pam", [pam_levels(2), pam_levels(4), (-1.0, 0.0, 1.0)],
                          ids=["pam2", "pam4", "three-levels"])
 def test_block_orthogonal_six_symbol_channel_matches_oracle(pam):
@@ -441,11 +473,7 @@ def test_block_orthogonal_six_symbol_channel_matches_oracle(pam):
     m = len(pam)
     rng = np.random.default_rng(43 + m)
     trials = 24
-    G = rng.standard_normal((trials, 8, 6))
-    for t in range(trials):
-        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-        G[t][:, [1, 2, 3]] = Q[:, :3] @ rng.standard_normal((3, 3))
-        G[t][:, [4]] = Q[:, 3:4] * rng.uniform(0.5, 2.0)
+    G = six_channels(trials, rng)
     s0 = rng.choice(pam, (trials, 6))
     y = np.einsum("bij,bj->bi", G, s0) + 0.7 * rng.standard_normal((trials, 8))
     res = conditional_group_decode(y, G, SIX, pam)
@@ -454,6 +482,58 @@ def test_block_orthogonal_six_symbol_channel_matches_oracle(pam):
         oracle = ml_exhaustive(y[i], G[i], pam)
         assert np.array_equal(res.symbols[i], oracle.symbols), i
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
+
+
+# (structure, alphabet, trials) in the order they are decoded: every
+# structure, alphabet and batch size meets the others in the plan cache
+# (SIX, or a name of BATCH_CASES)
+PLAN_CASES = [("C2", "pam2", 256), ("SIX", "pam4", 5), ("C5", "pam2", 1), ("mixed", "three-levels", 5),
+              ("trivial", "pam2", 1), ("SIX", "three-levels", 256), ("C2", "pam2", 5), ("mixed", "pam2", 256),
+              ("C5", "pam2", 5), ("SIX", "pam2", 1), ("mixed", "pam4", 1), ("trivial", "pam2", 5),
+              ("C2", "three-levels", 1), ("SIX", "pam4", 256), ("C5", "pam2", 256), ("mixed", "pam2", 1)]
+
+
+def plan_case(i, structure, alphabet, trials):
+    """`trials` noisy trials on channels that fit the structure; one trial unbatched."""
+    rng = np.random.default_rng(60 + i)
+    if structure == "SIX":
+        gs, G = SIX, six_channels(trials, rng)
+    else:
+        gs, G, rng = batch_case(structure, trials, 60 + i)
+    pam = ALPHABETS[alphabet]
+    s0 = rng.choice(pam, (trials, G.shape[-1]))
+    y = np.einsum("bij,bj->bi", G, s0) + 0.8 * rng.standard_normal((trials, G.shape[1]))
+    return (y[0], G[0], gs, pam) if trials == 1 else (y, G, gs, pam)
+
+
+def test_plan_cache_gives_what_a_fresh_plan_gives():
+    cases = [plan_case(i, *case) for i, case in enumerate(PLAN_CASES)]
+    warm = [conditional_group_decode(*case) for case in cases]
+    for case, res, (name, alphabet, trials) in zip(cases, warm, PLAN_CASES):
+        fastdecode._plan.cache_clear()
+        fresh = conditional_group_decode(*case)
+        assert np.array_equal(res.symbols, fresh.symbols), (name, alphabet, trials)
+        assert np.array_equal(res.metric, fresh.metric), (name, alphabet, trials)
+        assert res.visits == fresh.visits
+        assert np.shape(res.symbols) == ((trials,) if trials > 1 else ()) + (case[1].shape[-1],)
+    for gs, pam in {(case[2], tuple(case[3])) for case in cases}:
+        plan = fastdecode._plan(gs, pam)
+        arrays = list(arrays_in(plan))
+        # a, b, their grids, the labels and the cross mask, then three per stack of same-size groups
+        assert len(arrays) == 6 + 3 * len({len(g) for g in gs.groups})
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def arrays_in(obj):
+    """Every array in a plan, through its nested tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from arrays_in(item)
 
 
 @pytest.mark.parametrize("pam", [(0.0, 1.0), (-1.0, 1.0, 3.0)], ids=["zero-one", "shifted"])
