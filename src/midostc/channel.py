@@ -11,16 +11,17 @@ SeedSequence(entropy=seed, spawn_key=(p, t)).  draw_trials is the one
 source of that draw.  It runs numpy's SeedSequence hash for a whole range
 of trials as numpy columns, and its one Python loop rekeys a single
 Philox per trial for the raw words and normals; everything else works on
-the whole range at once.  _trial_rng,
-sample_channel, transmit and ChannelInstance are kept as the written-out
-form of philox-ss-v1 that bench/ and the tests read; nothing in src/
-calls them.  Workers run whole batches of BATCH_SIZE trials and the
-stopping rule walks them in order, so results are byte-identical across
+the whole range at once.  _trial_rng, sample_channel, transmit and
+ChannelInstance are kept as the written-out form of philox-ss-v1 that
+bench/ and the tests read; nothing in src/ calls them.  Workers run whole
+batches of BATCH_SIZE trials, streamed back in order, and the stopping
+rule walks them in that order, so results are byte-identical across
 reruns and independent of the worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import multiprocessing
 import operator
@@ -209,12 +210,24 @@ def wilson_interval(errors: int, trials: int) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _run_trials(args) -> int:
-    """Word errors over a contiguous range of trial indices (one batch)."""
+def _run_trials(args) -> tuple:
+    """(stop, word errors) of one batch: a contiguous range of trial indices."""
     seed, point_index, start, stop, generators, gs, sigma2, pam = args
     s0, y, G = draw_trials(seed, point_index, start, stop, generators, sigma2)
     res = conditional_group_decode(y, G, gs, pam)
-    return int(np.count_nonzero((res.symbols != s0).any(axis=1)))
+    return stop, int(np.count_nonzero((res.symbols != s0).any(axis=1)))
+
+
+def _in_order(pool, batches, ahead: int):
+    """_run_trials of each batch on the pool, yielded in order, with up to
+    ``ahead`` batches submitted past the one awaited."""
+    pending = collections.deque()
+    for batch in batches:
+        pending.append(pool.apply_async(_run_trials, (batch,)))
+        if len(pending) > ahead:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
 
 
 def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
@@ -223,16 +236,19 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
     """Monte Carlo word error rate at each SNR point.
 
     Trials run in batches of BATCH_SIZE (the last one cut at max_trials),
-    up to ``threads`` at once, one per worker; no more workers start than
-    there are batches or CPUs, and no pool for one.  A point stops after the first
-    batch in which the cumulative error count reaches min_errors, or at
-    max_trials; batches past the stop are dropped.  Decoding uses the
-    conditional group decoder with the supplied structure (verified per
-    trial against the drawn channel).  Raises ValueError, before any
-    trial, for an empty or non-finite SNR list, an SNR without a finite
-    noise variance, a negative seed and min_errors, max_trials or threads
-    below 1.
+    in order in this process, or on one pool of ``threads`` workers for the
+    whole run that _in_order keeps one batch ahead of; no pool for one
+    batch, and no more workers than batches or CPUs.  A point stops after
+    the first batch in which the cumulative error count reaches min_errors,
+    or at max_trials; batches past the stop go unread.  The pool is closed
+    and joined, never terminated, so no worker outlives the call.
+    Decoding uses the conditional group decoder with the supplied structure
+    (verified per trial against the drawn channel).  Raises ValueError,
+    before any trial, for an empty or non-finite SNR list, an SNR without a
+    finite noise variance, a negative seed and min_errors, max_trials or
+    threads below 1.
     """
+    snr_db_list = [float(snr_db) for snr_db in snr_db_list]
     if not snr_db_list or not all(map(math.isfinite, snr_db_list)):
         raise ValueError(f"need one or more finite SNR points, got {snr_db_list}")
     if seed < 0:
@@ -245,20 +261,16 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
     workers = min(threads, os.cpu_count() or 1, -(-max_trials // BATCH_SIZE))
     records = []
     pool = multiprocessing.Pool(workers) if workers > 1 else None
-    run = pool.map if pool else map
     try:
         for point_index, (snr_db, sigma2) in enumerate(zip(snr_db_list, sigma2s)):
-            errors = trials = 0
-            while trials < max_trials and errors < min_errors:
-                starts = range(trials, min(trials + workers * BATCH_SIZE, max_trials), BATCH_SIZE)
-                batches = [(seed, point_index, lo, min(lo + BATCH_SIZE, max_trials), code.generators,
-                            gs, sigma2, pam) for lo in starts]
-                for batch, batch_errors in zip(batches, run(_run_trials, batches)):
-                    if errors >= min_errors:
-                        break
-                    errors += batch_errors
-                    trials = batch[3]
-            records.append(WerRecord(float(snr_db), trials, errors, errors / trials))
+            batches = ((seed, point_index, lo, min(lo + BATCH_SIZE, max_trials), code.generators, gs,
+                        sigma2, pam) for lo in range(0, max_trials, BATCH_SIZE))
+            errors = 0
+            for trials, batch_errors in _in_order(pool, batches, workers) if pool else map(_run_trials, batches):
+                errors += batch_errors
+                if errors >= min_errors:
+                    break
+            records.append(WerRecord(snr_db, trials, errors, errors / trials))
     finally:
         if pool:
             pool.close()

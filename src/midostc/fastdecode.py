@@ -230,16 +230,17 @@ _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignment
 
 
 @lru_cache(maxsize=32)
-def _plan(gs: GroupStructure, levels: tuple) -> tuple:
-    """Read-only arrays for decoding over gs with the alphabet levels: conditioned prefix a, suffix b
-    and their grids; each symbol's group (-1 if conditioned) and the cross-group mask; same-size
+def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
+    """Read-only arrays for decoding width columns over gs with the alphabet levels: conditioned prefix
+    a, suffix b and their grids; each symbol's group (-1 if conditioned) and the cross-group mask; same-size
     groups stacked as (indices (ng, k), grid, half grid); each group's (stack, row); visits."""
     if sorted(levels) != sorted(-v for v in levels):
         raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+    if sorted([*gs.conditioned, *(v for g in gs.groups for v in g)]) != list(range(width)):
+        raise ValueError(f"{gs} does not partition the {width} columns of G into its conditioned set and groups")
     a, b = np.split(np.array(gs.conditioned, dtype=np.intp), [len(gs.conditioned) // 2])
     sizes = [len(g) for g in gs.groups]
-    label = np.array([next((i for i, g in enumerate(gs.groups) if v in g), -1)
-                      for v in range(len(gs.conditioned) + sum(sizes))])
+    label = np.array([next((i for i, g in enumerate(gs.groups) if v in g), -1) for v in range(width)])
     cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
     stacks = tuple((np.array([g for g in gs.groups if len(g) == k], dtype=np.intp), Sg, Sg[:len(Sg) - len(Sg) // 2])
                    for k in sorted(set(sizes)) for Sg in [_candidate_grid(levels, k)])
@@ -345,9 +346,10 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
 
     The alphabet pam must be symmetric about zero, as pam_levels is: the
     group search pairs each candidate with its negative.  What depends only
-    on gs and pam is planned once per pair (_plan).  Returns the symbols and
-    the residual metric ||y - G s||^2 per trial, shaped like y's batch (a
-    float for a single trial).  Visits are per trial: M^|conditioned| *
+    on gs, pam and G's width is planned once (_plan), which raises
+    ValueError unless gs partitions the columns of G.  Returns the symbols
+    and the residual metric ||y - G s||^2 per trial, shaped like y's batch
+    (a float for a single trial).  Visits are per trial: M^|conditioned| *
     sum_i M^|group_i| candidate enumerations.  The group terms scale with
     the rows passed (about 17 KB per C5 row at peak); the callers in this
     package pass at most channel.BATCH_SIZE rows.
@@ -357,7 +359,7 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
         raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
                          "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
-    plan = _plan(gs, tuple(pam))
+    plan = _plan(gs, tuple(pam), G.shape[-1])
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)
     K = Gt @ Gb

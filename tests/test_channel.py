@@ -1,7 +1,10 @@
 """Fading channel sampling, SNR calibration, WER simulation harness."""
 
+import functools
 import io
 import math
+import multiprocessing
+import types
 
 import numpy as np
 import pytest
@@ -160,7 +163,7 @@ def test_run_trials_counts_like_a_per_trial_loop():
         res = fastdecode.conditional_group_decode(y[0], G[0], gs, pam)
         errors += not np.array_equal(res.symbols, s0[0])
     assert errors > 0
-    assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2, pam)) == errors
+    assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2, pam)) == (74, errors)
 
 
 def test_channel_entries_are_unit_variance():
@@ -250,17 +253,57 @@ def test_simulate_same_seed_same_records():
 
 
 def test_simulate_threads_do_not_change_results(monkeypatch):
-    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)   # rounds of 3 batches on any machine
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)   # up to three workers on any machine
     code, gs = c2_code_and_structure()
-    # the second run stops inside rounds of 2 and 3 batches: 14 dB on its
-    # second batch, 13 dB on its first, and 40 dB at a cut last batch
+    # the second run stops 14 dB on its second batch, 13 dB on its first and
+    # 40 dB at a cut last batch; the third runs 40 dB out to a cut last batch,
+    # then stops 6 dB on its first
     for points, kw, trials in (([8.0, 12.0], dict(seed=32, min_errors=20, max_trials=512), [256, 256]),
                                ([14.0, 13.0, 40.0], dict(seed=78, min_errors=17, max_trials=1300),
-                                [512, 256, 1300])):
+                                [512, 256, 1300]),
+                               ([40.0, 6.0], dict(seed=79, min_errors=5, max_trials=1000), [1000, 256])):
         r1 = simulate_wer(code, gs, points, threads=1, **kw)
         assert [r.trials for r in r1] == trials
         for threads in (2, 3):
             assert simulate_wer(code, gs, points, threads=threads, **kw) == r1, threads
+            assert multiprocessing.active_children() == []
+
+
+def test_simulate_takes_a_numpy_array_of_snrs():
+    code, gs = c2_code_and_structure()
+    kw = dict(seed=39, min_errors=20, max_trials=512)
+    rec = simulate_wer(code, gs, np.array([10.0, 12.0]), **kw)
+    assert rec == simulate_wer(code, gs, [10.0, 12.0], **kw)
+    assert all(type(r.snr_db) is float for r in rec)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_leaves_no_worker_behind(monkeypatch, threads):
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 2)
+    code, gs = c2_code_and_structure()
+    # a normal return at max_trials, and an early stop with 3,900 batches still to go
+    simulate_wer(code, gs, [40.0], seed=40, min_errors=1, max_trials=1024, threads=threads)
+    assert multiprocessing.active_children() == []
+    rec = simulate_wer(code, gs, [0.0], seed=40, min_errors=1, max_trials=10 ** 6, threads=threads)
+    assert rec[0].trials == 256
+    assert multiprocessing.active_children() == []
+    # two groups of eight are coupled on every channel of C2, so the first batch raises
+    split = fastdecode.GroupStructure((), (tuple(range(8)), tuple(range(8, 16))), 8)
+    with pytest.raises(fastdecode.StructureInvalidError, match="trial 0 of the batch"):
+        simulate_wer(code, split, [10.0], seed=40, max_trials=10 ** 6, threads=threads)
+    assert multiprocessing.active_children() == []
+
+
+def test_repeated_early_stops_on_more_workers_than_cores(monkeypatch):
+    # every point stops with batches still running past it, so each run shuts
+    # the pool down with work in flight
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)
+    code, gs = c2_code_and_structure()
+    for k in range(8):
+        kw = dict(seed=41 + k, min_errors=5 + 9 * k, max_trials=10 ** 6)
+        assert simulate_wer(code, gs, [6.0, 8.0, 10.0], threads=3, **kw) == \
+            simulate_wer(code, gs, [6.0, 8.0, 10.0], **kw), k
+        assert multiprocessing.active_children() == []
 
 
 def test_simulate_starts_no_pool_for_one_batch(monkeypatch):
@@ -281,8 +324,8 @@ def test_simulate_workers_are_capped_at_the_cpu_count(monkeypatch):
         def __init__(self, processes):
             opened.append(processes)
 
-        def map(self, func, items):
-            return list(map(func, items))
+        def apply_async(self, func, args):
+            return types.SimpleNamespace(get=functools.partial(func, *args))
 
         def close(self):
             pass
@@ -294,9 +337,9 @@ def test_simulate_workers_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(channel.os, "cpu_count", lambda: 2)
     code, gs = c2_code_and_structure()
     kw = dict(seed=37, min_errors=10 ** 6, max_trials=2048)
-    rec = simulate_wer(code, gs, [10.0], threads=1000, **kw)
-    assert opened == [2]
-    assert rec == simulate_wer(code, gs, [10.0], **kw) and rec[0].trials == 2048
+    rec = simulate_wer(code, gs, [10.0, 12.0], threads=1000, **kw)
+    assert opened == [2]                    # one pool for the whole run
+    assert rec == simulate_wer(code, gs, [10.0, 12.0], **kw) and [r.trials for r in rec] == [2048, 2048]
 
 
 def test_simulate_high_snr_is_error_free():

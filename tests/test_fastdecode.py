@@ -516,8 +516,8 @@ def test_plan_cache_gives_what_a_fresh_plan_gives():
         assert np.array_equal(res.metric, fresh.metric), (name, alphabet, trials)
         assert res.visits == fresh.visits
         assert np.shape(res.symbols) == ((trials,) if trials > 1 else ()) + (case[1].shape[-1],)
-    for gs, pam in {(case[2], tuple(case[3])) for case in cases}:
-        plan = fastdecode._plan(gs, pam)
+    for gs, pam, width in {(case[2], tuple(case[3]), case[1].shape[-1]) for case in cases}:
+        plan = fastdecode._plan(gs, pam, width)
         arrays = list(arrays_in(plan))
         # a, b, their grids, the labels and the cross mask, then three per stack of same-size groups
         assert len(arrays) == 6 + 3 * len({len(g) for g in gs.groups})
@@ -541,6 +541,20 @@ def test_asymmetric_alphabet_is_rejected(pam):
     gs, G, _ = batch_case("C2", 2, 48)
     with pytest.raises(ValueError, match="symmetric about zero"):
         conditional_group_decode(np.zeros((2, 16)), G, gs, pam)
+
+
+@pytest.mark.parametrize("gs", [
+    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2, 11), (12, 15), (13, 14)), 10),   # overlap
+    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13,)), 10),          # 14 missing
+    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 13)), 10),       # 13 twice
+    GroupStructure((0, 1), ((2, 3, 4),), 5),                                                     # 5 of 16
+    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 16)), 10),       # 16 too big
+], ids=["overlap", "missing", "repeated", "five-symbols", "out-of-range"])
+def test_structure_that_does_not_partition_the_columns_is_rejected(gs):
+    _, G, _ = batch_case("C2", 2, 49)
+    for y, Gi in ((np.zeros((2, 16)), G), (np.zeros(16), G[0])):
+        with pytest.raises(ValueError, match=r"GroupStructure\(.*\) does not partition the 16 columns of G"):
+            conditional_group_decode(y, Gi, gs, pam_levels(2))
 
 
 def test_batch_names_the_trial_that_breaks_orthogonality():
