@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -388,38 +388,3 @@ def catalog() -> list[CodeParams]:
     """The five reference parameter sets, in order."""
     return [catalog_entry(n) for n in range(1, 6)]
 
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def _element_json(x: FieldElement):
-    return [str(a) for a in x.coords]
-
-
-def _record_json(record) -> dict:
-    """A certificate dataclass as JSON keyed by its field names: exact values as
-    strings, a tuple as a list of strings, anything else (None, bool, float, str) as is."""
-    def value(v):
-        if isinstance(v, tuple):
-            return [str(w) for w in v]
-        return str(v) if isinstance(v, (Fraction, FieldElement)) else v
-    return {f.name: value(getattr(record, f.name)) for f in fields(record)}
-
-
-def params_to_json(p: CodeParams) -> dict:
-    """JSON-ready dict with rationals rendered as "num/den" strings."""
-    return {
-        "name": p.name,
-        "c": p.ctx.c,
-        "cprime": p.ctx.cprime,
-        "basis": ["1", "w'", "w", "w'w"],
-        "u": _element_json(p.u),
-        "a": _element_json(p.a),
-        "b": _element_json(p.b),
-        "epsilon": _element_json(p.epsilon),
-        "scale_k": str(p.scale_k),
-        "scale_lprime": str(p.scale_lprime),
-        "conditions": _record_json(p.conditions),
-        "division": _record_json(p.division),
-    }

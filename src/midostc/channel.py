@@ -277,13 +277,3 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
             pool.join()
     return records
 
-
-def write_wer_csv(records, fp, *, code_name: str, basis: str, variant: str,
-                  seed: int, min_errors: int, max_trials: int, threads: int = 1) -> None:
-    """Write records with the run's fully resolved configuration echoed on top."""
-    fp.write(f"# code={code_name} basis={basis} variant={variant} snr_def=4/sigma2 seed={seed}\n")
-    fp.write(f"# rng={RNG_SCHEME} draw_order=symbols,channel,noise "
-             f"min_errors={min_errors} max_trials={max_trials} batch={BATCH_SIZE} threads={threads}\n")
-    fp.write("snr_db,trials,word_errors,wer\n")
-    for r in records:
-        fp.write(f"{r.snr_db:.12g},{r.trials},{r.word_errors},{r.wer:.12g}\n")

@@ -9,16 +9,17 @@ Subcommands:
   decode-verify   conditional decoder vs exhaustive ML oracle (text)
   simulate        word error rate curves (CSV)
 
-All floating point output is rounded to 12 significant digits and exact
-rationals are printed as fractions, so reruns are byte identical.
+This module renders every result: floats are rounded to 12 significant
+digits and exact numbers printed as fractions, so reruns are byte identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from . import algebra, channel, codebook, fastdecode
-from .numberfield import FieldContext
+from .numberfield import FieldContext, FieldElement
 
 # Short names for the simulated codes: (catalog entry, basis, variant).
 CODE_SHORTCUTS = {
@@ -51,13 +52,18 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _round_floats(obj):
+def _jsonable(obj):
+    """obj for json.dumps: floats rounded, exact numbers as strings, dataclasses as dicts."""
     if isinstance(obj, float):
         return _sig12(obj)
+    if isinstance(obj, (Fraction, FieldElement)):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -70,7 +76,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
-    _emit(json.dumps(_round_floats(obj), indent=2) + "\n", output)
+    _emit(json.dumps(_jsonable(obj), indent=2) + "\n", output)
 
 
 def _parse_rational(option: str, text: str) -> Fraction:
@@ -113,6 +119,13 @@ def _resolve_options(args) -> None:
                              f"got {getattr(args, name)}")
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an --output that is a directory or not in an existing, writable one."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ValueError(f"--output {path!r} is not a file in an existing, writable directory")
+
+
 def _params_from_args(args) -> algebra.CodeParams:
     if args.example is not None:
         return algebra.catalog_entry(args.example)
@@ -129,13 +142,15 @@ def _params_from_args(args) -> algebra.CodeParams:
 
 
 def cmd_construct(args) -> int:
-    params = _params_from_args(args)
-    doc = algebra.params_to_json(params)
-    if params.division.is_division is False and params.conditions.ok:
+    p = _params_from_args(args)
+    doc = {"name": p.name, "c": p.ctx.c, "cprime": p.ctx.cprime, "basis": ["1", "w'", "w", "w'w"],
+           "u": p.u.coords, "a": p.a.coords, "b": p.b.coords, "epsilon": p.epsilon.coords, "scale_k": p.scale_k,
+           "scale_lprime": p.scale_lprime, "conditions": p.conditions, "division": p.division}
+    if p.division.is_division is False and p.conditions.ok:
         doc["note"] = "not a division algebra (no nonvanishing determinant certificate); " \
                       "unit parameters of this kind give good shaping"
     _emit_json(doc, args.output)
-    return 0 if params.conditions.ok else 1
+    return 0 if p.conditions.ok else 1
 
 
 def cmd_division_table(args) -> int:
@@ -243,12 +258,14 @@ def cmd_simulate(args) -> int:
     records = channel.simulate_wer(code, gs, snrs, seed=args.seed,
                                    min_errors=args.min_errors, max_trials=args.max_trials,
                                    threads=args.threads)
-    buf = io.StringIO()
-    channel.write_wer_csv(records, buf, code_name=code.name, basis=code.basis.id,
-                          variant=code.variant, seed=args.seed,
-                          min_errors=args.min_errors, max_trials=args.max_trials,
-                          threads=args.threads)
-    _emit(buf.getvalue(), args.output)
+    lines = [
+        f"# code={code.name} basis={code.basis.id} variant={code.variant} snr_def=4/sigma2 seed={args.seed}",
+        f"# rng={channel.RNG_SCHEME} draw_order=symbols,channel,noise min_errors={args.min_errors} "
+        f"max_trials={args.max_trials} batch={channel.BATCH_SIZE} threads={args.threads}",
+        "snr_db,trials,word_errors,wer",
+        *(f"{r.snr_db:.12g},{r.trials},{r.word_errors},{r.wer:.12g}" for r in records),
+    ]
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -329,6 +346,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_options(args)
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

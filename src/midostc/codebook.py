@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -84,25 +85,21 @@ class DispersionCode:
         return f"{base}-{self.basis.id}" + ("" if self.variant == "plain" else f"-{self.variant}")
 
 
-def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple:
-    """Pack sixteen real symbols into the four field coefficients.
+def _slots(params: CodeParams, basis: SymbolBasis) -> tuple:
+    """(beta1, w'*beta1, beta2, w'*beta2): real symbol 4j + t enters x_j times slots[t].
+    w' is i for c' = 1, the QAM packing, and stands in for i inside L otherwise."""
+    wp = params.ctx.omega_prime()
+    return (basis.beta1, wp * basis.beta1, basis.beta2, wp * basis.beta2)
 
-    x_j = (s[4j] + s[4j+1]*w')*beta1 + (s[4j+2] + s[4j+3]*w')*beta2.
-    For c' = 1 the unit w' is literally i, which is the QAM packing; for
-    other c' it plays the role of the imaginary unit inside L.
-    """
-    ctx = params.ctx
-    wp = ctx.omega_prime()
+
+def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple:
+    """Pack sixteen real symbols into the four field coefficients (see _slots)."""
     if len(s) != 16:
         raise ValueError(f"need 16 real symbols, got {len(s)}")
     # numpy integers would overflow in the exact layer's int arithmetic
     vals = [Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x) for x in s]
-    xs = []
-    for j in range(4):
-        s1, s2, s3, s4 = vals[4 * j: 4 * j + 4]
-        xs.append((ctx.element(s1) + wp * s2) * basis.beta1
-                  + (ctx.element(s3) + wp * s4) * basis.beta2)
-    return tuple(xs)
+    slots = _slots(params, basis)
+    return tuple(sum(map(operator.mul, slots, vals[4 * j: 4 * j + 4]), params.ctx.zero()) for j in range(4))
 
 
 def _codeword(params: CodeParams, block_scale: float, xs) -> np.ndarray:
@@ -143,8 +140,7 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    wp, zero = params.ctx.omega_prime(), params.ctx.zero()
-    slots = (basis.beta1, wp * basis.beta1, basis.beta2, wp * basis.beta2)  # symbol 4j + t packs into x_j as slots[t]
+    slots, zero = _slots(params, basis), params.ctx.zero()
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
         gens = np.stack([_codeword(params, block_scale, [slots[i % 4] if j == i // 4 else zero for j in range(4)])
                          for i in range(16)])

@@ -1,6 +1,7 @@
 """Crossed-product algebra parameters, conditions, division verdicts."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -24,6 +25,7 @@ from midostc.algebra import (
     division_table,
     representable,
 )
+from midostc.cli import main
 from midostc.numberfield import FieldContext
 
 F = Fraction
@@ -371,8 +373,9 @@ def test_det_exact_equals_the_leibniz_sum(ctx, coords):
     assert algebra.det_exact(grid) == reference_det(grid)
 
 
-def test_params_json_shape():
-    doc = algebra.params_to_json(catalog_entry(1))
+def test_params_json_shape(capsys):
+    assert main(["construct", "--example", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["name"] == "example1"
     assert doc["c"] == 3 and doc["cprime"] == 1
     assert doc["u"] == ["-1/2", "-1/2", "-1/2", "1/2"]

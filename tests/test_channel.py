@@ -1,7 +1,6 @@
 """Fading channel sampling, SNR calibration, WER simulation harness."""
 
 import functools
-import io
 import math
 import multiprocessing
 import types
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from midostc import algebra, channel, codebook, fastdecode
-from midostc.cli import CODE_SHORTCUTS
+from midostc.cli import CODE_SHORTCUTS, main
 from midostc.channel import (
     RNG_SCHEME,
     ChannelInstance,
@@ -23,7 +22,6 @@ from midostc.channel import (
     snr_to_sigma2,
     transmit,
     wilson_interval,
-    write_wer_csv,
 )
 
 
@@ -355,16 +353,12 @@ def test_wer_decreases_with_snr():
     assert recs[0].wer > recs[1].wer
 
 
-def test_csv_output_is_reproducible():
-    code, gs = c2_code_and_structure()
-    kw = dict(seed=35, min_errors=10, max_trials=256)
+def test_csv_output_is_reproducible(capsys):
     out = []
     for _ in range(2):
-        recs = simulate_wer(code, gs, [10.0], **kw)
-        buf = io.StringIO()
-        write_wer_csv(recs, buf, code_name=code.name, basis="B2", variant="plain",
-                      seed=35, min_errors=10, max_trials=256)
-        out.append(buf.getvalue())
+        assert main(["simulate", "--code", "C2", "--snr", "10", "--seed", "35", "--min-errors", "10",
+                     "--max-trials", "256"]) == 0
+        out.append(capsys.readouterr().out)
     assert out[0] == out[1]
     header, config, columns = out[0].splitlines()[:3]
     assert RNG_SCHEME in config

@@ -1,5 +1,6 @@
 """End-to-end checks of every CLI subcommand through main()."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import midostc
-from midostc import algebra, channel
+from midostc import algebra, channel, codebook
 from midostc.cli import _parse_snr_list, build_parser, main
 
 
@@ -151,6 +152,41 @@ def test_mindet_random_output_is_pinned(capsys, code):
     assert hashlib.sha256(out.encode()).hexdigest() == MINDET_RANDOM_SHA256[code]
 
 
+# (exit code, sha256 of stdout) of commands the certify_catalog pins leave
+# out: a raw unit that fails the shaping conditions at k = l' = 1, and a
+# fixed conditioning target
+STDOUT_SHA256 = {
+    "construct --c 2 --cprime 1 --u 0,0,1/2,1/2":
+        (1, "5ee2f8109cf391af9a00c56b589b8a7c0b16c00331813b15f97191369ccd61a7"),
+    "construct --c 2 --cprime 1 --u 0,0,1/2,1/2 --k -1":
+        (0, "74f74c243df67909f8a14fdac54d286aba1d62ef90ece55b4cdc3cb51d007d9c"),
+    "construct --c 2 --cprime 1 --u 0,0,1/2,1/2 --k 0":
+        (1, "282f280d08c9f60af09dc206b0e2f83f69e7250cdbe1c8b1991b513dfaa7d0b2"),
+    "construct --c 2 --cprime 1 --u 0,0,1/2,1/2 --k 4/7 --lprime 3/5":
+        (1, "fae5a6d247d1298b63ae06c94a719911818489a76ba73f90deff3e7f656538ba"),
+    "analyze --code C5 --target 13":
+        (0, "9bea8346fea23d6ec710e8aeb7b1682966d4d3a97601c0878a14b02f5ed0f28b"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned(capsys, argv):
+    rc, out, err = run(capsys, argv.split())
+    assert err == ""
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_SHA256[argv]
+
+
+def test_pooled_simulate_file_is_pinned(capsys, tmp_path):
+    # tied to the philox-ss-v1 draw scheme; the three points stop after one,
+    # two and three batches on a pool of two workers
+    path = tmp_path / "sweep.csv"
+    rc, out, err = run(capsys, ["simulate", "--code", "C2", "--snr", "8:12:2", "--seed", "5", "--min-errors", "60",
+                                "--max-trials", "1024", "--threads", "2", "--output", str(path)])
+    assert (rc, out, err) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "3c2f0ee26b046502f4806c084b628d3a3467f31a603d3f65f1a47b1ca8f0d74c"
+
+
 def test_decode_verify_agreement(capsys):
     rc, out, err = run(capsys, ["decode-verify", "--code", "C2",
                                 "--trials", "5", "--seed", "3"])
@@ -248,6 +284,47 @@ def test_simulate_rejects_bad_input(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, ["simulate", "--code", "C2", "--output", str(path)] + argv)
     assert rc == 1 and err.startswith("error: ") and message in err
     assert not path.exists()
+
+
+BAD_OUTPUT_WORK = {"simulate": ["--code", "C2", "--snr", "14", "--max-trials", "40000", "--min-errors", "100000"],
+                   "mindet": ["--code", "C2"]}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_OUTPUT_WORK))
+@pytest.mark.parametrize("target", ["missing/x.csv", "taken", "unwritable/x.csv"])
+def test_bad_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --output was checked")
+
+    monkeypatch.setattr(channel, "draw_trials", no_work)
+    monkeypatch.setattr(codebook, "min_det_search", no_work)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "unwritable").mkdir()
+    if target.startswith("unwritable"):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    path = tmp_path / target
+    rc, out, err = run(capsys, [command, *BAD_OUTPUT_WORK[command], "--output", str(path)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: --output {str(path)!r} is not a file in an existing, writable directory\n"
+    assert not path.is_file()
+
+
+def test_output_relative_to_the_working_directory_is_accepted(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, ["division-table", "--output", "table.csv"])
+    assert (rc, out, err) == (0, "", "")
+    assert (tmp_path / "table.csv").read_text().startswith("c,minus_cprime,is_division,witness\n")
+
+
+def test_only_the_cli_imports_json_or_io():
+    # the library modules return values; the cli alone turns them into bytes
+    imported = {}
+    for path in sorted(Path(midostc.__file__).resolve().parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported[path.name] = ({alias.name.split(".")[0] for n in nodes if isinstance(n, ast.Import) for alias in n.names}
+                               | {n.module.split(".")[0] for n in nodes if isinstance(n, ast.ImportFrom) and n.module})
+    assert "json" in imported.pop("cli.py")
+    assert {name: modules & {"json", "io"} for name, modules in imported.items()} == {name: set() for name in imported}
 
 
 def test_snr_range_point_limit():
