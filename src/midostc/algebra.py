@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -91,15 +92,6 @@ class ConditionsReport:
     ok: bool
 
 
-def _epsilon_candidates(ctx: FieldContext):
-    cands = [ctx.element(-1)]
-    if ctx.cprime == 1:
-        # w' is a genuine imaginary unit only when c' = 1.
-        cands.append(ctx.omega_prime())
-        cands.append(-ctx.omega_prime())
-    return cands
-
-
 def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldElement) -> ConditionsReport:
     norm_u = u.norm()
     u_sigma = u * u.sigma()
@@ -107,7 +99,8 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
     ab_tau = a * b * u.tau()
     norm_ok = norm_u == 1
     sigma_minus_one = u_sigma == ctx.element(-1)
-    epsilon_ok = any(u_tau == cand for cand in _epsilon_candidates(ctx))
+    # w' is a genuine imaginary unit only when c' = 1, so only then may epsilon be +-w'.
+    epsilon_ok = u_tau == -1 or (ctx.cprime == 1 and u_tau in (ctx.omega_prime(), -ctx.omega_prime()))
     real_ok = ab_tau.is_conjugation_fixed()
     negative_ok = real_ok and ab_tau.real_sign() < 0
     alpha = -ab_tau.embed().real if negative_ok else None
@@ -130,33 +123,37 @@ def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldEle
 MAX_NORM_SEARCH = 10 ** 12
 
 
-def _integer_decompositions(n: int, cprime: int):
-    """All (s1, s2) with s1, s2 >= 0 integers and s1^2 + cprime*s2^2 = n."""
-    out = []
-    s2 = 0
-    while cprime * s2 * s2 <= n:
-        rest = n - cprime * s2 * s2
-        s1 = isqrt(rest)
-        if s1 * s1 == rest:
-            out.append((s1, s2))
-        s2 += 1
-    return out
-
-
 def representable(q: Fraction, cprime: int):
     """Witness (s1, s2) with q = s1^2 + cprime*s2^2 over the rationals, or None.
 
-    The search in _norm_verdict is complete: by the Davenport-Cassels
-    lemma (Serre, A Course in Arithmetic, ch. IV, appendix) an integer
-    that x^2 + y^2 or x^2 + 2y^2 represents over Q it also represents
-    over Z, so q is represented exactly when its numerator times its
-    denominator is.  Among integer decompositions the canonical pick
-    prefers an odd first component and then the largest first component,
-    which matches the reference table's printed forms.
+    With q = n/d in lowest terms the search runs over integer decompositions
+    n*d = s1^2 + cprime*s2^2 and returns (s1/d, s2/d).  It is complete: by
+    the Davenport-Cassels lemma (Serre, A Course in Arithmetic, ch. IV,
+    appendix) an integer that x^2 + y^2 or x^2 + 2y^2 represents over Q it
+    also represents over Z, so q is represented exactly when n*d is.  Among
+    integer decompositions the canonical pick prefers an odd first component
+    and then the largest first component, which matches the reference
+    table's printed forms.  n*d above MAX_NORM_SEARCH raises ValueError.
     """
     if cprime not in (1, 2):
         raise UnsupportedFormError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
-    return _norm_verdict(Fraction(q), cprime)[1]
+    q = Fraction(q)
+    nd = q.numerator * q.denominator
+    if nd > MAX_NORM_SEARCH:
+        raise ValueError(f"norm search for q = {q}: n*d exceeds MAX_NORM_SEARCH = {MAX_NORM_SEARCH}")
+    best, s2 = None, 0
+    while cprime * s2 * s2 <= nd:
+        rest = nd - cprime * s2 * s2
+        s1 = isqrt(rest)
+        if s1 * s1 == rest and (best is None or (s1 % 2, s1) > (best[0] % 2, best[0])):
+            best = (s1, s2)
+        s2 += 1
+    return None if best is None else (Fraction(best[0], q.denominator), Fraction(best[1], q.denominator))
+
+
+def _norm_text(q: Fraction, cprime: int, witness) -> str | None:
+    """'q = s1^2 + cprime*s2^2' for a witness of representable, None for none."""
+    return None if witness is None else f"{q} = {witness[0] ** 2} + {cprime * witness[1] ** 2}"
 
 
 @dataclass(frozen=True)
@@ -193,28 +190,10 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
                                        "u*sigma(u) is not a proper element of Q(sqrt(-c))")
         q = 2 + 2 * u_sigma.coords[0]  # 2 + the trace of u*sigma(u) down to Q
         branch, subject = "trace_form", f"2 + t = {q}"
-    is_division, wit, s = _norm_verdict(q, ctx.cprime)
-    detail = (f"{subject} is not represented by x^2 + {ctx.cprime}*y^2" if is_division
-              else f"{subject} is a norm from Q(sqrt(-{ctx.cprime})): {s}")
-    return DivisionCertificate(is_division, branch, q, wit, detail)
-
-
-def _norm_verdict(q: Fraction, cprime: int) -> tuple:
-    """(is_division, witness, witness string) when the verdict rests on
-    whether q is a norm from Q(sqrt(-cprime)), i.e. represented by
-    x^2 + cprime*y^2 over Q.  With q = n/d in lowest terms that holds
-    exactly when n*d is a sum s1^2 + cprime*s2^2 of integers (the search is
-    complete for cprime in {1, 2} by the Davenport-Cassels lemma, see
-    representable), and then (s1/d, s2/d) is the witness; n*d > MAX_NORM_SEARCH raises."""
-    nd = q.numerator * q.denominator
-    if nd > MAX_NORM_SEARCH:
-        raise ValueError(f"norm search for q = {q}: n*d exceeds MAX_NORM_SEARCH = {MAX_NORM_SEARCH}")
-    decomps = _integer_decompositions(nd, cprime)
-    if not decomps:
-        return True, None, None
-    s1, s2 = max(decomps, key=lambda p: (p[0] % 2 == 1, p[0]))
-    wit = (Fraction(s1, q.denominator), Fraction(s2, q.denominator))
-    return False, wit, f"{q} = {wit[0] ** 2} + {cprime * wit[1] ** 2}"
+    wit = representable(q, ctx.cprime)
+    detail = (f"{subject} is not represented by x^2 + {ctx.cprime}*y^2" if wit is None
+              else f"{subject} is a norm from Q(sqrt(-{ctx.cprime})): {_norm_text(q, ctx.cprime, wit)}")
+    return DivisionCertificate(wit is None, branch, q, wit, detail)
 
 
 def division_table():
@@ -226,8 +205,8 @@ def division_table():
     rows = []
     for cprime in (1, 2):
         for c in (2, 3, 5, 6, 7, 10, 11, 13):
-            is_division, _, s = _norm_verdict(Fraction(c), cprime)
-            rows.append((c, -cprime, is_division, s))
+            wit = representable(c, cprime)
+            rows.append((c, -cprime, wit is None, _norm_text(c, cprime, wit)))
     return rows
 
 
@@ -331,15 +310,17 @@ def normalized_codeword(p: CodeParams, xs) -> np.ndarray:
     return m
 
 
-def det_exact(grid) -> FieldElement:
+def det_exact(grid, op=operator.sub) -> FieldElement:
     """Exact determinant of a 4x4 grid of field elements, by Laplace expansion
     along the 2x2 minors of rows 1-2 against those of rows 3-4 (30 products).
-    A grid of numpy arrays, such as a (4, 4, N) array, gives N determinants."""
+    A grid of numpy arrays, such as a (4, 4, N) array, gives N determinants.
+    op=operator.add turns every sign to + and gives the permanent, which for
+    a grid |M| is the absolute Leibniz sum of det(M)."""
     def minors(r, s):
-        return {(j, k): r[j] * s[k] - r[k] * s[j] for j, k in itertools.combinations(range(4), 2)}
+        return {(j, k): op(r[j] * s[k], r[k] * s[j]) for j, k in itertools.combinations(range(4), 2)}
     top, bottom = minors(grid[0], grid[1]), minors(grid[2], grid[3])
-    return (top[0, 1] * bottom[2, 3] - top[0, 2] * bottom[1, 3] + top[0, 3] * bottom[1, 2]
-            + top[1, 2] * bottom[0, 3] - top[1, 3] * bottom[0, 2] + top[2, 3] * bottom[0, 1])
+    return (op(op(top[0, 1] * bottom[2, 3], top[0, 2] * bottom[1, 3]) + top[0, 3] * bottom[1, 2]
+               + top[1, 2] * bottom[0, 3], top[1, 3] * bottom[0, 2]) + top[2, 3] * bottom[0, 1])
 
 
 def representation_det_exact(p: CodeParams, xs) -> Fraction:

@@ -68,7 +68,7 @@ def _jsonable(obj):
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         with open(output, "w") as fh:
             fh.write(text)
     else:
@@ -122,7 +122,7 @@ def _resolve_options(args) -> None:
 def _check_output(path: str) -> None:
     """Refuse, before any work, an --output that is a directory or not in an existing, writable one."""
     directory = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+    if not path or os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
         raise ValueError(f"--output {path!r} is not a file in an existing, writable directory")
 
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_options(args)
-        if getattr(args, "output", None):
+        if getattr(args, "output", None) is not None:
             _check_output(args.output)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:

@@ -190,13 +190,6 @@ def _sparse_difference_vectors() -> np.ndarray:
     return sparse
 
 
-def _abs_permanent(X: np.ndarray) -> np.ndarray:
-    """Permanents of X (4, 4, N): det_exact's expansion with every sign +; of |M|, det(M)'s absolute Leibniz sums."""
-    def minors(r, s):
-        return [X[r, j] * X[s, k] + X[r, k] * X[s, j] for j, k in itertools.combinations(range(4), 2)]
-    return sum(t * b for t, b in zip(minors(0, 1), reversed(minors(2, 3))))   # column pair p meets pair 5 - p
-
-
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
                    n: int = 1000, seed: int = 0) -> MinDetResult:
     """Minimum |det| over codeword differences, energy scale factored out.
@@ -239,7 +232,7 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
             M.imag = A.imag.T @ S.T
             M = M.reshape(4, 4, -1)
             with np.errstate(over="ignore", invalid="ignore"):
-                dets, tol = np.abs(det_exact(M)), _TIE * _abs_permanent(np.abs(M))
+                dets, tol = np.abs(det_exact(M)), _TIE * det_exact(np.abs(M), operator.add)
             if not np.isfinite(dets + tol).all():
                 raise ValueError("a determinant term overflows a double: the parameters leave double precision")
             candidates += len(S)

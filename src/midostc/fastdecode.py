@@ -302,8 +302,8 @@ def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
     Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
     step = max(1, _BLOCK_VALUES // (A * B_))
     bufs = np.empty((2, min(step, B), A, B_))
-    best = np.empty(B, dtype=int)
-    for lo in range(0, B, step):
+    best = np.zeros(B, dtype=int)       # with nothing conditioned the one assignment is the argmin
+    for lo in range(0, B if A * B_ > 1 else 0, step):
         hi = lo + step
         block = 2.0 * (Ta @ K[lo:hi, a[:, None], b] @ Tb.T)                      # (trials, A, B_)
         block += Qa[lo:hi, :, None]

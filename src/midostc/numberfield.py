@@ -11,6 +11,7 @@ i*sqrt(c) (hence w'w to -sqrt(c*c')).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -34,6 +35,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class FieldContext:
     """The field Q(sqrt(-c'), sqrt(-c)).
 
@@ -42,26 +44,16 @@ class FieldContext:
     and at most MAX_C.
     """
 
-    __slots__ = ("c", "cprime")
+    c: int
+    cprime: int
 
-    def __init__(self, c: int, cprime: int):
-        if c > MAX_C or cprime > MAX_C:
-            raise ValueError(f"c and cprime must be at most MAX_C = {MAX_C}, got c={c}, cprime={cprime}")
-        if not _is_squarefree(c) or not _is_squarefree(cprime):
-            raise ValueError(f"c and cprime must be positive squarefree, got c={c}, cprime={cprime}")
-        if c == cprime:
+    def __post_init__(self):
+        if self.c > MAX_C or self.cprime > MAX_C:
+            raise ValueError(f"c and cprime must be at most MAX_C = {MAX_C}, got c={self.c}, cprime={self.cprime}")
+        if not _is_squarefree(self.c) or not _is_squarefree(self.cprime):
+            raise ValueError(f"c and cprime must be positive squarefree, got c={self.c}, cprime={self.cprime}")
+        if self.c == self.cprime:
             raise ValueError("c and cprime must be distinct")
-        self.c = c
-        self.cprime = cprime
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldContext) and self.c == other.c and self.cprime == other.cprime
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.cprime))
-
-    def __repr__(self) -> str:
-        return f"FieldContext(c={self.c}, cprime={self.cprime})"
 
     def element(self, a1=0, a2=0, a3=0, a4=0) -> "FieldElement":
         return FieldElement(self, (a1, a2, a3, a4))
@@ -115,7 +107,7 @@ class FieldElement:
     # ring structure
 
     def _check(self, other: "FieldElement") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"cannot combine {self.ctx!r} with {other.ctx!r}")
 
     def __add__(self, other):

@@ -224,6 +224,10 @@ def test_representable_matches_prime_criterion():
 def test_representable_rejects_other_forms():
     with pytest.raises(UnsupportedFormError):
         representable(F(5), 3)
+    # refused before u is looked at: 2 is not a norm-one unit
+    ctx = FieldContext(5, 3)
+    with pytest.raises(UnsupportedFormError):
+        division_check(ctx, ctx.element(2))
 
 
 def test_division_table_frozen():

@@ -291,7 +291,7 @@ BAD_OUTPUT_WORK = {"simulate": ["--code", "C2", "--snr", "14", "--max-trials", "
 
 
 @pytest.mark.parametrize("command", sorted(BAD_OUTPUT_WORK))
-@pytest.mark.parametrize("target", ["missing/x.csv", "taken", "unwritable/x.csv"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "taken", "unwritable/x.csv", ""])
 def test_bad_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command, target):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --output was checked")
@@ -302,11 +302,11 @@ def test_bad_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, co
     (tmp_path / "unwritable").mkdir()
     if target.startswith("unwritable"):
         monkeypatch.setattr(os, "access", lambda path, mode: False)
-    path = tmp_path / target
-    rc, out, err = run(capsys, [command, *BAD_OUTPUT_WORK[command], "--output", str(path)])
+    path = str(tmp_path / target) if target else ""      # "" names no file, not the working directory
+    rc, out, err = run(capsys, [command, *BAD_OUTPUT_WORK[command], "--output", path])
     assert (rc, out) == (1, "")
-    assert err == f"error: --output {str(path)!r} is not a file in an existing, writable directory\n"
-    assert not path.is_file()
+    assert err == f"error: --output {path!r} is not a file in an existing, writable directory\n"
+    assert not os.path.isfile(path)
 
 
 def test_output_relative_to_the_working_directory_is_accepted(capsys, monkeypatch, tmp_path):
@@ -325,6 +325,33 @@ def test_only_the_cli_imports_json_or_io():
                                | {n.module.split(".")[0] for n in nodes if isinstance(n, ast.ImportFrom) and n.module})
     assert "json" in imported.pop("cli.py")
     assert {name: modules & {"json", "io"} for name, modules in imported.items()} == {name: set() for name in imported}
+
+
+def _loaded_names(tree, with_strings=False) -> set:
+    """Names that tree loads, as a variable or an attribute, and its string constants if with_strings."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            out.add(n.id if isinstance(n, ast.Name) else n.attr)
+        elif with_strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level _helper must be loaded by another top-level statement of
+    # the package, or be named in bench/*.py, which patches some by name; a
+    # docstring mention or a call from its own body does not count
+    statements = [stmt for path in sorted(Path(midostc.__file__).resolve().parent.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    bench = set().union(*(_loaded_names(ast.parse(path.read_text()), True)
+                          for path in sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))))
+    helpers = [stmt for stmt in statements if isinstance(stmt, ast.FunctionDef)
+               and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+    assert helpers
+    uncalled = [f.name for f in helpers
+                if f.name not in bench and not any(f.name in _loaded_names(stmt) for stmt in statements if stmt is not f)]
+    assert uncalled == []
 
 
 def test_snr_range_point_limit():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -375,8 +376,9 @@ def test_a_later_slice_replaces_the_witness_by_its_minimum(monkeypatch):
     dets = iter([[5.0] * 4, [4.5, 1.0, 9.0, 9.0]])
     perms = iter([[1.0] * 4, [4.0 / codebook._TIE, 1.0, 1.0, 1.0]])
     monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 4)
-    monkeypatch.setattr(codebook, "det_exact", lambda M: np.array(next(dets, [9.0] * 4)))
-    monkeypatch.setattr(codebook, "_abs_permanent", lambda X: np.array(next(perms, [1.0] * 4)))
+    # det_exact gives the determinants by default and the permanents with operator.add
+    monkeypatch.setattr(codebook, "det_exact", lambda M, op=operator.sub: np.array(
+        next(dets, [9.0] * 4) if op is operator.sub else next(perms, [1.0] * 4)))
     res = min_det_search(build_code(algebra.catalog_entry(1)))
     assert res.witness == tuple(int(v) for v in codebook._sparse_difference_vectors()[4])
 
@@ -421,7 +423,7 @@ def test_min_det_tolerance_tells_a_tiny_minimum_apart():
        exponent=st.integers(-30, 30))
 def test_closed_form_determinant_equals_lapack(parts, exponent):
     # min_det_search ranks by algebra.det_exact over (4, 4, N) float arrays,
-    # with ties judged against codebook._abs_permanent of |M|; the error is
+    # with ties judged against its permanent (operator.add) of |M|; the error is
     # relative to the Hadamard bound, which caps |det|.  Entries lie in
     # [-10, 10] in steps of 1e-5, so no product of four leaves the normal range
     M = (parts[..., 0] + 1j * parts[..., 1]) * 1e-5 * 2.0 ** exponent
@@ -430,4 +432,4 @@ def test_closed_form_determinant_equals_lapack(parts, exponent):
     bound = np.prod(np.linalg.norm(M, axis=2), axis=1)
     assert np.all(np.abs(got - want) <= 1e-12 * bound)
     leibniz = abs_leibniz(M)
-    assert np.all(np.abs(codebook._abs_permanent(np.abs(np.moveaxis(M, 0, -1))) - leibniz) <= 1e-12 * leibniz)
+    assert np.all(np.abs(algebra.det_exact(np.abs(np.moveaxis(M, 0, -1)), operator.add) - leibniz) <= 1e-12 * leibniz)

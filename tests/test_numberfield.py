@@ -1,5 +1,6 @@
 """Exact arithmetic in the biquadratic field Q(w', w)."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,8 +18,10 @@ def random_element(ctx, rng, span=6):
 
 
 def test_context_validation():
-    FieldContext(3, 1)
+    ctx = FieldContext(3, 1)
     FieldContext(5, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.c = 5
     with pytest.raises(ValueError):
         FieldContext(4, 1)      # not squarefree
     with pytest.raises(ValueError):
