@@ -214,7 +214,7 @@ def division_table():
 # parameter bundle
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeParams:
     """Everything needed to build codewords for one algebra instance."""
 
@@ -241,15 +241,13 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
     """
     k = Fraction(k)
     lprime = Fraction(lprime)
-    if a is None and b is None:
-        a, b, epsilon = derive_ab(ctx, u, k, lprime)
-    elif a is not None and b is not None:
-        epsilon = u * u.tau()
-    else:
+    if (a is None) != (b is None):
         raise ValueError("supply both a and b or neither")
+    if a is None:
+        a, b, _ = derive_ab(ctx, u, k, lprime)
     report = _conditions(ctx, u, a, b)
     cert = division_check(ctx, u)
-    return CodeParams(ctx, u, a, b, epsilon, k, lprime, report, cert, name)
+    return CodeParams(ctx, u, a, b, report.u_tau_u, k, lprime, report, cert, name)
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +258,14 @@ def representation_elements(p: CodeParams, xs):
     """The left regular representation as a 4x4 grid of exact field elements.
 
     xs is the quadruple (x0, x1, x2, x3) of coefficients over {1, e, f, ef}.
+    Entry (r, c) is K[r][c] * g_c(x_{r XOR c}), g = (identity, sigma, tau, sigma*tau),
+    K = ((1, a, b, a*b*tau(u)), (1, 1, b, b*tau(u)), (1, tau(a)*u, 1, tau(a)), (1, u, 1, 1)).
     """
-    x0, x1, x2, x3 = xs
     a, b, u = p.a, p.b, p.u
-    ta = a.tau()
-    tu = u.tau()
-    return [
-        [x0, a * x1.sigma(), b * x2.tau(), a * b * tu * x3.sigma_tau()],
-        [x1, x0.sigma(), b * x3.tau(), b * tu * x2.sigma_tau()],
-        [x2, ta * u * x3.sigma(), x0.tau(), ta * x1.sigma_tau()],
-        [x3, u * x2.sigma(), x1.tau(), x0.sigma_tau()],
-    ]
+    ta, btu = a.tau(), b * u.tau()
+    K = ((None, a, b, a * btu), (None, None, b, btu), (None, ta * u, None, ta), (None, u, None, None))  # None is 1
+    gx = [(x, x.sigma(), x.tau(), x.sigma_tau()) for x in xs]       # gx[j][c] = g_c(x_j)
+    return [[gx[r ^ c][c] if K[r][c] is None else K[r][c] * gx[r ^ c][c] for c in range(4)] for r in range(4)]
 
 
 def representation(p: CodeParams, xs) -> np.ndarray:
@@ -290,16 +285,18 @@ def permuted_representation(p: CodeParams, xs) -> np.ndarray:
     return representation(p, xs)[np.ix_(_SWAP, _SWAP)]
 
 
-def normalized_codeword(p: CodeParams, xs) -> np.ndarray:
+def normalized_codeword(p: CodeParams, xs, block_scale: float = 1.0) -> np.ndarray:
     """Permuted representation with the balancing row/column scalings applied.
 
     Row 1 is divided by sqrt(alpha), column 1 multiplied by sqrt(alpha),
-    column 4 multiplied by sqrt(alpha/c) and row 4 divided by sqrt(alpha/c).
-    The product of all four factors is 1, so the determinant is preserved
-    exactly while every block becomes unitary-friendly.
+    column 4 multiplied by sqrt(alpha/c) and row 4 divided by sqrt(alpha/c);
+    then the top-right 2x2 block is multiplied by block_scale (1 for plain
+    codes, |embed(a)|^(1/4) for C4) and the bottom-left one divided by it.
+    Each is a real diagonal similarity, so the determinant is preserved
+    exactly while every block becomes unitary-friendly.  Failed shaping raises.
     """
     if p.conditions.alpha is None:
-        raise ValueError("shaping conditions failed, alpha is undefined")
+        raise ValueError("shaping conditions failed, cannot build codewords")
     m = permuted_representation(p, xs)
     ra = math.sqrt(p.conditions.alpha)
     rc = math.sqrt(p.ctx.c)
@@ -307,6 +304,8 @@ def normalized_codeword(p: CodeParams, xs) -> np.ndarray:
     m[:, 0] *= ra
     m[:, 3] *= ra / rc
     m[3, :] *= rc / ra
+    m[0:2, 2:4] *= block_scale
+    m[2:4, 0:2] /= block_scale
     return m
 
 

@@ -141,7 +141,8 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     normals.  Everything after the loop works on the whole batch, the
     codewords as two real products of the symbols with the generators.
     Raises ValueError for a negative seed, point index or trial index,
-    and for an empty range (stop <= start).
+    for an empty range (stop <= start) and for a noise variance sigma2
+    that is negative or not finite (0 draws noise-free trials).
     """
     # numpy integers would overflow in the key hash's index arithmetic
     seed, point_index, start, stop = map(operator.index, (seed, point_index, start, stop))
@@ -150,6 +151,8 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
             raise ValueError(f"{name} must be non-negative, got {value}")
     if stop <= start:
         raise ValueError(f"trial range start={start}, stop={stop} is empty: need stop > start")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     n = stop - start
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -201,6 +204,8 @@ def wilson_interval(errors: int, trials: int) -> tuple:
     """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= errors <= trials:
+        raise ValueError(f"errors must lie in 0..trials, got errors={errors} with trials={trials}")
     z = 1.96
     p = errors / trials
     zz = z * z

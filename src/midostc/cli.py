@@ -120,9 +120,10 @@ def _resolve_options(args) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Refuse, before any work, an --output that is a directory or not in an existing, writable one."""
+    """Before any work, refuse an --output that is a directory, an unwritable file or outside a writable directory."""
     directory = os.path.dirname(path) or "."
-    if not path or os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+    if (not path or os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK)
+            or os.path.exists(path) and not os.access(path, os.W_OK)):
         raise ValueError(f"--output {path!r} is not a file in an existing, writable directory")
 
 

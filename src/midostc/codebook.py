@@ -102,18 +102,10 @@ def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple
     return tuple(sum(map(operator.mul, slots, vals[4 * j: 4 * j + 4]), params.ctx.zero()) for j in range(4))
 
 
-def _codeword(params: CodeParams, block_scale: float, xs) -> np.ndarray:
-    # block_scale is 1.0 for plain codes, where the scalings change no value
-    m = normalized_codeword(params, xs)
-    m[0:2, 2:4] *= block_scale
-    m[2:4, 0:2] /= block_scale
-    return m
-
-
 def encode(code: DispersionCode, s) -> np.ndarray:
     """Energy-normalized 4x4 codeword for sixteen real symbols."""
     xs = _symbols_to_coefficients(code.params, code.basis, s)
-    return _codeword(code.params, code.block_scale, xs) * code.energy_scale
+    return normalized_codeword(code.params, xs, code.block_scale) * code.energy_scale
 
 
 def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain") -> DispersionCode:
@@ -125,14 +117,11 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
     sum of squared generator norms.
 
     The "C4" variant is defined for the first reference code only: it
-    rebuilds the parameters with k = lprime = 4/7 and compensates the
-    off-diagonal blocks by |embed(a)|^(1/4) (top-right multiplied,
-    bottom-left divided), which leaves every determinant unchanged.
+    rebuilds the parameters with k = lprime = 4/7 and passes normalized_codeword
+    the block scale |embed(a)|^(1/4), which leaves every determinant unchanged.
     """
     if variant not in ("plain", "C4"):
         raise UnsupportedVariantError(f"unknown variant {variant!r}")
-    if params.conditions.alpha is None:
-        raise ValueError("shaping conditions failed, cannot build codewords")
     basis = make_basis(params.ctx, basis_id)
     block_scale = 1.0
     if variant == "C4":
@@ -142,8 +131,8 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
         block_scale = abs(params.a.embed()) ** 0.25
     slots, zero = _slots(params, basis), params.ctx.zero()
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
-        gens = np.stack([_codeword(params, block_scale, [slots[i % 4] if j == i // 4 else zero for j in range(4)])
-                         for i in range(16)])
+        gens = np.stack([normalized_codeword(params, [slots[i % 4] if j == i // 4 else zero for j in range(4)],
+                                             block_scale) for i in range(16)])
         energy = float(np.sum(np.abs(gens) ** 2))
     if not 0.0 < energy < math.inf:
         raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")

@@ -204,6 +204,8 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     if y.ndim != 1 or G.ndim != 2 or G.shape[0] != len(y):
         raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: "
                          "need one trial, y (r,) with G (r, n)")
+    if not (np.isfinite(y).all() and np.isfinite(G).all()):
+        raise ValueError("y and G must be finite")
     n = G.shape[1]
     m = len(pam)
     count = m ** n
@@ -359,6 +361,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
         raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
                          "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
+    if not (np.isfinite(y).all() and np.isfinite(G).all()):
+        raise ValueError("y and G must be finite")
     plan = _plan(gs, tuple(pam), G.shape[-1])
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)

@@ -1,5 +1,6 @@
 """Crossed-product algebra parameters, conditions, division verdicts."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -286,6 +287,22 @@ def test_build_params_does_not_raise_on_condition_failure():
     assert not p.conditions.ab_tau_u_negative
     flipped = build_params(ctx, u, k=-1)
     assert flipped.conditions.ok
+
+
+def test_build_params_needs_both_generators_or_neither():
+    p = catalog_entry(5)
+    for kwargs in ({"a": p.a}, {"b": p.b}):
+        with pytest.raises(ValueError, match="supply both a and b or neither"):
+            build_params(p.ctx, p.u, **kwargs)
+    # supplied generators take epsilon = u*tau(u) from the conditions report
+    assert build_params(p.ctx, p.u, a=p.a, b=p.b).epsilon == p.u * p.u.tau() == p.conditions.u_tau_u
+
+
+def test_code_params_are_frozen():
+    p = catalog_entry(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = p.b
+    assert hash(p) == hash(catalog_entry(1))
 
 
 def test_representation_of_one_is_identity():

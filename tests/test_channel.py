@@ -135,6 +135,19 @@ def test_empty_trial_range_is_rejected(start, stop):
         draw_trials(1, 0, start, stop, code.generators, 0.1)
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0])
+def test_draw_trials_refuses_a_bad_noise_variance(sigma2):
+    code, _ = c2_code_and_structure()
+    with pytest.raises(ValueError, match=f"noise variance must be finite and non-negative, got {sigma2}"):
+        draw_trials(1, 0, 0, 4, code.generators, sigma2)
+
+
+def test_draw_trials_without_noise_is_noise_free():
+    code, _ = c2_code_and_structure()
+    s0, y, G = draw_trials(1, 0, 0, 4, code.generators, 0.0)
+    assert np.allclose(y, (G @ s0[..., None])[..., 0], rtol=0, atol=1e-12)
+
+
 def test_batched_real_channel_equals_per_channel_stacks():
     code, _ = c2_code_and_structure()
     rng = np.random.default_rng(37)
@@ -238,6 +251,12 @@ def test_wilson_interval_sanity():
     assert (w2[1] - w2[0]) < (w1[1] - w1[0])
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+
+
+@pytest.mark.parametrize("errors", [5, -1])
+def test_wilson_interval_refuses_impossible_counts(errors):
+    with pytest.raises(ValueError, match=f"got errors={errors} with trials=3"):
+        wilson_interval(errors, 3)
 
 
 def test_simulate_same_seed_same_records():

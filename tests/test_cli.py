@@ -309,6 +309,26 @@ def test_bad_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, co
     assert not os.path.isfile(path)
 
 
+@pytest.mark.parametrize("command", sorted(BAD_OUTPUT_WORK))
+def test_existing_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --output was checked")
+
+    monkeypatch.setattr(channel, "draw_trials", no_work)
+    monkeypatch.setattr(codebook, "min_det_search", no_work)
+    path = str(tmp_path / "readonly.csv")
+    with open(path, "w") as f:
+        f.write("kept\n")
+    access = os.access
+    # file modes deny a superuser nothing, so deny this one file through os.access instead
+    monkeypatch.setattr(os, "access", lambda p, mode: p != path and access(p, mode))
+    rc, out, err = run(capsys, [command, *BAD_OUTPUT_WORK[command], "--output", path])
+    assert (rc, out) == (1, "")
+    assert err == f"error: --output {path!r} is not a file in an existing, writable directory\n"
+    with open(path) as f:
+        assert f.read() == "kept\n"
+
+
 def test_output_relative_to_the_working_directory_is_accepted(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, ["division-table", "--output", "table.csv"])

@@ -1,6 +1,7 @@
 """Symbol bases, dispersion codes, energy, minimum determinants."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import operator
@@ -87,6 +88,39 @@ def test_built_code_is_frozen():
     assert code.block_scale == 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         code.generators = np.zeros((16, 4, 4), dtype=complex)
+
+
+# sha256 of generators.tobytes() for every (catalog entry, basis, variant) that
+# build_code accepts: any change to the representation, its rescalings or the
+# derived parameters that moves a single bit of a generator shows here.
+GENERATORS_SHA256 = {
+    (1, "B1", "plain"): "e106278b2fe7a0cdaca4cea67862abc40874af399ecaf5ce8baafa6d8ce3ba44",
+    (1, "B1", "C4"): "9642f6482702a2777a77b854c98c734dc577daf93f6c4cbf216e121bb1b1fe47",
+    (1, "B2", "plain"): "efcb56c5befe4424ed754c2cdad08cd6d15c34a9bef8c0ac36357e547801d3d5",
+    (1, "B2", "C4"): "37cab9edb85f8210fd642f873dad7f832a32435bd860269b60bb9c6b38875900",
+    (1, "B3", "plain"): "f9b5463845280e28da2758a5f41c96c7bd9594055af2e099397fca3775b8d3d6",
+    (1, "B3", "C4"): "72337e266b4cba05f4a8b11ed85ac5ee9d027471e334b45da64a1c1f667b9025",
+    (2, "B1", "plain"): "8addbe6d6ab16a49c9d945c186b109a7752e1fe4d9be022aa28c59df351ea2fd",
+    (2, "B2", "plain"): "8addbe6d6ab16a49c9d945c186b109a7752e1fe4d9be022aa28c59df351ea2fd",
+    (3, "B1", "plain"): "bbb768d2c8a65076846e733765f52cff8507f7f39042d045e7bd33c3ae0cdfcb",
+    (3, "B2", "plain"): "fedb4f98215a1be45ee8e6c408abaf9d1391a9ad6038734b7d2dc8ffc9d03722",
+    (4, "B2", "plain"): "d49a335023f5a6a49f82e9121c3699288fa3b7c7e8b070768f4845449d6c2795",
+    (5, "B1", "plain"): "e03ea619cb8385e3f8bc2a9b09be5952c9d7d9dbf94e3a2a4079dde6d0173678",
+    (5, "B2", "plain"): "88f0cc3c28670057772b5cecf85e92323722ef5f68aa8f3c906072620ff214f9",
+    (5, "B3", "plain"): "dbf471046fc5d572245a79516fe5f5da294df544738d75473d328f8c78f09917",
+}
+
+
+@pytest.mark.parametrize("entry, basis, variant",
+                         list(itertools.product(range(1, 6), ("B1", "B2", "B3"), ("plain", "C4"))))
+def test_generators_are_pinned(entry, basis, variant):
+    key = (entry, basis, variant)
+    try:
+        code = build_code(algebra.catalog_entry(entry), basis, variant)
+    except (UnsupportedBasisError, UnsupportedVariantError):
+        assert key not in GENERATORS_SHA256
+        return
+    assert hashlib.sha256(code.generators.tobytes()).hexdigest() == GENERATORS_SHA256[key]
 
 
 def test_encode_equals_generator_combination():

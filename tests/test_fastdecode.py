@@ -583,6 +583,21 @@ def test_decode_rejects_mismatched_shapes(y_shape, g_shape):
                                  gs, pam_levels(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["y", "G"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["one-trial", "batch"])
+def test_decoders_refuse_non_finite_input(bad, where, batch):
+    rng = np.random.default_rng(5)
+    gs = detect_groups(hurwitz_radon(build(1, "B2")))
+    shape = () if batch is None else (batch,)
+    y, G = rng.standard_normal(shape + (16,)), rng.standard_normal(shape + (16, 16))
+    (y if where == "y" else G).flat[0] = bad          # trial 0 holds the bad entry
+    with pytest.raises(ValueError, match="y and G must be finite"):
+        conditional_group_decode(y, G, gs, pam_levels(2))
+    with pytest.raises(ValueError, match="y and G must be finite"):
+        ml_exhaustive(y if batch is None else y[0], G if batch is None else G[0], pam_levels(2))
+
+
 def reference_groups(adj, target):
     """detect_groups written out: every conditioning set of the wanted size,
     its components by breadth-first search over Python sets, and the least
