@@ -43,12 +43,13 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
     """Derive the generator squares (a, b) from a norm-one unit u.
 
     Implements the branch u*sigma(u) = -1, where a = k*w.  The second
-    generator depends on epsilon = u*tau(u):
+    generator depends on epsilon = u*tau(u), which N(u) = 1 keeps
+    irrational unless it is +-1:
 
       epsilon == -1      ->  b = lprime * w'
       epsilon irrational ->  b = lprime / (1 + epsilon)
 
-    Returns (a, b, epsilon).  Units with u*sigma(u) != -1 are rejected
+    Returns (a, b).  Units with u*sigma(u) != -1 are rejected
     (UnsupportedBranchError), and epsilon == +1 collapses the second
     generator (DegenerateAlgebraError).
     """
@@ -58,20 +59,14 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
     if n != 1:
         raise ValueError(f"u must have norm 1, got {n}")
     u_sigma = u * u.sigma()
-    if u_sigma != ctx.element(-1):
+    if u_sigma != -1:
         raise UnsupportedBranchError(
             f"only the u*sigma(u) = -1 branch is constructed, got u*sigma(u) = {u_sigma}")
-    a = ctx.omega() * k
     epsilon = u * u.tau()
-    if epsilon.is_rational():
-        # With N(u) = 1 a rational u*tau(u) can only be +-1.
-        if epsilon == ctx.element(-1):
-            b = ctx.omega_prime() * lprime
-        else:
-            raise DegenerateAlgebraError("u*tau(u) = 1 leaves no valid second generator")
-    else:
-        b = ctx.element(lprime) / (ctx.one() + epsilon)
-    return a, b, epsilon
+    if epsilon == 1:
+        raise DegenerateAlgebraError("u*tau(u) = 1 leaves no valid second generator")
+    b = ctx.omega_prime() * lprime if epsilon == -1 else ctx.element(lprime) / (ctx.one() + epsilon)
+    return ctx.omega() * k, b
 
 
 @dataclass(frozen=True)
@@ -216,18 +211,23 @@ def division_table():
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Everything needed to build codewords for one algebra instance."""
+    """Everything needed to build codewords for one algebra instance; the
+    values derived from (u, a, b) live on the conditions report."""
 
     ctx: FieldContext
     u: FieldElement
     a: FieldElement
     b: FieldElement
-    epsilon: FieldElement
     scale_k: Fraction
     scale_lprime: Fraction
     conditions: ConditionsReport
     division: DivisionCertificate
     name: str | None = None
+
+    @property
+    def epsilon(self) -> FieldElement:
+        """u*tau(u), which picks the second generator in derive_ab."""
+        return self.conditions.u_tau_u
 
 
 def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
@@ -244,10 +244,8 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
     if (a is None) != (b is None):
         raise ValueError("supply both a and b or neither")
     if a is None:
-        a, b, _ = derive_ab(ctx, u, k, lprime)
-    report = _conditions(ctx, u, a, b)
-    cert = division_check(ctx, u)
-    return CodeParams(ctx, u, a, b, report.u_tau_u, k, lprime, report, cert, name)
+        a, b = derive_ab(ctx, u, k, lprime)
+    return CodeParams(ctx, u, a, b, k, lprime, _conditions(ctx, u, a, b), division_check(ctx, u), name)
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +260,8 @@ def representation_elements(p: CodeParams, xs):
     K = ((1, a, b, a*b*tau(u)), (1, 1, b, b*tau(u)), (1, tau(a)*u, 1, tau(a)), (1, u, 1, 1)).
     """
     a, b, u = p.a, p.b, p.u
-    ta, btu = a.tau(), b * u.tau()
-    K = ((None, a, b, a * btu), (None, None, b, btu), (None, ta * u, None, ta), (None, u, None, None))  # None is 1
+    ta, btu, abtu = a.tau(), b * u.tau(), p.conditions.ab_tau_u
+    K = ((None, a, b, abtu), (None, None, b, btu), (None, ta * u, None, ta), (None, u, None, None))  # None is 1
     gx = [(x, x.sigma(), x.tau(), x.sigma_tau()) for x in xs]       # gx[j][c] = g_c(x_j)
     return [[gx[r ^ c][c] if K[r][c] is None else K[r][c] * gx[r ^ c][c] for c in range(4)] for r in range(4)]
 
@@ -362,9 +360,4 @@ def catalog_entry(n: int) -> CodeParams:
     else:
         raise ValueError(f"catalog entries are numbered 1 to 5, got {n}")
     return build_params(ctx, u, name=f"example{n}")
-
-
-def catalog() -> list[CodeParams]:
-    """The five reference parameter sets, in order."""
-    return [catalog_entry(n) for n in range(1, 6)]
 

@@ -194,10 +194,15 @@ def snr_to_sigma2(snr_db: float, name: str = "SNR") -> float:
 
 @dataclass(frozen=True)
 class WerRecord:
+    """Trials run at one SNR point and the word errors among them."""
+
     snr_db: float
     trials: int
     word_errors: int
-    wer: float
+
+    @property
+    def wer(self) -> float:
+        return self.word_errors / self.trials
 
 
 def wilson_interval(errors: int, trials: int) -> tuple:
@@ -275,7 +280,7 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
                 errors += batch_errors
                 if errors >= min_errors:
                     break
-            records.append(WerRecord(snr_db, trials, errors, errors / trials))
+            records.append(WerRecord(snr_db, trials, errors))
     finally:
         if pool:
             pool.close()

@@ -80,6 +80,12 @@ def _emit_json(obj, output: str | None) -> None:
 
 
 def _parse_rational(option: str, text: str) -> Fraction:
+    # Fraction expands a decimal exponent e to 10^|e|, so refuse an |e| that
+    # Python's int-string limit (none before 3.10.7) would refuse as a string of digits
+    digits = text.strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValueError(f"--{option} {text!r} has a decimal exponent beyond {limit} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -274,7 +280,7 @@ def cmd_simulate(args) -> int:
 # argument wiring
 
 
-def _add_params_args(sp, with_basis=True, with_code=True):
+def _add_params_args(sp, with_code=True):
     sp.add_argument("--example", type=int, choices=(1, 2, 3, 4, 5),
                     help="catalog entry number")
     sp.add_argument("--c", type=int, help="squarefree c in w^2 = -c")
@@ -284,10 +290,9 @@ def _add_params_args(sp, with_basis=True, with_code=True):
                                "(equals form) when the first coefficient is negative")
     sp.add_argument("--k", help="rational scale on the first generator square (default 1)")
     sp.add_argument("--lprime", help="rational scale on the second generator square (default 1)")
-    if with_basis:
+    if with_code:
         sp.add_argument("--basis", choices=("B1", "B2", "B3"), help="symbol basis (default B2)")
         sp.add_argument("--variant", choices=("plain", "C4"), help="code variant (default plain)")
-    if with_code:
         sp.add_argument("--code", help="shortcut name: " + ", ".join(sorted(CODE_SHORTCUTS)))
 
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("construct", help="derive and certify algebra parameters")
-    _add_params_args(sp, with_basis=False, with_code=False)
+    _add_params_args(sp, with_code=False)
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_construct)
 
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decode-verify", help="conditional decoder against the exhaustive oracle")
     _add_params_args(sp)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--snr-db", type=float, default=10.0, help="operating SNR in dB")
     sp.set_defaults(func=cmd_decode_verify)
 
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(sp)
     sp.add_argument("--snr", required=True,
                     help="SNR points in dB: comma list \"8,10,12\" or range \"8:16:2\"")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--min-errors", type=int, default=100)
     sp.add_argument("--max-trials", type=int, default=10 ** 6)
     sp.add_argument("--threads", type=int, default=1)

@@ -225,21 +225,14 @@ class FieldElement:
     def real_sign(self) -> int:
         """Exact sign of the (real) embedded value a1 - a4*sqrt(c*c').
 
-        Only defined for conjugation-fixed elements.
+        Only defined for conjugation-fixed elements.  The larger of the two
+        terms decides; they never tie unless both are 0, as c*c' is never a square.
         """
         if not self.is_conjugation_fixed():
             raise ValueError("element does not embed to a real number")
         a1, a4 = self.nums[0], self.nums[3]    # den > 0 keeps every sign below
-        q = self.ctx.c * self.ctx.cprime
-        if a4 == 0:
-            return (a1 > 0) - (a1 < 0)
-        if a1 <= 0 and a4 > 0:
-            return -1
-        if a1 >= 0 and a4 < 0:
-            return 1
-        diff = a1 * a1 - a4 * a4 * q
-        s = (diff > 0) - (diff < 0)
-        return s if a1 > 0 else -s
+        s = a1 if a1 * a1 > a4 * a4 * self.ctx.c * self.ctx.cprime else -a4
+        return (s > 0) - (s < 0)
 
     # ------------------------------------------------------------------
     # embedding and text form

@@ -37,13 +37,21 @@ def shortcut_code(name):
 
 
 def reference_draw(seed, point_index, trial, generators, sigma2):
-    """The philox-ss-v1 draw of one trial, written out: symbols, channel, noise."""
-    rng = _trial_rng(seed, point_index, trial)
+    """The philox-ss-v1 draw of one trial, written out with numpy alone:
+    symbols, channel, noise; y and the columns of G stack the real parts of
+    the row-major entries over their imaginary parts."""
+    def stacked(M):
+        return np.concatenate([M.ravel().real, M.ravel().imag])
+
+    ss = np.random.SeedSequence(seed, spawn_key=(point_index, trial))
+    rng = np.random.Generator(np.random.Philox(ss))
     s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
     X = np.einsum("i,ijk->jk", s0, generators)
-    H = sample_channel(rng)
-    y = fastdecode.stack_real(transmit(X, ChannelInstance(H, sigma2), rng))
-    G = np.stack([fastdecode.stack_real(H @ A) for A in generators], axis=1)
+    z = rng.standard_normal((2, 4, 2))
+    H = (z[..., 0] + 1j * z[..., 1]) * (1.0 / math.sqrt(2.0))
+    w = rng.standard_normal((2, 4, 2))
+    y = stacked(H @ X + (w[..., 0] + 1j * w[..., 1]) * math.sqrt(sigma2 / 2.0))
+    G = np.stack([stacked(H @ A) for A in generators], axis=1)
     return s0, y, G
 
 

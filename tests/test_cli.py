@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -463,12 +464,28 @@ UNIT = "--u=-1/2,-1/2,-1/2,1/2"
     *((command, k) for command in ("construct", "analyze", "mindet") for k in ("1e400", "1e-400")),
     ("analyze", "1e200"), ("mindet", "1e200"),      # the generators' energy overflows
     ("mindet", "1e-300"),                           # the exact minimum underflows
+    ("construct", "1e-04300"),                      # the default int-string limit, padded
 ])
 def test_parameters_outside_double_precision_are_refused(capsys, command, k):
     rc, out, err = run(capsys, [command, *RAW, UNIT, "--k", k])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "the parameters leave double precision" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--k", "1e10000000"), ("--k", "1E-4301"), ("--lprime", "1e+1_000_000"), ("--u", "1e3000000"),
+    ("--k", "1e" + "9" * 5000),
+])
+def test_decimal_exponents_past_the_int_string_limit_are_refused_at_once(capsys, monkeypatch, option, value):
+    # Fraction("1e10000000") alone builds 10^10,000,000, which takes minutes
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    given = [f"--u={value},0,0,0"] if option == "--u" else [UNIT, option, value]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["construct", *RAW, *given])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1 and out == ""
+    assert err == f"error: {option} {value!r} has a decimal exponent beyond 4300 in magnitude\n"
 
 
 def test_mindet_refuses_a_determinant_term_that_overflows(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,29 @@ def test_real_sign_exact():
     assert ctx2.element(4, 0, 0, 1).real_sign() == 1    # 4 - sqrt(10) > 0
     with pytest.raises(ValueError):
         ctx.element(0, 1, 0, 0).real_sign()
+
+
+_sign = st.sampled_from((-1, 0, 1))
+_magnitude = st.integers(1, 10 ** 12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(((3, 1), (6, 1), (11, 1), (5, 2), (7, 2), (2, 3), (1, 2), (15, 7))),
+       s1=_sign, s4=_sign, m1=_magnitude, m4=_magnitude, near=st.integers(-2, 2) | st.none(),
+       d1=st.integers(1, 10 ** 6), d4=st.integers(1, 10 ** 6))
+def test_real_sign_matches_decimal_reference(pair, s1, s4, m1, m4, near, d1, d4):
+    # every sign quadrant and both axes; `near` puts |a1| within 2/d4 of
+    # |a4|*sqrt(c*c'), where the two terms come closest to cancelling
+    ctx = FieldContext(*pair)
+    q = ctx.c * ctx.cprime
+    if near is not None:
+        m1, d1 = max(1, math.isqrt(m4 * m4 * q) + near), d4
+    a1, a4 = Fraction(s1 * m1, d1), Fraction(s4 * m4, d4)
+    with localcontext() as dc:
+        dc.prec = 60
+        value = (Decimal(a1.numerator) / a1.denominator
+                 - Decimal(a4.numerator) / a4.denominator * Decimal(q).sqrt())
+    assert ctx.element(a1, 0, 0, a4).real_sign() == (value > 0) - (value < 0)
 
 
 def test_embed_basis_values():
