@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -229,6 +230,14 @@ class CodeParams:
         """u*tau(u), which picks the second generator in derive_ab."""
         return self.conditions.u_tau_u
 
+    @cached_property
+    def representation_table(self) -> tuple:
+        """K of representation_elements, built once per parameter set; None is 1."""
+        a, b, u = self.a, self.b, self.u
+        ta = a.tau()
+        return ((None, a, b, self.conditions.ab_tau_u), (None, None, b, b * u.tau()),
+                (None, ta * u, None, ta), (None, u, None, None))
+
 
 def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
                  a: FieldElement | None = None, b: FieldElement | None = None,
@@ -259,9 +268,7 @@ def representation_elements(p: CodeParams, xs):
     Entry (r, c) is K[r][c] * g_c(x_{r XOR c}), g = (identity, sigma, tau, sigma*tau),
     K = ((1, a, b, a*b*tau(u)), (1, 1, b, b*tau(u)), (1, tau(a)*u, 1, tau(a)), (1, u, 1, 1)).
     """
-    a, b, u = p.a, p.b, p.u
-    ta, btu, abtu = a.tau(), b * u.tau(), p.conditions.ab_tau_u
-    K = ((None, a, b, abtu), (None, None, b, btu), (None, ta * u, None, ta), (None, u, None, None))  # None is 1
+    K = p.representation_table
     gx = [(x, x.sigma(), x.tau(), x.sigma_tau()) for x in xs]       # gx[j][c] = g_c(x_j)
     return [[gx[r ^ c][c] if K[r][c] is None else K[r][c] * gx[r ^ c][c] for c in range(4)] for r in range(4)]
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CodeParams, build_params, det_exact, normalized_codeword, representation_det_exact
+from .algebra import _SWAP, CodeParams, build_params, det_exact, normalized_codeword, representation_det_exact
 from .numberfield import FieldContext, FieldElement
 
 
@@ -157,26 +157,102 @@ class MinDetResult:
     witness: tuple                # the 16 symbol differences
 
 
+_DELTAS = np.array(list(itertools.product((-2, 0, 2), repeat=4)), dtype=float)  # one coefficient's 81 PAM differences
+_ZERO_CELL = 40 * 81 + 40     # the (zero, zero) cell of a coefficient pair's (81, 81) grid: row 40 is zero
+
+
 @lru_cache(maxsize=1)
 def _sparse_difference_vectors() -> np.ndarray:
     """All difference vectors supported on at most two field coefficients.
 
     PAM differences per real symbol are {-2, 0, 2}; each field coefficient
-    owns four consecutive symbols.  Duplicates across coefficient pairs are
-    harmless for a minimum.  Built once; the array is read-only.
+    owns four consecutive symbols.  Per coefficient pair j < k the rows run
+    over the (81, 81) grid of _DELTAS on x_j against _DELTAS on x_k, row-major,
+    without the zero cell.  Duplicates across coefficient pairs are harmless
+    for a minimum.  Built once; the array is read-only.
     """
-    deltas = (-2, 0, 2)
-    combos = np.array(list(itertools.product(deltas, repeat=8)), dtype=float)
-    combos = combos[np.any(combos != 0, axis=1)]
+    grid = np.delete(np.hstack([np.repeat(_DELTAS, 81, axis=0), np.tile(_DELTAS, (81, 1))]), _ZERO_CELL, axis=0)
     out = []
     for j, k in itertools.combinations(range(4), 2):
-        block = np.zeros((len(combos), 16))
-        block[:, 4 * j: 4 * j + 4] = combos[:, :4]
-        block[:, 4 * k: 4 * k + 4] = combos[:, 4:]
+        block = np.zeros((len(grid), 16))
+        block[:, 4 * j: 4 * j + 4] = grid[:, :4]
+        block[:, 4 * k: 4 * k + 4] = grid[:, 4:]
         out.append(block)
     sparse = np.concatenate(out)
     sparse.setflags(write=False)
     return sparse
+
+
+def _sparse_determinants(code: DispersionCode) -> tuple:
+    """|det| and the permanent of |M| for every sparse difference M, in
+    _sparse_difference_vectors order, energy scale factored out.
+
+    Entry (r, c) of the normalized codeword carries x_{S[r] XOR S[c]}, S = _SWAP,
+    and every rescaling is a real diagonal one, so coefficient j's part X_j
+    is monomial on c = pi_j(r) = S[S[r] XOR j].  For j != k, pi_j pi_k is
+    conjugate to XOR by j XOR k: two 2-cycles {r, r'} with r' = pi_j(pi_k(r)).
+    On each, X_j(d) + X_k(e) is a 2x2 block with determinant P(d) - Q(e),
+    P = X_j[r, pi_j(r)] X_j[r', pi_j(r')] and Q the same product over X_k, and
+    permanent |P| + |Q|; det and permanent of M are the products over the two.
+    """
+    A = (code.generators / code.energy_scale).reshape(4, 4, 4, 4)      # [j, t, r, c]
+    pi = [[_SWAP[_SWAP[r] ^ j] for r in range(4)] for j in range(4)]
+    X = [_DELTAS @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on the grid
+    dets, perms = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in itertools.combinations(range(4), 2):
+            det = perm = 1.0
+            partner = [pi[j][pi[k][r]] for r in range(4)]
+            for r in (r for r in range(4) if r < partner[r]):         # one row of each 2-cycle
+                P, Q = X[j][:, r] * X[j][:, partner[r]], X[k][:, r] * X[k][:, partner[r]]
+                det = det * np.abs(P[:, None] - Q)
+                perm = perm * (np.abs(P)[:, None] + np.abs(Q))
+            dets.append(np.delete(det.ravel(), _ZERO_CELL))
+            perms.append(np.delete(perm.ravel(), _ZERO_CELL))
+    return np.concatenate(dets), np.concatenate(perms)
+
+
+def _random_slices(code: DispersionCode, n: int, seed: int):
+    """n random differences from {-2, 0, 2}^16, zero ones dropped, in slices of
+    at most _SAMPLE_SLICE: (differences, |det|, permanent of |M|) by det_exact."""
+    rng = np.random.default_rng(seed)
+    # entry (r, c) of sum_i s_i A_i over a slice is row 4r + c of a (16, m) array
+    A = (code.generators / code.energy_scale).reshape(16, 16)
+    for lo in range(0, n, _SAMPLE_SLICE):
+        S = (rng.integers(-1, 2, size=(min(_SAMPLE_SLICE, n - lo), 16)) * 2).astype(float)
+        S = S[np.any(S != 0, axis=1)]
+        if len(S):
+            M = np.empty((16, len(S)), dtype=complex)
+            M.real = A.real.T @ S.T
+            M.imag = A.imag.T @ S.T
+            M = M.reshape(4, 4, -1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dets, perms = np.abs(det_exact(M)), det_exact(np.abs(M), operator.add)
+            yield S, dets, perms
+
+
+def _witness(slices) -> tuple:
+    """The witness difference and the candidate count over (differences, |det|,
+    permanent) slices.
+
+    The witness is the first difference whose |det| lies within _TIE times its
+    permanent, its own absolute Leibniz sum, of its slice's minimum; a later
+    slice replaces it only with a minimum smaller by more than that minimum's
+    margin.  The margin is far above rounding, so ties and exact zeros do not
+    depend on the determinant formula.  A value that is not finite refuses.
+    """
+    candidates, best = 0, None
+    for S, dets, perms in slices:
+        tol = _TIE * perms
+        if not np.isfinite(dets + tol).all():
+            raise ValueError("a determinant term overflows a double: the parameters leave double precision")
+        candidates += len(S)
+        i, j = int(np.argmax(dets <= dets.min() + tol)), int(np.argmin(dets))
+        if best is None or dets[j] < best[1] - tol[j]:     # best holds the witness and its slice's minimum
+            best = (S[i], dets[j])
+    if best is None:
+        raise ValueError("every sampled difference is zero")
+    return tuple(int(v) for v in best[0]), candidates
 
 
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
@@ -184,53 +260,29 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     """Minimum |det| over codeword differences, energy scale factored out.
 
     "sparse_exhaustive" enumerates every difference supported on at most
-    two field coefficients; "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1, seed non-negative, and drops the zero ones.
-    Either set is ranked _SAMPLE_SLICE differences at a time, so that memory
-    stays flat in n, by float determinants in det_exact's expansion.  The
-    witness is the first difference whose |det| lies within _TIE times its own
-    absolute Leibniz sum of the minimum; a later slice replaces it only with a
-    minimum smaller by more than that margin, which is far above rounding, so
-    ties and exact zeros do not depend on the formula.  A term that overflows
-    a double refuses the search.  The minimum is the exact determinant at the
-    witness; a strictly positive one over the sparse set is the nonvanishing
+    two field coefficients and ranks them by the product of two 2x2 minors
+    (_sparse_determinants); "random" samples n full-width differences from
+    {-2, 0, 2}^16, n at least 1, seed non-negative, drops the zero ones and
+    ranks them by det_exact's Laplace expansion.  Either set is ranked
+    _SAMPLE_SLICE differences at a time by _witness, so that memory stays
+    flat in n.  The minimum is the exact determinant at the witness; a
+    strictly positive one over the sparse set is the nonvanishing
     determinant expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
         sparse = _sparse_difference_vectors()     # has no zero difference
-        n, draw = len(sparse), lambda lo, m: sparse[lo:lo + m]
+        dets, perms = _sparse_determinants(code)
+        slices = ((sparse[lo:lo + _SAMPLE_SLICE], dets[lo:lo + _SAMPLE_SLICE], perms[lo:lo + _SAMPLE_SLICE])
+                  for lo in range(0, len(sparse), _SAMPLE_SLICE))
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        rng = np.random.default_rng(seed)
-        def draw(lo, m):
-            S = (rng.integers(-1, 2, size=(m, 16)) * 2).astype(float)
-            return S[np.any(S != 0, axis=1)]
+        slices = _random_slices(code, n, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    # entry (r, c) of sum_i s_i A_i over a slice is row 4r + c of a (16, m) array
-    A = (code.generators / code.energy_scale).reshape(16, 16)
-    candidates, best = 0, None
-    for lo in range(0, n, _SAMPLE_SLICE):
-        S = draw(lo, min(_SAMPLE_SLICE, n - lo))
-        if len(S):
-            M = np.empty((16, len(S)), dtype=complex)
-            M.real = A.real.T @ S.T
-            M.imag = A.imag.T @ S.T
-            M = M.reshape(4, 4, -1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dets, tol = np.abs(det_exact(M)), _TIE * det_exact(np.abs(M), operator.add)
-            if not np.isfinite(dets + tol).all():
-                raise ValueError("a determinant term overflows a double: the parameters leave double precision")
-            candidates += len(S)
-            i, j = int(np.argmax(dets <= dets.min() + tol)), int(np.argmin(dets))
-            if best is None or dets[j] < best[1] - tol[j]:     # best holds the witness and its slice's minimum
-                best = (S[i], dets[j])
-    if best is None:
-        raise ValueError("every sampled difference is zero")
-    witness = tuple(int(v) for v in best[0])
+    witness, candidates = _witness(slices)
     exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
     if exact and float(exact) == 0.0:
         raise ValueError("the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision")

@@ -300,6 +300,10 @@ def test_code_params_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.a = p.b
     assert hash(p) == hash(catalog_entry(1))
+    # the representation's table is built once per parameter set and leaves
+    # equality and hashing alone
+    assert p.representation_table is p.representation_table
+    assert p == catalog_entry(1) and hash(p) == hash(catalog_entry(1))
 
 
 def test_representation_of_one_is_identity():

@@ -403,18 +403,40 @@ def test_min_det_witness_does_not_depend_on_the_slice_size(n, basis, variant, mo
     assert min_det_search(code) == want
 
 
-def test_a_later_slice_replaces_the_witness_by_its_minimum(monkeypatch):
+def test_a_later_slice_replaces_the_witness_by_its_minimum():
     # the second slice's minimum 1.0 undercuts the first slice's 5.0 by far
     # more than its own tolerance, although its first tie, 4.5 with a
-    # tolerance of 4.0, does not: the witness moves to that first tie
-    dets = iter([[5.0] * 4, [4.5, 1.0, 9.0, 9.0]])
-    perms = iter([[1.0] * 4, [4.0 / codebook._TIE, 1.0, 1.0, 1.0]])
-    monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 4)
-    # det_exact gives the determinants by default and the permanents with operator.add
-    monkeypatch.setattr(codebook, "det_exact", lambda M, op=operator.sub: np.array(
-        next(dets, [9.0] * 4) if op is operator.sub else next(perms, [1.0] * 4)))
-    res = min_det_search(build_code(algebra.catalog_entry(1)))
-    assert res.witness == tuple(int(v) for v in codebook._sparse_difference_vectors()[4])
+    # tolerance of 4.0, does not: the witness moves to that first tie, and
+    # the third slice's 9.0 leaves it there
+    rows = codebook._sparse_difference_vectors()[:12]
+    slices = [(rows[:4], np.array([5.0] * 4), np.array([1.0] * 4)),
+              (rows[4:8], np.array([4.5, 1.0, 9.0, 9.0]), np.array([4.0 / codebook._TIE, 1.0, 1.0, 1.0])),
+              (rows[8:], np.array([9.0] * 4), np.array([1.0] * 4))]
+    witness, candidates = codebook._witness(slices)
+    assert witness == tuple(int(v) for v in rows[4]) and candidates == 12
+
+
+@pytest.mark.parametrize("k", [F(1), F(1, 10 ** 100)])
+def test_sparse_determinants_factor_into_two_minors(k):
+    # every coefficient's generators live on pi_j(r) = S[S[r] XOR j], and over
+    # the whole sparse set the two-minor product and its permanent agree with
+    # det_exact's Laplace expansion of the (4, 4, N) differences; away from
+    # k = 1 the plain codes of entry 1's unit (C4 fixes its own k)
+    S = algebra._SWAP
+    entry = algebra.catalog_entry(1)
+    codes = _catalog_codes() if k == 1 else [
+        build_code(algebra.build_params(entry.ctx, entry.u, k=k), basis) for basis in ("B1", "B2", "B3")]
+    for code in codes:
+        A = code.generators / code.energy_scale
+        for j in range(4):
+            off = np.ones((4, 4), dtype=bool)
+            off[range(4), [S[S[r] ^ j] for r in range(4)]] = False
+            assert not np.any(A[4 * j: 4 * j + 4][:, off]), (code.name, j)
+        M = np.einsum("ni,ijk->jkn", codebook._sparse_difference_vectors(), A)
+        dets, perms = codebook._sparse_determinants(code)
+        assert dets.shape == perms.shape == (39360,)
+        assert np.all(np.abs(dets - np.abs(algebra.det_exact(M))) <= 1e-12 * perms), code.name
+        assert np.all(np.abs(perms - algebra.det_exact(np.abs(M), operator.add)) <= 1e-12 * perms), code.name
 
 
 @pytest.mark.parametrize("k, lprime", [("1e60", "1"), ("1e100", "1"), ("1e120", "1"), ("1", "1e160"),
@@ -456,7 +478,7 @@ def test_min_det_tolerance_tells_a_tiny_minimum_apart():
                         elements=st.integers(-10 ** 6, 10 ** 6)),
        exponent=st.integers(-30, 30))
 def test_closed_form_determinant_equals_lapack(parts, exponent):
-    # min_det_search ranks by algebra.det_exact over (4, 4, N) float arrays,
+    # the random min_det_search ranks by algebra.det_exact over (4, 4, N) float arrays,
     # with ties judged against its permanent (operator.add) of |M|; the error is
     # relative to the Hadamard bound, which caps |det|.  Entries lie in
     # [-10, 10] in steps of 1e-5, so no product of four leaves the normal range
