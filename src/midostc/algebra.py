@@ -300,17 +300,23 @@ def normalized_codeword(p: CodeParams, xs, block_scale: float = 1.0) -> np.ndarr
     Each is a real diagonal similarity, so the determinant is preserved
     exactly while every block becomes unitary-friendly.  Failed shaping raises.
     """
+    return _normalize(p, representation(p, xs), block_scale)
+
+
+def _normalize(p: CodeParams, m: np.ndarray, block_scale: float) -> np.ndarray:
+    """normalized_codeword's swap and scalings on a (..., 4, 4) stack of representations."""
     if p.conditions.alpha is None:
         raise ValueError("shaping conditions failed, cannot build codewords")
-    m = permuted_representation(p, xs)
+    # a fresh C-contiguous stack: the energy sum over it is pinned bit for bit
+    m = np.ascontiguousarray(m[..., _SWAP, :][..., _SWAP])
     ra = math.sqrt(p.conditions.alpha)
     rc = math.sqrt(p.ctx.c)
-    m[0, :] /= ra
-    m[:, 0] *= ra
-    m[:, 3] *= ra / rc
-    m[3, :] *= rc / ra
-    m[0:2, 2:4] *= block_scale
-    m[2:4, 0:2] /= block_scale
+    m[..., 0, :] /= ra
+    m[..., :, 0] *= ra
+    m[..., :, 3] *= ra / rc
+    m[..., 3, :] *= rc / ra
+    m[..., 0:2, 2:4] *= block_scale
+    m[..., 2:4, 0:2] /= block_scale
     return m
 
 
@@ -332,7 +338,7 @@ def representation_det_exact(p: CodeParams, xs) -> Fraction:
     d = det_exact(representation_elements(p, xs))
     if not d.is_rational():
         raise ArithmeticError("representation determinant came out irrational, arithmetic bug")
-    return d.coords[0]
+    return Fraction(d.nums[0], d.den)
 
 
 # ----------------------------------------------------------------------

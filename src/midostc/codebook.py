@@ -14,12 +14,12 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _SWAP, CodeParams, build_params, det_exact, normalized_codeword, representation_det_exact
+from .algebra import (_SWAP, CodeParams, _normalize, build_params, det_exact, normalized_codeword, representation,
+                      representation_det_exact)
 from .numberfield import FieldContext, FieldElement
 
 
@@ -129,10 +129,12 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    slots, zero = _slots(params, basis), params.ctx.zero()
+    # Entry (r, c) of a representation carries x_{r XOR c}: generator 4j + t keeps
+    # the entries with r XOR c == j of slot t's representation on (slot,) * 4.
+    reps = np.stack([representation(params, (slot,) * 4) for slot in _slots(params, basis)])
+    on_j = np.bitwise_xor.outer(range(4), range(4)) == np.arange(4)[:, None, None]
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
-        gens = np.stack([normalized_codeword(params, [slots[i % 4] if j == i // 4 else zero for j in range(4)],
-                                             block_scale) for i in range(16)])
+        gens = _normalize(params, np.where(on_j[:, None], reps, 0).reshape(16, 4, 4), block_scale)
         energy = float(np.sum(np.abs(gens) ** 2))
     if not 0.0 < energy < math.inf:
         raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")
@@ -161,31 +163,29 @@ _DELTAS = np.array(list(itertools.product((-2, 0, 2), repeat=4)), dtype=float)  
 _ZERO_CELL = 40 * 81 + 40     # the (zero, zero) cell of a coefficient pair's (81, 81) grid: row 40 is zero
 
 
-@lru_cache(maxsize=1)
-def _sparse_difference_vectors() -> np.ndarray:
-    """All difference vectors supported on at most two field coefficients.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+def _sparse_difference(index: int) -> tuple:
+    """The sparse difference at position index: the sparse set holds every
+    difference supported on at most two field coefficients.
 
     PAM differences per real symbol are {-2, 0, 2}; each field coefficient
-    owns four consecutive symbols.  Per coefficient pair j < k the rows run
-    over the (81, 81) grid of _DELTAS on x_j against _DELTAS on x_k, row-major,
-    without the zero cell.  Duplicates across coefficient pairs are harmless
-    for a minimum.  Built once; the array is read-only.
+    owns four consecutive symbols.  Per coefficient pair j < k, in
+    combinations order, the set runs over the (81, 81) grid of _DELTAS on x_j
+    against _DELTAS on x_k, row-major, without the zero cell: 6 * 6560 = 39,360
+    differences.  Duplicates across coefficient pairs are harmless for a minimum.
     """
-    grid = np.delete(np.hstack([np.repeat(_DELTAS, 81, axis=0), np.tile(_DELTAS, (81, 1))]), _ZERO_CELL, axis=0)
-    out = []
-    for j, k in itertools.combinations(range(4), 2):
-        block = np.zeros((len(grid), 16))
-        block[:, 4 * j: 4 * j + 4] = grid[:, :4]
-        block[:, 4 * k: 4 * k + 4] = grid[:, 4:]
-        out.append(block)
-    sparse = np.concatenate(out)
-    sparse.setflags(write=False)
-    return sparse
+    pair, cell = divmod(index, 81 * 81 - 1)
+    d, e = divmod(cell + (cell >= _ZERO_CELL), 81)
+    (j, k), s = _PAIRS[pair], [0] * 16
+    s[4 * j: 4 * j + 4], s[4 * k: 4 * k + 4] = _DELTAS[d], _DELTAS[e]
+    return tuple(int(v) for v in s)
 
 
 def _sparse_determinants(code: DispersionCode) -> tuple:
     """|det| and the permanent of |M| for every sparse difference M, in
-    _sparse_difference_vectors order, energy scale factored out.
+    _sparse_difference order, energy scale factored out.
 
     Entry (r, c) of the normalized codeword carries x_{S[r] XOR S[c]}, S = _SWAP,
     and every rescaling is a real diagonal one, so coefficient j's part X_j
@@ -200,7 +200,7 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
     X = [_DELTAS @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on the grid
     dets, perms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, k in itertools.combinations(range(4), 2):
+        for j, k in _PAIRS:
             det = perm = 1.0
             partner = [pi[j][pi[k][r]] for r in range(4)]
             for r in (r for r in range(4) if r < partner[r]):         # one row of each 2-cycle
@@ -232,8 +232,8 @@ def _random_slices(code: DispersionCode, n: int, seed: int):
 
 
 def _witness(slices) -> tuple:
-    """The witness difference and the candidate count over (differences, |det|,
-    permanent) slices.
+    """The witness and the candidate count over (differences, |det|, permanent)
+    slices, where a difference may also be its index in the sparse set.
 
     The witness is the first difference whose |det| lies within _TIE times its
     permanent, its own absolute Leibniz sum, of its slice's minimum; a later
@@ -252,7 +252,7 @@ def _witness(slices) -> tuple:
             best = (S[i], dets[j])
     if best is None:
         raise ValueError("every sampled difference is zero")
-    return tuple(int(v) for v in best[0]), candidates
+    return best[0], candidates
 
 
 def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
@@ -270,10 +270,10 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     determinant expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
-        sparse = _sparse_difference_vectors()     # has no zero difference
-        dets, perms = _sparse_determinants(code)
-        slices = ((sparse[lo:lo + _SAMPLE_SLICE], dets[lo:lo + _SAMPLE_SLICE], perms[lo:lo + _SAMPLE_SLICE])
-                  for lo in range(0, len(sparse), _SAMPLE_SLICE))
+        dets, perms = _sparse_determinants(code)     # the sparse set has no zero difference
+        index = np.arange(len(dets))
+        slices = ((index[lo:lo + _SAMPLE_SLICE], dets[lo:lo + _SAMPLE_SLICE], perms[lo:lo + _SAMPLE_SLICE])
+                  for lo in range(0, len(dets), _SAMPLE_SLICE))
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
@@ -283,6 +283,7 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     witness, candidates = _witness(slices)
+    witness = _sparse_difference(int(witness)) if strategy == "sparse_exhaustive" else tuple(int(v) for v in witness)
     exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
     if exact and float(exact) == 0.0:
         raise ValueError("the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision")

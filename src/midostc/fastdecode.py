@@ -125,9 +125,10 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
     for idx, comp in _components(coupled, full ^ masks):
         count[idx] += 1
         largest[idx] = np.maximum(largest[idx], size[comp])
-    t = size[masks].astype(np.int64)
+    t = size[masks].astype(np.uint16)
     expo = t + largest
-    key = np.where(count >= 2, ((expo * (n + 1) + t) << n) + masks, np.iinfo(np.int64).max)
+    # masks ascend, so the first least (exponent, |set|) is also the least mask
+    key = np.where(count >= 2, expo * (n + 1) + t, np.iinfo(np.uint16).max)
     best = int(np.argmin(key))
     if count[best] < 2:
         return GroupStructure((), (tuple(range(n)),), n)

@@ -77,11 +77,20 @@ class FieldContext:
         return self.element(0, 0, 0, 1)
 
 
+def _new(ctx: FieldContext, nums: tuple, den: int) -> "FieldElement":
+    """The element nums / den, which must already be in lowest terms with den > 0."""
+    x = object.__new__(FieldElement)
+    x.ctx, x.nums, x.den = ctx, nums, den
+    return x
+
+
 def _element(ctx: FieldContext, n1: int, n2: int, n3: int, n4: int, den: int) -> "FieldElement":
     """(n1 + n2*w' + n3*w + n4*w'w) / den for den > 0, brought to lowest terms by one gcd."""
     g = math.gcd(n1, n2, n3, n4, den)
+    if g != 1:
+        n1, n2, n3, n4, den = n1 // g, n2 // g, n3 // g, n4 // g, den // g
     x = object.__new__(FieldElement)
-    x.ctx, x.nums, x.den = ctx, (n1 // g, n2 // g, n3 // g, n4 // g), den // g
+    x.ctx, x.nums, x.den = ctx, (n1, n2, n3, n4), den
     return x
 
 
@@ -107,39 +116,56 @@ class FieldElement:
     # ring structure
 
     def _check(self, other: "FieldElement") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.ctx != other.ctx:
             raise ContextMismatchError(f"cannot combine {self.ctx!r} with {other.ctx!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n1, n2, n3, n4, q = *self.nums, other.denominator
-            return _element(self.ctx, n1 * q + other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
+        if other.__class__ is not FieldElement:
+            if isinstance(other, (int, Fraction)):
+                n1, n2, n3, n4, q = *self.nums, other.denominator
+                return _element(self.ctx, n1 * q + other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
+            if not isinstance(other, FieldElement):
+                return NotImplemented
+        if self.ctx is not other.ctx:
+            self._check(other)
+        a1, a2, a3, a4 = self.nums
+        b1, b2, b3, b4 = other.nums
         da, db = self.den, other.den
-        return _element(self.ctx, *(a * db + b * da for a, b in zip(self.nums, other.nums)), da * db)
+        return _element(self.ctx, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da, a4 * db + b4 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.ctx, *(-n for n in self.nums), self.den)
+        n1, n2, n3, n4 = self.nums
+        return _new(self.ctx, (-n1, -n2, -n3, -n4), self.den)     # a sign flip keeps lowest terms
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, FieldElement)):
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not FieldElement:
+            if isinstance(other, (int, Fraction)):
+                n1, n2, n3, n4, q = *self.nums, other.denominator
+                return _element(self.ctx, n1 * q - other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
+            if not isinstance(other, FieldElement):
+                return NotImplemented
+        if self.ctx is not other.ctx:
+            self._check(other)
+        a1, a2, a3, a4 = self.nums
+        b1, b2, b3, b4 = other.nums
+        da, db = self.den, other.den
+        return _element(self.ctx, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da, a4 * db - b4 * da, da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _element(self.ctx, *(n * p for n in self.nums), self.den * other.denominator)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
+        if other.__class__ is not FieldElement:
+            if isinstance(other, (int, Fraction)):
+                p = other.numerator
+                n1, n2, n3, n4 = self.nums
+                return _element(self.ctx, n1 * p, n2 * p, n3 * p, n4 * p, self.den * other.denominator)
+            if not isinstance(other, FieldElement):
+                return NotImplemented
+        if self.ctx is not other.ctx:
+            self._check(other)
         a1, a2, a3, a4 = self.nums
         b1, b2, b3, b4 = other.nums
         c = self.ctx.c
@@ -178,6 +204,9 @@ class FieldElement:
         return self.ctx == other.ctx and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
+        # a rational element equals its int or Fraction value, so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.ctx, self.nums, self.den))
 
     def __bool__(self) -> bool:
@@ -189,17 +218,17 @@ class FieldElement:
     def sigma(self) -> "FieldElement":
         """The automorphism fixing w and negating w' (and hence w'w)."""
         n1, n2, n3, n4 = self.nums
-        return _element(self.ctx, n1, -n2, n3, -n4, self.den)
+        return _new(self.ctx, (n1, -n2, n3, -n4), self.den)
 
     def tau(self) -> "FieldElement":
         """The automorphism fixing w' and negating w (and hence w'w)."""
         n1, n2, n3, n4 = self.nums
-        return _element(self.ctx, n1, n2, -n3, -n4, self.den)
+        return _new(self.ctx, (n1, n2, -n3, -n4), self.den)
 
     def sigma_tau(self) -> "FieldElement":
         """sigma composed with tau; under embed() this is complex conjugation."""
         n1, n2, n3, n4 = self.nums
-        return _element(self.ctx, n1, -n2, -n3, n4, self.den)
+        return _new(self.ctx, (n1, -n2, -n3, n4), self.den)
 
     def norm(self) -> Fraction:
         """Product of the four Galois conjugates, always a rational number."""

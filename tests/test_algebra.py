@@ -363,6 +363,21 @@ def test_normalized_generator_is_monomial():
     assert abs(np.linalg.det(m)) == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, block_scale", [(1, 1.0), (1, 1.3), (2, 1.0), (4, 1.0), (5, 0.7)])
+def test_stacked_normalization_equals_each_codeword(n, block_scale):
+    # the swap and scalings on a (2, 3, 4, 4) stack of representations give
+    # normalized_codeword of each quadruple bit for bit, as a C-contiguous stack
+    p = catalog_entry(n)
+    rng = random.Random(n)
+    quads = [tuple(p.ctx.element(*[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+                   for _ in range(4)) for _ in range(6)]
+    stack = algebra._normalize(p, np.stack([algebra.representation(p, xs) for xs in quads]).reshape(2, 3, 4, 4),
+                               block_scale)
+    each = np.stack([algebra.normalized_codeword(p, xs, block_scale) for xs in quads]).reshape(2, 3, 4, 4)
+    assert stack.flags.c_contiguous
+    assert stack.tobytes() == each.tobytes()
+
+
 def test_det_exact_matches_numpy_on_random_grids():
     rng = random.Random(9)
     ctx = FieldContext(3, 1)

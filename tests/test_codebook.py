@@ -294,12 +294,25 @@ def test_min_det_random_strategy():
         min_det_search(code, "random", seed=-1)
 
 
-def test_sparse_difference_set_is_built_once_and_read_only():
-    sparse = codebook._sparse_difference_vectors()
-    assert codebook._sparse_difference_vectors() is sparse
-    assert sparse.shape == (39360, 16) and not sparse.flags.writeable
-    with pytest.raises(ValueError):
-        sparse[0, 0] = 1.0
+def sparse_difference_vectors():
+    """The whole sparse set as a (39360, 16) array, built independently of
+    codebook._sparse_difference: per coefficient pair j < k, the (81, 81)
+    grid of PAM differences on x_j against x_k, row-major, without the zero cell."""
+    deltas = np.array(list(itertools.product((-2, 0, 2), repeat=4)))
+    out = []
+    for j, k in itertools.combinations(range(4), 2):
+        block = np.zeros((81, 81, 16), dtype=int)
+        block[:, :, 4 * j: 4 * j + 4] = deltas[:, None]
+        block[:, :, 4 * k: 4 * k + 4] = deltas[None, :]
+        block = block.reshape(-1, 16)
+        out.append(block[np.any(block != 0, axis=1)])
+    return np.concatenate(out)
+
+
+def test_sparse_differences_are_decoded_from_their_index():
+    sparse = sparse_difference_vectors()
+    assert sparse.shape == (39360, 16)
+    assert [codebook._sparse_difference(i) for i in range(len(sparse))] == [tuple(row) for row in sparse.tolist()]
 
 
 def test_min_det_search_repeats_on_one_code():
@@ -377,7 +390,7 @@ def abs_leibniz(M):
 def lapack_witness(code):
     """The first sparse difference whose LAPACK |det| lies within the tie
     tolerance of the minimum, and whether any other lies within 100 times it."""
-    sparse = codebook._sparse_difference_vectors()
+    sparse = sparse_difference_vectors()
     M = np.einsum("ni,ijk->njk", sparse, code.generators / code.energy_scale)
     dets, tol = np.abs(np.linalg.det(M)), codebook._TIE * abs_leibniz(M)
     ties = dets <= dets.min() + tol
@@ -408,12 +421,12 @@ def test_a_later_slice_replaces_the_witness_by_its_minimum():
     # more than its own tolerance, although its first tie, 4.5 with a
     # tolerance of 4.0, does not: the witness moves to that first tie, and
     # the third slice's 9.0 leaves it there
-    rows = codebook._sparse_difference_vectors()[:12]
+    rows = sparse_difference_vectors()[:12]
     slices = [(rows[:4], np.array([5.0] * 4), np.array([1.0] * 4)),
               (rows[4:8], np.array([4.5, 1.0, 9.0, 9.0]), np.array([4.0 / codebook._TIE, 1.0, 1.0, 1.0])),
               (rows[8:], np.array([9.0] * 4), np.array([1.0] * 4))]
     witness, candidates = codebook._witness(slices)
-    assert witness == tuple(int(v) for v in rows[4]) and candidates == 12
+    assert tuple(witness) == tuple(rows[4]) and candidates == 12
 
 
 @pytest.mark.parametrize("k", [F(1), F(1, 10 ** 100)])
@@ -432,7 +445,7 @@ def test_sparse_determinants_factor_into_two_minors(k):
             off = np.ones((4, 4), dtype=bool)
             off[range(4), [S[S[r] ^ j] for r in range(4)]] = False
             assert not np.any(A[4 * j: 4 * j + 4][:, off]), (code.name, j)
-        M = np.einsum("ni,ijk->jkn", codebook._sparse_difference_vectors(), A)
+        M = np.einsum("ni,ijk->jkn", sparse_difference_vectors(), A)
         dets, perms = codebook._sparse_determinants(code)
         assert dets.shape == perms.shape == (39360,)
         assert np.all(np.abs(dets - np.abs(algebra.det_exact(M))) <= 1e-12 * perms), code.name

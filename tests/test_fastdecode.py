@@ -640,6 +640,22 @@ def test_detect_groups_matches_brute_force(seed):
         assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adj, target), target
 
 
+@pytest.mark.parametrize("n", [5, 6, 9])
+def test_detect_groups_breaks_ties_by_the_least_mask(n):
+    # on a ring and on a graph without edges many conditioning sets of one size
+    # tie on (exponent, |set|); the least mask among them is the one taken
+    eye = np.eye(n)
+    ring = eye + np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+    for b in (ring, eye):
+        adj = adjacency(b)
+        for target in (None, *range(n)):
+            gs = detect_groups(b, target)
+            assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adj, target), target
+    assert detect_groups(eye, 2) == GroupStructure((0, 1), tuple((i,) for i in range(2, n)), 3)
+    if n == 6:      # {0, 3}, {1, 4} and {2, 5} each leave two pairs
+        assert detect_groups(ring, 2) == detect_groups(ring) == GroupStructure((0, 3), ((1, 2), (4, 5)), 4)
+
+
 @pytest.mark.parametrize("separator, small, large", [(4, 6, 8), (5, 7, 8)], ids=["n18", "n20"])
 def test_detect_groups_finds_a_planted_separator(separator, small, large):
     # Two cliques joined only through a separator set that is coupled to every

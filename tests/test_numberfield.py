@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -223,6 +224,16 @@ def test_equality_and_hash():
     assert bool(ctx.zero()) is False and bool(a) is True
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, 10 ** 30, Fraction(3), Fraction(1, 2), Fraction(-5, 6)])
+def test_a_rational_element_hashes_as_its_value(value):
+    # equal objects must hash equal, so a set or dict key cannot tell them apart
+    for ctx in (FieldContext(3, 1), FieldContext(5, 2)):
+        x = ctx.element(value)
+        assert x == value and hash(x) == hash(value)
+        assert len({x, value}) == 1 and {value: 1}[x] == 1
+    assert FieldContext(3, 1).element(Fraction(1, 2)).den == 2
+
+
 # ----------------------------------------------------------------------
 # properties of the integer-numerator form against a Fraction reference
 
@@ -278,6 +289,38 @@ def test_arithmetic_matches_fraction_reference(pair, a, b):
     assert x.norm() == norm[0]
     assert bool(x) is any(a)
     assert x.is_rational() is (a[1:] == (0, 0, 0))
+
+
+_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=36).filter(lambda f: f.denominator > 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(PAIRS), a=st.tuples(_fraction, _rational, _rational, _rational),
+       b=st.tuples(_rational, _rational, _rational, _fraction))
+def test_fast_paths_across_equal_contexts(pair, a, b):
+    # x and y live in two equal contexts that are not the same object, with
+    # den > 1: each operation combines them and lands on the Fraction
+    # reference in lowest terms; a different context refuses in each one
+    ctx, twin = FieldContext(*pair), FieldContext(*pair)
+    x, y = ctx.element(*a), twin.element(*b)
+    assert twin is not ctx and x.den > 1 and y.den > 1
+    sa, ta, sta = ref_conjugates(a)
+    cases = [
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (y - x, tuple(q - p for p, q in zip(a, b))),
+        (x * y, ref_mul(ctx, a, b)),
+        (-x, tuple(-p for p in a)),
+        (x.sigma(), sa), (x.tau(), ta), (x.sigma_tau(), sta),
+    ]
+    for got, expected in cases:
+        assert got.coords == expected and got.ctx == ctx
+        assert in_lowest_terms(got)
+    other = FieldContext(*pair[::-1]).element(*b)
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(ContextMismatchError):
+                op(left, right)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
