@@ -72,6 +72,12 @@ class GroupStructure:
     groups: tuple
     exponent: int
 
+    def __post_init__(self):
+        expected = len(self.conditioned) + max(map(len, self.groups), default=0)
+        if self.exponent != expected:
+            raise ValueError(f"exponent {self.exponent} contradicts the structure, whose conditioned "
+                             f"symbols and largest group give {expected}")
+
     @property
     def trivial(self) -> bool:
         return not self.conditioned and len(self.groups) == 1
@@ -266,8 +272,21 @@ def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cros
 
 
 def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """t^T K t - 2 z^T t for every row t of T and every K, z: (..., len(T))."""
-    return (((T @ K) - 2.0 * z[..., None, :]) * T).sum(axis=-1)
+    """t^T K t - 2 z^T t for every row t of T and every K, z: (..., len(T)).  K t - 2 z is
+    held one coordinate per row, (..., n, len(T)), so the sum over coordinates runs in order."""
+    P = K.swapaxes(-1, -2) @ T.T - 2.0 * z[..., None]
+    P *= T.T
+    return P.sum(axis=-2)
+
+
+def _stack_terms(K: np.ndarray, z: np.ndarray, a: np.ndarray, Ta: np.ndarray, b: np.ndarray, Tb: np.ndarray,
+                 gi: np.ndarray, half: np.ndarray) -> tuple:
+    """q, q(s_0) - q and 2 la, 2 lb of a stack gi (ng, k) of same-size groups over the half grid half
+    (H, k): (B, ng, H), (B, ng, H), (B, ng, H, len(Ta)) and (B, ng, H, len(Tb))."""
+    q = ((half @ K[:, gi[:, :, None], gi[:, None, :]]) * half).sum(axis=-1)
+    la = (K[:, gi.ravel()[:, None], a] @ Ta.T - z[:, gi.ravel(), None]).reshape(*q.shape[:2], -1, len(Ta))
+    lb = (K[:, gi.ravel()[:, None], b] @ Tb.T).reshape(*q.shape[:2], -1, len(Tb))
+    return q, q[..., :1] - q, 2.0 * half @ la, 2.0 * half @ lb
 
 
 def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
@@ -284,50 +303,78 @@ def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
     candidate S-1-j is minus candidate j: q is even and l odd, and the
     minimum over such a pair is q(s) - |la(s) + lb(s)|.  The group minimum
     is then built on the first half of Sg only, as q(s_0) - max_j (|la(s_j)
-    + lb(s_j)| - q(s_j) + q(s_0)); q(s_0) is the same for every assignment
-    of a trial, so the search over assignments leaves it out.  Each
-    assignment starts from its conditioned part: t^T K t - 2 z^T t on a and
-    on b, plus the cross term, less the group minima in the order of
-    gs.groups.  Once the assignment is chosen, each group's symbols come
-    from an exact argmin over all of Sg: q + l on the first half and q - l
-    on the mirrored second half, in grid order.
+    + lb(s_j)| - d_j), d_j = q(s_j) - q(s_0); q(s_0) is the same for every
+    assignment of a trial, so the search over assignments leaves it out.
+
+    Trials go in blocks of about _BLOCK_VALUES assignments, and every pass
+    over a block's (trials, len(Ta), len(Tb)) grid is a per-trial matrix
+    product or an in-place pass, never a broadcast.  The grid starts as
+    [Ta K_ab | Qa | 1] [2 Tb^T ; 1 ; Qb].  Candidate j of a group gives
+    [la | 1 | -d_j] [e ; e lb ; 1] = e (la + lb) - d_j for e = 1 and -1,
+    the larger of which is |la + lb| - d_j (for j = 0, where d_0 = 0, the
+    e = 1 product is taken absolutely), and the grid loses each group's
+    largest in the order of gs.groups.  The factors are exact and BLAS adds
+    the terms in order, so the grid equals the broadcast sums bit for bit;
+    at y = 0 an assignment and its negative add the same products, so their
+    tie holds in any order.  A block with room to spare serves several
+    groups of a stack in one pass.  Once the assignment is chosen, each
+    group's symbols come from an exact argmin over all of Sg: q + l on the
+    first half and q - l on the mirrored second half, in grid order.
     """
     a, b, Ta, Tb, _, _, stacks, place, _ = plan
     B, A, B_ = len(K), len(Ta), len(Tb)
-    terms = []
-    for gi, _, half in stacks:
-        q = ((half @ K[:, gi[:, :, None], gi[:, None, :]]) * half).sum(axis=-1)          # (B, ng, H)
-        la = (Ta @ K[:, a[:, None], gi.ravel()] - z[:, None, gi.ravel()]).reshape(B, -1, gi.shape[1]) @ half.T
-        lb = (Tb @ K[:, b[:, None], gi.ravel()]).reshape(B, -1, gi.shape[1]) @ half.T
-        terms.append((q, q[..., 1:] - q[..., :1], 2.0 * la.reshape(B, A, *q.shape[1:]),       # (B, A, ng, H)
-                      2.0 * lb.reshape(B, B_, *q.shape[1:]).transpose(0, 2, 3, 1)))     # (B, ng, H, B_)
+    terms = [_stack_terms(K, z, a, Ta, b, Tb, gi, half) for gi, _, half in stacks]
     Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
     Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
+    Kab = K[:, a[:, None], b].swapaxes(-1, -2)
     step = max(1, _BLOCK_VALUES // (A * B_))
-    bufs = np.empty((2, min(step, B), A, B_))
+    n = min(step, B)
+    block = np.empty((n, A, B_))
+    # [Ta K_ab | Qa | 1] (held transposed) and [2 Tb^T ; 1 ; Qb]
+    U, V = np.ones((n, len(b) + 2, A)), np.ones((n, len(b) + 2, B_))
+    np.multiply(Tb.T, 2.0, out=V[:, :len(b)])
+    # per stack, for the groups one pass serves (as many as fit in _BLOCK_VALUES, at least one):
+    # each candidate's [la | 1 | -d] (held transposed), [1 ; lb ; 1] and [-1 ; -lb ; 1], and x, y
+    passes = []
+    for _, neg_d, _, _ in terms:
+        ng, H = neg_d.shape[1:]
+        per = min(ng, max(1, _BLOCK_VALUES // (n * (3 * H * (A + 2 * B_) + 2 * A * B_))))
+        R = np.ones((2, n, 3, per, H, B_))
+        R[1, :, 0] = -1.0
+        passes.append((per, np.ones((n, 3, per, H, A)), R, *np.empty((2, n, per, A, B_))))
     best = np.zeros(B, dtype=int)       # with nothing conditioned the one assignment is the argmin
     for lo in range(0, B if A * B_ > 1 else 0, step):
-        hi = lo + step
-        block = 2.0 * (Ta @ K[lo:hi, a[:, None], b] @ Tb.T)                      # (trials, A, B_)
-        block += Qa[lo:hi, :, None]
-        block += Qb[lo:hi, None, :]
-        x, y = bufs[:, :len(block)]
+        hi = min(lo + step, B)
+        t = hi - lo
+        np.matmul(Kab[lo:hi], Ta.T, out=U[:t, :len(b)])
+        U[:t, -2] = Qa[lo:hi]
+        V[:t, -1] = Qb[lo:hi]
+        np.matmul(U[:t].swapaxes(-1, -2), V[:t], out=block[:t])
         for si, g in place:
-            # x = max_j |la_j + lb_j| - d_j, with d_j = q(s_j) - q(s_0), for group g of stack si
-            _, d, la, lb = terms[si]
-            np.abs(np.add(la[lo:hi, :, g, 0, None], lb[lo:hi, None, g, 0], out=x), out=x)
-            for j in range(1, la.shape[-1]):
-                np.abs(np.add(la[lo:hi, :, g, j, None], lb[lo:hi, None, g, j], out=y), out=y)
-                np.maximum(x, np.subtract(y, d[lo:hi, g, j - 1, None, None], out=y), out=x)
-            block -= x
-        best[lo:hi] = block.reshape(len(block), -1).argmin(axis=1)
+            per, L, R, x, y = passes[si]
+            if g % per == 0:
+                # x = max_j |la_j + lb_j| - d_j for groups g, g + 1, ... of the stack
+                _, neg_d, la, lb = terms[si]
+                m = min(per, neg_d.shape[1] - g)
+                L[:t, 0, :m] = la[lo:hi, g:g + m]
+                L[:t, 2, :m] = neg_d[lo:hi, g:g + m, :, None]
+                R[0, :t, 1, :m] = lb[lo:hi, g:g + m]
+                np.negative(lb[lo:hi, g:g + m], out=R[1, :t, 1, :m])
+                Lj, Rj = L[:t, :, :m].transpose(0, 2, 3, 4, 1), R[:, :t, :, :m].transpose(0, 1, 3, 4, 2, 5)
+                xg, yg = x[:t, :m], y[:t, :m]
+                np.abs(np.matmul(Lj[:, :, 0], Rj[0, :, :, 0], out=xg), out=xg)
+                for j in range(1, neg_d.shape[-1]):
+                    for sign in Rj:
+                        np.maximum(xg, np.matmul(Lj[:, :, j], sign[:, :, j], out=yg), out=xg)
+            block[:t] -= x[:t, g % per]
+        best[lo:hi] = block[:t].reshape(t, -1).argmin(axis=1)
     ia, ib = np.divmod(best, B_)
     s = np.empty(K.shape[:2])
     s[:, a] = Ta[ia]
     s[:, b] = Tb[ib]
     trials = np.arange(B)
     for (gi, Sg, _), (q, _, la, lb) in zip(stacks, terms):
-        l = la[trials, ia] + lb[trials, ..., ib]                                # (B, ng, H)
+        l = la[trials, ..., ia] + lb[trials, ..., ib]                           # (B, ng, H)
         metric = np.concatenate([q + l, (q - l)[..., :len(Sg) // 2][..., ::-1]], axis=-1)
         s[:, gi] = Sg[metric.argmin(axis=-1)]
     return s
@@ -354,8 +401,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     and the residual metric ||y - G s||^2 per trial, shaped like y's batch
     (a float for a single trial).  Visits are per trial: M^|conditioned| *
     sum_i M^|group_i| candidate enumerations.  The group terms scale with
-    the rows passed (about 17 KB per C5 row at peak); the callers in this
-    package pass at most channel.BATCH_SIZE rows.
+    the rows passed (about 13 KB per C5 row at peak), the block buffers do
+    not; the callers in this package pass at most channel.BATCH_SIZE rows.
     """
     y = np.asarray(y, dtype=float)
     G = np.asarray(G)

@@ -201,7 +201,8 @@ class FieldElement:
             return not any(self.nums[1:]) and self.nums[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.nums == other.nums and self.den == other.den
+        # a rational element is the same number in every field, as its hash says
+        return self.nums == other.nums and self.den == other.den and (self.ctx == other.ctx or self.is_rational())
 
     def __hash__(self) -> int:
         # a rational element equals its int or Fraction value, so it hashes as one

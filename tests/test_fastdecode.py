@@ -401,13 +401,33 @@ METRICS_SHA256 = {
 }
 
 
+# The same two digests, (symbols, metrics), of the same trials at 0 dB and
+# at 40 dB, captured from the decoder that built each outer sum of the
+# assignment grid by broadcasting: every decision and every metric bit
+# must survive a change of how the grid is built, at low and high SNR.
+PINNED_AT_0_AND_40_DB = {
+    ("C2", 0.0): ("de0a131384d9c8e44ea0be35d87c45c2bc599e4a55e0d35fc23121dea87acd7e",
+                  "468615067d7205c79f8392275ef1c6c1161725812dcf8032bc369ba4cc5a3e86"),
+    ("C3", 0.0): ("498832a00ef39889822b00c870f4ae7f603c47a6da7822298c0696bfc3f9ed4c",
+                  "7a97382daa04d654832e55ce027203a87267d7a2f0d3b5bc6a11e6005ea45830"),
+    ("C5", 0.0): ("d70a60b86f9819f6985923588a4941ea4a4651b24c89316b979667a9c53b6d46",
+                  "6eb5a541137c4f643764664bb621824e1ffad779b99ce32d28a83bd070cab8b7"),
+    ("C2", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
+                   "4231261cce7d16d3d83ac7f82310d21863a974e9ea6e96cc1dd4b560323957d2"),
+    ("C3", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
+                   "4c93b1f27e64de0998dec9d3fedc8a95e01671bc8e0a18bc0a5dd0e83e822c5a"),
+    ("C5", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
+                   "0f6795998b1d85f88b27f22055809cbcc7aea325e7319346da7bd45059787e0f"),
+}
+
+
 @functools.cache
-def decoded_at_15_db(name):
-    """sha256 of the symbols and of the metrics of the pinned 15 dB batches."""
+def decoded_at(name, snr_db):
+    """sha256 of the symbols and of the metrics of the pinned batches at snr_db."""
     example, basis, variant = CODE_SHORTCUTS[name]
     code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
     gs = detect_groups(hurwitz_radon(code))
-    sigma2 = channel.snr_to_sigma2(15.0)
+    sigma2 = channel.snr_to_sigma2(snr_db)
     symbols, metrics = hashlib.sha256(), hashlib.sha256()
     for lo in range(0, 4096, channel.BATCH_SIZE):
         _, y, G = channel.draw_trials(11, 0, lo, lo + channel.BATCH_SIZE, code.generators, sigma2)
@@ -419,12 +439,17 @@ def decoded_at_15_db(name):
 
 @pytest.mark.parametrize("name", sorted(DECISIONS_SHA256))
 def test_decisions_at_15_db_are_pinned(name):
-    assert decoded_at_15_db(name)[0] == DECISIONS_SHA256[name]
+    assert decoded_at(name, 15.0)[0] == DECISIONS_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(METRICS_SHA256))
 def test_metrics_at_15_db_are_pinned(name):
-    assert decoded_at_15_db(name)[1] == METRICS_SHA256[name]
+    assert decoded_at(name, 15.0)[1] == METRICS_SHA256[name]
+
+
+@pytest.mark.parametrize("name, snr_db", sorted(PINNED_AT_0_AND_40_DB))
+def test_decisions_and_metrics_at_0_and_40_db_are_pinned(name, snr_db):
+    assert decoded_at(name, snr_db) == PINNED_AT_0_AND_40_DB[name, snr_db]
 
 
 # sha256 of ml_exhaustive's symbols (int8) and metric (float64), trial by
@@ -544,7 +569,7 @@ def test_asymmetric_alphabet_is_rejected(pam):
 
 
 @pytest.mark.parametrize("gs", [
-    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2, 11), (12, 15), (13, 14)), 10),   # overlap
+    GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2, 11), (12, 15), (13, 14)), 11),   # overlap
     GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13,)), 10),          # 14 missing
     GroupStructure((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 13)), 10),       # 13 twice
     GroupStructure((0, 1), ((2, 3, 4),), 5),                                                     # 5 of 16
@@ -555,6 +580,47 @@ def test_structure_that_does_not_partition_the_columns_is_rejected(gs):
     for y, Gi in ((np.zeros((2, 16)), G), (np.zeros(16), G[0])):
         with pytest.raises(ValueError, match=r"GroupStructure\(.*\) does not partition the 16 columns of G"):
             conditional_group_decode(y, Gi, gs, pam_levels(2))
+
+
+@pytest.mark.parametrize("exponent", [0, 9, 11, 16])
+def test_structure_refuses_an_exponent_that_contradicts_its_groups(exponent):
+    # 8 conditioned symbols and groups of at most 2 give exponent 10
+    assert GroupStructure(B2_CONDITIONED, B2_GROUPS, 10).exponent == 10
+    with pytest.raises(ValueError, match="exponent .* contradicts the structure"):
+        GroupStructure(B2_CONDITIONED, B2_GROUPS, exponent)
+
+
+# +0.0 and -0.0, magnitudes 1e-300 to 1e300 of both signs, and pairs that cancel
+# exactly or to a last bit
+SUMMANDS = np.concatenate([[0.0, -0.0], 10.0 ** np.arange(-300, 301, 25), -10.0 ** np.arange(-300, 301, 25),
+                           [1.0 + 2.0 ** -52, -1.0, 3.0, -3.0, 1e16, -1e16 - 2.0]])
+
+
+def test_rank_two_product_is_the_outer_sum_bit_for_bit():
+    # the decoder's outer sums: [l | 1] [1 ; m] multiplies only by 1.0, so its
+    # one rounding is the addition's; only the sign of a zero sum may differ
+    rng = np.random.default_rng(50)
+    l, m = SUMMANDS, rng.permutation(SUMMANDS)
+    trials = np.stack([l, m, -l])
+    left = np.stack([trials, np.ones_like(trials)], axis=-1)                    # (3, n, 2)
+    right = np.stack([np.ones_like(trials), trials[::-1]], axis=-2)            # (3, 2, n)
+    product = np.matmul(left, right, out=np.empty((3, len(l), len(l))))
+    outer = trials[:, :, None] + trials[::-1, None, :]
+    assert np.array_equal(product, outer)
+    assert np.array_equal(np.abs(product).view(np.uint64), np.abs(outer).view(np.uint64))
+
+
+def test_rank_three_product_sums_its_terms_in_order():
+    # the group terms [l | 1 | -d] [s ; s m ; 1], s = 1 or -1, round as (s l + s m) - d: the
+    # BLAS behind numpy adds the terms of a product in order
+    rng = np.random.default_rng(51)
+    l, m, d = SUMMANDS, rng.permutation(SUMMANDS), rng.permutation(SUMMANDS)
+    for shift in range(len(d)):
+        dk = np.roll(d, shift)
+        left = np.stack([l, np.ones_like(l), -dk], axis=-1)
+        for sign in (1.0, -1.0):
+            right = np.stack([np.full_like(m, sign), sign * m, np.ones_like(m)])
+            assert np.array_equal(left @ right, (sign * l[:, None] + sign * m[None, :]) - dk[:, None])
 
 
 def test_batch_names_the_trial_that_breaks_orthogonality():

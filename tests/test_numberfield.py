@@ -211,7 +211,9 @@ def test_context_mismatch_raises():
         x + y
     with pytest.raises(ContextMismatchError):
         x * y
-    assert x != y
+    # equal rationals are one number in either field; an irrational element is not
+    assert x == y
+    assert FieldContext(3, 1).element(0, 1) != FieldContext(6, 1).element(0, 1)
 
 
 def test_equality_and_hash():
@@ -232,6 +234,20 @@ def test_a_rational_element_hashes_as_its_value(value):
         assert x == value and hash(x) == hash(value)
         assert len({x, value}) == 1 and {value: 1}[x] == 1
     assert FieldContext(3, 1).element(Fraction(1, 2)).den == 2
+
+
+def test_rational_elements_compare_by_value_across_contexts():
+    # equality is transitive, so each insertion order gives one set member
+    a, b = FieldContext(3, 1).element(1), FieldContext(5, 2).element(1)
+    assert a == b == 1 and a == 1 == b
+    for members in ([a, 1, b], [1, a, b], [b, a, 1]):
+        assert len(set(members)) == 1
+        assert len(set(reversed(members))) == 1
+    half = Fraction(1, 2)
+    assert FieldContext(3, 1).element(half) == FieldContext(5, 2).element(half) != a
+    # an irrational element belongs to its field: equal coordinates elsewhere are another number
+    assert FieldContext(3, 1).element(0, 0, 1) != FieldContext(5, 2).element(0, 0, 1)
+    assert FieldContext(3, 1).element(0, 0, 1) == FieldContext(3, 1).element(0, 0, 1)
 
 
 # ----------------------------------------------------------------------
