@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_VISIT_BUDGET = 1 << 20
-_NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measured within 5 eps
+_NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measured within 2.93 eps (6.5e-16)
 ORTHOGONALITY_TOL = 1e-8
 
 
@@ -179,6 +179,13 @@ class DecodeResult:
     visits: int
 
 
+def _check_symmetric(levels) -> None:
+    """Raise unless the alphabet is symmetric about zero, so that candidate -1-j of its
+    lexicographic grid is minus candidate j; both decoders pair candidates that way."""
+    if sorted(levels) != sorted(-v for v in levels):
+        raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+
+
 @lru_cache(maxsize=32)
 def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
     """All |levels|^k symbol vectors in lexicographic order (levels ascending)."""
@@ -190,21 +197,29 @@ def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
 def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     """Brute-force maximum likelihood over the full symbol hypercube.
 
-    One trial: y of shape (r,) and G of shape (r, n).  Every one of the m^n
+    One trial: y of shape (r,) and G of shape (r, n), and an alphabet pam
+    symmetric about zero (ValueError otherwise).  Every one of the m^n
     candidates is scored, split into a prefix u of n // 2 symbols and a
     suffix v of the rest, each from its lexicographic grid U or V.  With
     a_u = y - G_u u and b_v = G_v v, candidate (u, v) scores |a_u|^2 +
-    |b_v|^2 - 2 a_u^T b_v, all of them in one (|U|, |V|) array from one GEMM.
-    That score only prunes: each prefix u whose best score lies within
-    _NEAR_TIE_RTOL (relative to the largest terms) of the overall best keeps
-    its block of |V| candidates [u | V], and the surviving blocks, still in
-    lexicographic order, are rescored as a residual matrix y - G S^T and its
-    column sums of squares.  The decision and the reported metric
-    ||y - G s||^2 are argmin and minimum of that rescoring, the arithmetic
-    of a search over the whole grid, so ties (s and -s at y = 0, say) go to
-    the lexicographically smallest symbol vector and the metric is that
-    search's value bit for bit.  Nothing here uses the Gram matrix or any
-    group structure: this is the independent reference for the decoders.
+    |b_v|^2 - 2 a_u^T b_v.  The alphabet is symmetric, so V[-1-j] = -V[j]:
+    v and -v share |b_v|^2, and the better of (u, v_j) and (u, -v_j) scores
+    |a_u|^2 - 2 (|C_ju| - |b_j|^2 / 2) with C = b^T a, b taken over the
+    first half of V only (an odd grid keeps its self-paired zero row).
+    Prefix u's best score is then a maximum over the rows of one (|V| / 2,
+    |U|) array from one GEMM.  That score only prunes: each prefix u whose
+    best score lies within _NEAR_TIE_RTOL of the overall best keeps its
+    block of |V| candidates [u | V].  The slack is relative to max |a_u|^2 +
+    max |b_v|^2 + |y|^2, and the split scores were measured within 2.93 eps
+    of that from the rescored metric (C2 and C5, 0 to 40 dB and y = 0).  The
+    surviving blocks, still in lexicographic order, are rescored as a
+    residual matrix y - G S^T and its column sums of squares.  The decision
+    and the reported metric ||y - G s||^2 are argmin and minimum of that
+    rescoring, the arithmetic of a search over the whole grid, so ties (s
+    and -s at y = 0, say) go to the lexicographically smallest symbol vector
+    and the metric is that search's value bit for bit.  Nothing here uses
+    the Gram matrix or any group structure: this is the independent
+    reference for the decoders.
     """
     y = np.asarray(y, dtype=float)
     G = np.asarray(G)
@@ -213,20 +228,22 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
                          "need one trial, y (r,) with G (r, n)")
     if not (np.isfinite(y).all() and np.isfinite(G).all()):
         raise ValueError("y and G must be finite")
+    levels = tuple(pam)
+    _check_symmetric(levels)
     n = G.shape[1]
-    m = len(pam)
+    m = len(levels)
     count = m ** n
     if count > DEFAULT_VISIT_BUDGET:
         raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     h = n // 2
-    U, V = _candidate_grid(tuple(pam), h), _candidate_grid(tuple(pam), n - h)
+    U, V = _candidate_grid(levels, h), _candidate_grid(levels, n - h)
     a = y[:, None] - G[:, :h] @ U.T
-    b = G[:, h:] @ V.T
+    b = G[:, h:] @ V[:len(V) - len(V) // 2].T
     qa, qb = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->j", b, b)
-    # the squares ride along in the GEMM as two extra rows: [-2a; qa; 1]^T [b; 1; qb]
-    left = np.vstack([-2.0 * a, qa, np.ones(len(U))])
-    right = np.vstack([b, np.ones(len(V)), qb])
-    best = (left.T @ right).min(axis=1)                             # per prefix u
+    C = b.T @ a
+    np.abs(C, out=C)
+    C -= 0.5 * qb[:, None]
+    best = qa - 2.0 * C.max(axis=0)                                 # per prefix u
     near = np.flatnonzero(best <= best.min() + _NEAR_TIE_RTOL * (qa.max() + qb.max() + y @ y))
     S = np.concatenate([np.repeat(U[near], len(V), axis=0), np.tile(V, (len(near), 1))], axis=1)
     D = y[:, None] - G @ S.T
@@ -243,8 +260,7 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
     """Read-only arrays for decoding width columns over gs with the alphabet levels: conditioned prefix
     a, suffix b and their grids; each symbol's group (-1 if conditioned) and the cross-group mask; same-size
     groups stacked as (indices (ng, k), grid, half grid); each group's (stack, row); visits."""
-    if sorted(levels) != sorted(-v for v in levels):
-        raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+    _check_symmetric(levels)
     if sorted([*gs.conditioned, *(v for g in gs.groups for v in g)]) != list(range(width)):
         raise ValueError(f"{gs} does not partition the {width} columns of G into its conditioned set and groups")
     a, b = np.split(np.array(gs.conditioned, dtype=np.intp), [len(gs.conditioned) // 2])
@@ -257,7 +273,7 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
         arr.setflags(write=False)
     return (a, b, _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b)), label, cross, stacks,
             tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes)),
-            len(levels) ** len(gs.conditioned) * sum(len(levels) ** k for k in sizes))
+            len(levels) ** len(gs.conditioned) * (sum(len(levels) ** k for k in sizes) if sizes else 1))
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
@@ -400,9 +416,10 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     ValueError unless gs partitions the columns of G.  Returns the symbols
     and the residual metric ||y - G s||^2 per trial, shaped like y's batch
     (a float for a single trial).  Visits are per trial: M^|conditioned| *
-    sum_i M^|group_i| candidate enumerations.  The group terms scale with
-    the rows passed (about 13 KB per C5 row at peak), the block buffers do
-    not; the callers in this package pass at most channel.BATCH_SIZE rows.
+    sum_i M^|group_i| candidate enumerations, or M^|conditioned| with no
+    groups.  The group terms scale with the rows passed (about 13 KB per C5
+    row at peak), the block buffers do not; the callers in this package pass
+    at most channel.BATCH_SIZE rows.
     """
     y = np.asarray(y, dtype=float)
     G = np.asarray(G)

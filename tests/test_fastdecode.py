@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import re
 import types
 from fractions import Fraction
 
@@ -237,6 +238,22 @@ def test_ml_exhaustive_zero_signal_ties_equal_full_grid_search(name):
         assert res.metric == metric
 
 
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 40.0, None], ids=["0dB", "10dB", "40dB", "zero-signal"])
+@pytest.mark.parametrize("name", ["C2", "C5"])
+def test_ml_exhaustive_equals_full_grid_search_at_sixteen_symbols(name, snr_db):
+    # the size every caller decodes: 2-PAM, eight prefix symbols against a
+    # half grid of 128 suffixes, on draw_trials rows (y = 0 for zero-signal)
+    example, basis, variant = CODE_SHORTCUTS[name]
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    sigma2 = channel.snr_to_sigma2(10.0 if snr_db is None else snr_db)
+    _, y, G = channel.draw_trials(17, 2, 0, 24, code.generators, sigma2)
+    for yi, Gi in zip(np.zeros_like(y) if snr_db is None else y, G):
+        res = ml_exhaustive(yi, Gi, pam_levels(2))
+        symbols, metric = reference_ml(yi, Gi, pam_levels(2))
+        assert np.array_equal(res.symbols, symbols)
+        assert res.metric == metric
+
+
 @pytest.mark.parametrize("y_shape, g_shape", [
     ((2, 16), (2, 16, 16)),      # a batch: the oracle takes one trial
     ((15,), (16, 16)),           # y shorter than G's 16 rows
@@ -246,6 +263,14 @@ def test_ml_exhaustive_zero_signal_ties_equal_full_grid_search(name):
 def test_ml_exhaustive_rejects_mismatched_shapes(y_shape, g_shape):
     with pytest.raises(ValueError, match="does not match G"):
         ml_exhaustive(np.zeros(y_shape), np.ones(g_shape), pam_levels(2))
+
+
+@pytest.mark.parametrize("pam", [(-1.0, 0.5), (0.0, 1.0), (-1.0, 1.0, 3.0)], ids=["half", "zero-one", "shifted"])
+def test_ml_exhaustive_rejects_an_asymmetric_alphabet(pam):
+    # the conditional decoder's message, and before the budget guard (3^21 > 2^20)
+    for G in (np.ones((16, 16)), np.ones((4, 21))):
+        with pytest.raises(ValueError, match=re.escape(f"the alphabet must be symmetric about zero, got {pam}")):
+            ml_exhaustive(np.zeros(len(G)), G, pam)
 
 
 def test_ml_budget_guard_builds_no_grid():
@@ -505,6 +530,19 @@ def test_block_orthogonal_six_symbol_channel_matches_oracle(pam):
     assert res.visits == m ** 2 * (m ** 3 + m)
     for i in range(trials):
         oracle = ml_exhaustive(y[i], G[i], pam)
+        assert np.array_equal(res.symbols[i], oracle.symbols), i
+        assert abs(res.metric[i] - oracle.metric) <= 1e-9
+
+
+def test_structure_conditioning_every_symbol_visits_each_assignment():
+    gs = GroupStructure(tuple(range(6)), (), 6)
+    rng = np.random.default_rng(47)
+    G = rng.standard_normal((3, 8, 6))
+    y = np.einsum("bij,bj->bi", G, rng.choice(pam_levels(2), (3, 6))) + 0.7 * rng.standard_normal((3, 8))
+    res = conditional_group_decode(y, G, gs, pam_levels(2))
+    assert res.visits == 64
+    for i in range(3):
+        oracle = ml_exhaustive(y[i], G[i], pam_levels(2))
         assert np.array_equal(res.symbols[i], oracle.symbols), i
         assert abs(res.metric[i] - oracle.metric) <= 1e-9
 
