@@ -5,8 +5,8 @@ generators e, f satisfying e^2 = a, f^2 = b and fe = ef*u, where u is a
 norm-one unit of L.  This module derives (a, b) from u, certifies the
 conditions that make the 4x4 codeword unitary-friendly, decides whether
 the algebra is division (the full diversity certificate), and builds the
-left regular representation together with its permuted and normalized
-forms.
+left regular representation together with its normalized form, whose
+layout of field coefficients COEFFICIENT_AT records.
 """
 
 from __future__ import annotations
@@ -279,19 +279,14 @@ def representation(p: CodeParams, xs) -> np.ndarray:
 
 
 _SWAP = (0, 3, 2, 1)  # rows/columns 2 and 4 exchanged
-
-
-def permuted_representation(p: CodeParams, xs) -> np.ndarray:
-    """Representation with rows and columns 2 and 4 swapped.
-
-    The two transpositions cancel, so the determinant is unchanged, and the
-    result exposes four 2x2 generalized Alamouti blocks.
-    """
-    return representation(p, xs)[np.ix_(_SWAP, _SWAP)]
+# Entry (r, c) of every normalized codeword carries x_{COEFFICIENT_AT[r][c]}:
+# the representation's x_{r XOR c}, moved by the swap.
+COEFFICIENT_AT = tuple(tuple(_SWAP[r] ^ _SWAP[c] for c in range(4)) for r in range(4))
 
 
 def normalized_codeword(p: CodeParams, xs, block_scale: float = 1.0) -> np.ndarray:
-    """Permuted representation with the balancing row/column scalings applied.
+    """Representation with rows and columns 2 and 4 swapped, which keeps the
+    determinant and exposes four 2x2 generalized Alamouti blocks, then scaled.
 
     Row 1 is divided by sqrt(alpha), column 1 multiplied by sqrt(alpha),
     column 4 multiplied by sqrt(alpha/c) and row 4 divided by sqrt(alpha/c);

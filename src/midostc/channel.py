@@ -35,6 +35,7 @@ from .fastdecode import (GroupStructure, _real_channel, conditional_group_decode
 
 RNG_SCHEME = "philox-ss-v1"
 BATCH_SIZE = 256
+PAM = pam_levels(2)     # the alphabet draw_trials draws symbols from
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -222,9 +223,9 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 
 def _run_trials(args) -> tuple:
     """(stop, word errors) of one batch: a contiguous range of trial indices."""
-    seed, point_index, start, stop, generators, gs, sigma2, pam = args
+    seed, point_index, start, stop, generators, gs, sigma2 = args
     s0, y, G = draw_trials(seed, point_index, start, stop, generators, sigma2)
-    res = conditional_group_decode(y, G, gs, pam)
+    res = conditional_group_decode(y, G, gs, PAM)
     return stop, int(np.count_nonzero((res.symbols != s0).any(axis=1)))
 
 
@@ -267,14 +268,13 @@ def simulate_wer(code, gs: GroupStructure, snr_db_list, *, seed: int,
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     sigma2s = [snr_to_sigma2(snr_db) for snr_db in snr_db_list]
-    pam = pam_levels(2)
     workers = min(threads, os.cpu_count() or 1, -(-max_trials // BATCH_SIZE))
     records = []
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
         for point_index, (snr_db, sigma2) in enumerate(zip(snr_db_list, sigma2s)):
-            batches = ((seed, point_index, lo, min(lo + BATCH_SIZE, max_trials), code.generators, gs,
-                        sigma2, pam) for lo in range(0, max_trials, BATCH_SIZE))
+            batches = ((seed, point_index, lo, min(lo + BATCH_SIZE, max_trials), code.generators, gs, sigma2)
+                       for lo in range(0, max_trials, BATCH_SIZE))
             errors = 0
             for trials, batch_errors in _in_order(pool, batches, workers) if pool else map(_run_trials, batches):
                 errors += batch_errors

@@ -203,16 +203,15 @@ def cmd_decode_verify(args) -> int:
     sigma2 = channel.snr_to_sigma2(args.snr_db, "--snr-db")
     code = codebook.build_code(_params_from_args(args), args.basis, args.variant)
     gs = fastdecode.detect_groups(fastdecode.hurwitz_radon(code))
-    pam = fastdecode.pam_levels(2)
     matches = 0
     worst = 0.0
     # one slice of BATCH_SIZE trials at a time keeps memory flat in --trials
     for lo in range(0, args.trials, channel.BATCH_SIZE):
         _, y, G = channel.draw_trials(args.seed, 0, lo, min(lo + channel.BATCH_SIZE, args.trials),
                                       code.generators, sigma2)
-        r_cg = fastdecode.conditional_group_decode(y, G, gs, pam)
+        r_cg = fastdecode.conditional_group_decode(y, G, gs, channel.PAM)
         for i in range(len(y)):
-            r_ml = fastdecode.ml_exhaustive(y[i], G[i], pam)
+            r_ml = fastdecode.ml_exhaustive(y[i], G[i], channel.PAM)
             gap = abs(r_ml.metric - r_cg.metric[i])
             worst = max(worst, gap)
             if np.array_equal(r_ml.symbols, r_cg.symbols[i]) or gap <= 1e-9:

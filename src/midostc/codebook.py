@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (_SWAP, CodeParams, _normalize, build_params, det_exact, normalized_codeword, representation,
-                      representation_det_exact)
+from .algebra import (COEFFICIENT_AT, CodeParams, _normalize, build_params, det_exact, normalized_codeword,
+                      representation, representation_det_exact)
 from .numberfield import FieldContext, FieldElement
 
 
@@ -129,12 +129,11 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
             raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
-    # Entry (r, c) of a representation carries x_{r XOR c}: generator 4j + t keeps
-    # the entries with r XOR c == j of slot t's representation on (slot,) * 4.
+    # generator 4j + t: slot t's normalized codeword on (slot,) * 4, kept where COEFFICIENT_AT is j
     reps = np.stack([representation(params, (slot,) * 4) for slot in _slots(params, basis)])
-    on_j = np.bitwise_xor.outer(range(4), range(4)) == np.arange(4)[:, None, None]
+    on_j = np.array(COEFFICIENT_AT) == np.arange(4)[:, None, None]
     with np.errstate(over="ignore"):        # an overflow shows as an infinite energy
-        gens = _normalize(params, np.where(on_j[:, None], reps, 0).reshape(16, 4, 4), block_scale)
+        gens = np.where(on_j[:, None], _normalize(params, reps, block_scale), 0).reshape(16, 4, 4)
         energy = float(np.sum(np.abs(gens) ** 2))
     if not 0.0 < energy < math.inf:
         raise ValueError(f"the generators' energy is {energy} as a double: the parameters leave double precision")
@@ -187,16 +186,15 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
     """|det| and the permanent of |M| for every sparse difference M, in
     _sparse_difference order, energy scale factored out.
 
-    Entry (r, c) of the normalized codeword carries x_{S[r] XOR S[c]}, S = _SWAP,
-    and every rescaling is a real diagonal one, so coefficient j's part X_j
-    is monomial on c = pi_j(r) = S[S[r] XOR j].  For j != k, pi_j pi_k is
+    Coefficient j's part X_j of the normalized codeword is monomial on the
+    entries (r, pi_j(r)) where COEFFICIENT_AT is j.  For j != k, pi_j pi_k is
     conjugate to XOR by j XOR k: two 2-cycles {r, r'} with r' = pi_j(pi_k(r)).
     On each, X_j(d) + X_k(e) is a 2x2 block with determinant P(d) - Q(e),
     P = X_j[r, pi_j(r)] X_j[r', pi_j(r')] and Q the same product over X_k, and
     permanent |P| + |Q|; det and permanent of M are the products over the two.
     """
     A = (code.generators / code.energy_scale).reshape(4, 4, 4, 4)      # [j, t, r, c]
-    pi = [[_SWAP[_SWAP[r] ^ j] for r in range(4)] for j in range(4)]
+    pi = [[COEFFICIENT_AT[r].index(j) for r in range(4)] for j in range(4)]
     X = [_DELTAS @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on the grid
     dets, perms = [], []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -341,7 +341,6 @@ def test_determinant_chain_exact_vs_numeric():
                                        for _ in range(4)]) for _ in range(4))
             d_exact = algebra.representation_det_exact(p, xs)
             for builder in (algebra.representation,
-                            algebra.permuted_representation,
                             algebra.normalized_codeword):
                 d_num = np.linalg.det(builder(p, xs))
                 assert abs(d_num - float(d_exact)) <= 1e-9 * max(1.0, abs(float(d_exact)))
@@ -361,6 +360,20 @@ def test_normalized_generator_is_monomial():
     expected[3, 0] = math.sqrt(3)
     assert np.allclose(m, expected, atol=1e-12)
     assert abs(np.linalg.det(m)) == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_coefficient_at_is_the_normalized_layout(n):
+    # with only x_j nonzero, the normalized codeword is nonzero exactly on the
+    # entries that COEFFICIENT_AT gives j: one per row and one per column
+    p = catalog_entry(n)
+    table = np.array(algebra.COEFFICIENT_AT)
+    for x in (p.ctx.one(), p.ctx.element(F(2, 3), -1, F(1, 2), 3)):
+        for j in range(4):
+            xs = tuple(x if i == j else p.ctx.zero() for i in range(4))
+            on_j = algebra.normalized_codeword(p, xs) != 0
+            assert np.array_equal(on_j, table == j), (n, j)
+            assert (on_j.sum(axis=0) == 1).all() and (on_j.sum(axis=1) == 1).all()
 
 
 @pytest.mark.parametrize("n, block_scale", [(1, 1.0), (1, 1.3), (2, 1.0), (4, 1.0), (5, 0.7)])

@@ -182,7 +182,7 @@ def test_run_trials_counts_like_a_per_trial_loop():
         res = fastdecode.conditional_group_decode(y[0], G[0], gs, pam)
         errors += not np.array_equal(res.symbols, s0[0])
     assert errors > 0
-    assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2, pam)) == (74, errors)
+    assert _run_trials((38, 1, 10, 74, code.generators, gs, sigma2)) == (74, errors)
 
 
 def test_channel_entries_are_unit_variance():

@@ -3,7 +3,12 @@
 import functools
 import hashlib
 import itertools
+import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -473,8 +478,54 @@ def test_metrics_at_15_db_are_pinned(name):
 
 
 @pytest.mark.parametrize("name, snr_db", sorted(PINNED_AT_0_AND_40_DB))
-def test_decisions_and_metrics_at_0_and_40_db_are_pinned(name, snr_db):
-    assert decoded_at(name, snr_db) == PINNED_AT_0_AND_40_DB[name, snr_db]
+def test_decisions_at_0_and_40_db_are_pinned(name, snr_db):
+    assert decoded_at(name, snr_db)[0] == PINNED_AT_0_AND_40_DB[name, snr_db][0]
+
+
+@pytest.mark.parametrize("name, snr_db", sorted(PINNED_AT_0_AND_40_DB))
+def test_metrics_at_0_and_40_db_are_pinned(name, snr_db):
+    assert decoded_at(name, snr_db)[1] == PINNED_AT_0_AND_40_DB[name, snr_db][1]
+
+
+# The decisions pins above, rerun in a child process on OpenBLAS's Haswell
+# kernels, which it also picks on Zen CPUs.  y and G come from BLAS products,
+# so their last bits, and the metrics, move with the kernel; no decision may.
+# The child reports the kernel it ran on, or None when numpy's BLAS is not
+# the scipy-openblas build that OPENBLAS_CORETYPE selects in.
+HASWELL_CHILD = """
+import ctypes, glob, json, os, sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from test_fastdecode import decoded_at
+
+def core():
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        name = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if name is not None:
+            name.restype = ctypes.c_char_p
+            return name().decode()
+    return None
+
+print(json.dumps([core(), {f"{name} {snr_db}": decoded_at(name, snr_db)[0]
+                           for name in ("C2", "C3", "C5") for snr_db in (0.0, 15.0, 40.0)}]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS has Haswell kernels on x86-64 only")
+def test_decisions_are_pinned_on_the_haswell_blas_kernel():
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(fastdecode.__file__))]
+    child = subprocess.run([sys.executable, "-c", HASWELL_CHILD, *paths], env=env,
+                           capture_output=True, text=True, timeout=240)
+    assert child.returncode == 0, child.stderr
+    core, decisions = json.loads(child.stdout)
+    if core is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas: OPENBLAS_CORETYPE selects no kernel")
+    assert core == "Haswell"
+    pinned = {**{f"{name} 15.0": digest for name, digest in DECISIONS_SHA256.items()},
+              **{f"{name} {snr_db}": digests[0] for (name, snr_db), digests in PINNED_AT_0_AND_40_DB.items()}}
+    assert decisions == pinned
 
 
 # sha256 of ml_exhaustive's symbols (int8) and metric (float64), trial by
