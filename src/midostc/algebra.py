@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -72,43 +72,40 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
 
 @dataclass(frozen=True)
 class ConditionsReport:
-    """Exact record of the codeword-shaping conditions for (u, a, b); its field
-    names are the keys of the "conditions" object that construct prints."""
+    """Exact record of the codeword-shaping conditions for (u, a, b): built from its four exact
+    values, it derives its verdicts and refuses (ValueError) an alpha that leaves double
+    precision.  Its field names are the keys of the "conditions" object that construct prints."""
 
     norm_u: Fraction
     u_sigma_u: FieldElement
     u_tau_u: FieldElement
     ab_tau_u: FieldElement
-    norm_ok: bool                    # N(u) == 1
-    u_sigma_u_is_minus_one: bool     # u*sigma(u) == -1 (informational, see below)
-    epsilon_ok: bool                 # u*tau(u) in {-1, i, -i}
-    ab_tau_u_real: bool              # a*b*tau(u) fixed by conjugation
-    ab_tau_u_negative: bool          # embedded a*b*tau(u) strictly negative
-    alpha: float | None              # -embed(a*b*tau(u)) when real and negative
-    ok: bool
+    norm_ok: bool = field(init=False)                   # N(u) == 1
+    u_sigma_u_is_minus_one: bool = field(init=False)    # u*sigma(u) == -1 (informational, see below)
+    epsilon_ok: bool = field(init=False)                # u*tau(u) in {-1, i, -i}
+    ab_tau_u_real: bool = field(init=False)             # a*b*tau(u) fixed by conjugation
+    ab_tau_u_negative: bool = field(init=False)         # embedded a*b*tau(u) strictly negative
+    alpha: float | None = field(init=False)             # -embed(a*b*tau(u)) when real and negative
+    ok: bool = field(init=False)
 
-
-def _conditions(ctx: FieldContext, u: FieldElement, a: FieldElement, b: FieldElement) -> ConditionsReport:
-    norm_u = u.norm()
-    u_sigma = u * u.sigma()
-    u_tau = u * u.tau()
-    ab_tau = a * b * u.tau()
-    norm_ok = norm_u == 1
-    sigma_minus_one = u_sigma == ctx.element(-1)
-    # w' is a genuine imaginary unit only when c' = 1, so only then may epsilon be +-w'.
-    epsilon_ok = u_tau == -1 or (ctx.cprime == 1 and u_tau in (ctx.omega_prime(), -ctx.omega_prime()))
-    real_ok = ab_tau.is_conjugation_fixed()
-    negative_ok = real_ok and ab_tau.real_sign() < 0
-    alpha = -ab_tau.embed().real if negative_ok else None
-    if alpha is not None and not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha = -a*b*tau(u) is positive but its double is {abs(alpha)}: "
-                         "the parameters leave double precision")
-    # The sigma branch is not part of the gate: the generic a = k*w derivation
-    # needs it, but a directly supplied a = l*(1 + u*sigma(u)) does not, and
-    # the shaping conditions below are what the normalized codeword requires.
-    ok = norm_ok and epsilon_ok and real_ok and negative_ok
-    return ConditionsReport(norm_u, u_sigma, u_tau, ab_tau, norm_ok,
-                            sigma_minus_one, epsilon_ok, real_ok, negative_ok, alpha, ok)
+    def __post_init__(self):
+        ctx, u_tau, ab_tau = self.u_tau_u.ctx, self.u_tau_u, self.ab_tau_u
+        # w' is a genuine imaginary unit only when c' = 1, so only then may epsilon be +-w'.
+        epsilon_ok = u_tau == -1 or (ctx.cprime == 1 and u_tau in (ctx.omega_prime(), -ctx.omega_prime()))
+        real_ok = ab_tau.is_conjugation_fixed()
+        negative_ok = real_ok and ab_tau.real_sign() < 0
+        alpha = -ab_tau.embed().real if negative_ok else None
+        if alpha is not None and not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha = -a*b*tau(u) is positive but its double is {abs(alpha)}: "
+                             "the parameters leave double precision")
+        # The sigma branch is not part of the gate: the generic a = k*w derivation
+        # needs it, but a directly supplied a = l*(1 + u*sigma(u)) does not, and
+        # the shaping conditions below are what the normalized codeword requires.
+        norm_ok = self.norm_u == 1
+        verdicts = (norm_ok, self.u_sigma_u == -1, epsilon_ok, real_ok, negative_ok, alpha,
+                    norm_ok and epsilon_ok and real_ok and negative_ok)
+        for f, verdict in zip(fields(self)[4:], verdicts):        # the verdict fields, in order
+            object.__setattr__(self, f.name, verdict)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +251,8 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
         raise ValueError("supply both a and b or neither")
     if a is None:
         a, b = derive_ab(ctx, u, k, lprime)
-    return CodeParams(ctx, u, a, b, k, lprime, _conditions(ctx, u, a, b), division_check(ctx, u), name)
+    conditions = ConditionsReport(u.norm(), u * u.sigma(), u * u.tau(), a * b * u.tau())
+    return CodeParams(ctx, u, a, b, k, lprime, conditions, division_check(ctx, u), name)
 
 
 # ----------------------------------------------------------------------

@@ -262,10 +262,11 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     (_sparse_determinants); "random" samples n full-width differences from
     {-2, 0, 2}^16, n at least 1, seed non-negative, drops the zero ones and
     ranks them by det_exact's Laplace expansion.  Either set is ranked
-    _SAMPLE_SLICE differences at a time by _witness, so that memory stays
-    flat in n.  The minimum is the exact determinant at the witness; a
-    strictly positive one over the sparse set is the nonvanishing
-    determinant expected from a division algebra.
+    _SAMPLE_SLICE differences at a time by _witness: memory stays flat in
+    n, and the allocator reuses a slice's temporaries (the whole sparse
+    set's would page-fault afresh on every call).  The minimum is the exact
+    determinant at the witness; a strictly positive one over the sparse set
+    is the nonvanishing determinant expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
         dets, perms = _sparse_determinants(code)     # the sparse set has no zero difference

@@ -180,10 +180,27 @@ class DecodeResult:
 
 
 def _check_symmetric(levels) -> None:
-    """Raise unless the alphabet is symmetric about zero, so that candidate -1-j of its
-    lexicographic grid is minus candidate j; both decoders pair candidates that way."""
+    """Raise unless the alphabet is two or more distinct finite levels symmetric about zero, so that
+    candidate -1-j of its lexicographic grid is minus candidate j; both decoders pair candidates that way."""
+    if len(levels) < 2 or len(set(levels)) < len(levels) or not np.isfinite(levels).all():
+        raise ValueError(f"the alphabet must hold two or more distinct finite levels, got {levels}")
     if sorted(levels) != sorted(-v for v in levels):
         raise ValueError(f"the alphabet must be symmetric about zero, got {levels}")
+
+
+def _real_trials(y, G, batched: bool) -> tuple:
+    """y and G as float arrays, the one input check of both decoders: one trial, y (r,) with
+    G (r, n), or with batched also y (B, r) with G (B, r, n) for B >= 1, all real and finite."""
+    y, G = np.asarray(y), np.asarray(G)
+    if y.ndim not in ((1, 2) if batched else (1,)) or G.shape[:-1] != y.shape or y.size == 0:
+        need = "y (r,) with G (r, n)" + (", or y (B, r) with G (B, r, n) and B >= 1" if batched else "")
+        raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need {need}")
+    if np.iscomplexobj(y) or np.iscomplexobj(G):
+        raise ValueError(f"y and G must be real, got {y.dtype} y and {G.dtype} G")
+    y, G = y.astype(float, copy=False), G.astype(float, copy=False)
+    if not (np.isfinite(y).all() and np.isfinite(G).all()):
+        raise ValueError("y and G must be finite")
+    return y, G
 
 
 @lru_cache(maxsize=32)
@@ -197,8 +214,8 @@ def _candidate_grid(levels: tuple, k: int) -> np.ndarray:
 def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     """Brute-force maximum likelihood over the full symbol hypercube.
 
-    One trial: y of shape (r,) and G of shape (r, n), and an alphabet pam
-    symmetric about zero (ValueError otherwise).  Every one of the m^n
+    One trial, y of shape (r,) and G of shape (r, n); _real_trials and
+    _check_symmetric refuse bad input and alphabets.  Every one of the m^n
     candidates is scored, split into a prefix u of n // 2 symbols and a
     suffix v of the rest, each from its lexicographic grid U or V.  With
     a_u = y - G_u u and b_v = G_v v, candidate (u, v) scores |a_u|^2 +
@@ -221,13 +238,7 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     the Gram matrix or any group structure: this is the independent
     reference for the decoders.
     """
-    y = np.asarray(y, dtype=float)
-    G = np.asarray(G)
-    if y.ndim != 1 or G.ndim != 2 or G.shape[0] != len(y):
-        raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: "
-                         "need one trial, y (r,) with G (r, n)")
-    if not (np.isfinite(y).all() and np.isfinite(G).all()):
-        raise ValueError("y and G must be finite")
+    y, G = _real_trials(y, G, batched=False)
     levels = tuple(pam)
     _check_symmetric(levels)
     n = G.shape[1]
@@ -410,24 +421,17 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     happens, so a wrong structure fails loudly instead of degrading to a
     heuristic; the error names the first failing trial of the batch.
 
-    The alphabet pam must be symmetric about zero, as pam_levels is: the
-    group search pairs each candidate with its negative.  What depends only
-    on gs, pam and G's width is planned once (_plan), which raises
-    ValueError unless gs partitions the columns of G.  Returns the symbols
-    and the residual metric ||y - G s||^2 per trial, shaped like y's batch
-    (a float for a single trial).  Visits are per trial: M^|conditioned| *
-    sum_i M^|group_i| candidate enumerations, or M^|conditioned| with no
-    groups.  The group terms scale with the rows passed (about 13 KB per C5
-    row at peak), the block buffers do not; the callers in this package pass
-    at most channel.BATCH_SIZE rows.
+    y, G and pam pass ml_exhaustive's checks (_real_trials and
+    _check_symmetric).  What depends only on gs, pam and G's width is
+    planned once (_plan), which raises ValueError unless gs partitions the
+    columns of G.  Returns the symbols and the residual metric ||y - G s||^2
+    per trial, shaped like y's batch (a float for a single trial).  Visits
+    are per trial: M^|conditioned| * sum_i M^|group_i| candidate
+    enumerations, or M^|conditioned| with no groups.  The group terms scale
+    with the rows passed (about 13 KB per C5 row at peak), the block buffers
+    do not; the callers in this package pass at most channel.BATCH_SIZE rows.
     """
-    y = np.asarray(y, dtype=float)
-    G = np.asarray(G)
-    if y.ndim not in (1, 2) or G.shape[:-1] != y.shape or y.size == 0:
-        raise ValueError(f"y of shape {y.shape} does not match G of shape {G.shape}: need "
-                         "y (16,) with G (16, 16), or y (B, 16) with G (B, 16, 16) and B >= 1")
-    if not (np.isfinite(y).all() and np.isfinite(G).all()):
-        raise ValueError("y and G must be finite")
+    y, G = _real_trials(y, G, batched=True)
     plan = _plan(gs, tuple(pam), G.shape[-1])
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from midostc import algebra
 from midostc.algebra import (
+    ConditionsReport,
     DegenerateAlgebraError,
     UnsupportedBranchError,
     UnsupportedFormError,
@@ -284,6 +285,18 @@ def test_build_params_does_not_raise_on_condition_failure():
     assert not p.conditions.ab_tau_u_negative
     flipped = build_params(ctx, u, k=-1)
     assert flipped.conditions.ok
+
+
+def test_conditions_report_derives_its_verdicts_from_four_values():
+    for entry in range(1, 6):
+        c = catalog_entry(entry).conditions
+        assert ConditionsReport(c.norm_u, c.u_sigma_u, c.u_tau_u, c.ab_tau_u) == c
+        with pytest.raises(TypeError):
+            ConditionsReport(c.norm_u, c.u_sigma_u, c.u_tau_u, c.ab_tau_u, ok=not c.ok)
+    # construct prints these keys in this order
+    assert [f.name for f in dataclasses.fields(ConditionsReport)] == [
+        "norm_u", "u_sigma_u", "u_tau_u", "ab_tau_u", "norm_ok", "u_sigma_u_is_minus_one",
+        "epsilon_ok", "ab_tau_u_real", "ab_tau_u_negative", "alpha", "ok"]
 
 
 def test_build_params_needs_both_generators_or_neither():

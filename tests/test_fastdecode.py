@@ -753,6 +753,38 @@ def test_decoders_refuse_non_finite_input(bad, where, batch):
         ml_exhaustive(y if batch is None else y[0], G if batch is None else G[0], pam_levels(2))
 
 
+@pytest.mark.parametrize("where", ["y", "G"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["one-trial", "batch"])
+def test_decoders_refuse_complex_input(where, batch):
+    # real channels of C2, so that only the imaginary part is wrong
+    gs, G, rng = batch_case("C2", batch or 1, 53)
+    y = rng.standard_normal(G.shape[:-1])
+    if batch is None:
+        y, G = y[0], G[0]
+    if where == "y":
+        y = y + 1j * rng.standard_normal(y.shape)
+    else:
+        G = G + 1j * rng.standard_normal(G.shape)
+    with pytest.raises(ValueError, match="y and G must be real"):
+        conditional_group_decode(y, G, gs, pam_levels(2))
+    with pytest.raises(ValueError, match="y and G must be real"):
+        ml_exhaustive(y if batch is None else y[0], G if batch is None else G[0], pam_levels(2))
+
+
+@pytest.mark.parametrize("pam", [(-np.inf, np.inf), (), (-1.0, 1.0, 1.0, -1.0), (0.0,)],
+                         ids=["infinite", "empty", "repeated", "one-level"])
+@pytest.mark.parametrize("decoder", ["oracle", "conditional"])
+def test_decoders_refuse_a_malformed_alphabet(decoder, pam):
+    gs, G, rng = batch_case("C2", 1, 54)
+    y = G[0] @ rng.choice(pam_levels(2), 16)
+    with pytest.raises(ValueError, match=re.escape(f"the alphabet must hold two or more distinct finite "
+                                                   f"levels, got {pam}")):
+        if decoder == "oracle":
+            ml_exhaustive(y, G[0], pam)
+        else:
+            conditional_group_decode(y, G[0], gs, pam)
+
+
 def reference_groups(adj, target):
     """detect_groups written out: every conditioning set of the wanted size,
     its components by breadth-first search over Python sets, and the least
