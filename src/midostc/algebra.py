@@ -161,26 +161,26 @@ class DivisionCertificate:
 def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
     """Decide whether the crossed product built on u is a division algebra.
 
-    With u*sigma(u) = -1 the question reduces to the quaternion algebra
-    (c, -c') over Q: division exactly when c is not represented by
-    x^2 + c'*y^2.  Otherwise u*sigma(u) must be a proper element of
-    Q(sqrt(-c)) and the test moves to the quaternion algebra
-    (-c', 2 + t) over Q with t the rational trace of u*sigma(u).  There
-    u*sigma(u) = x + y*w with x^2 + c*y^2 = N(u) = 1, so 2 + t = 2 + 2x
-    lies in [0, 4], with the ends only at u*sigma(u) = -1 and +1, which
-    are decided before; the tested value is strictly between 0 and 4.
+    sigma is an involution, so u*sigma(u) is fixed by sigma: it lies in
+    Q(w) = Q(sqrt(-c)), say x + y*w, with x^2 + c*y^2 = N(u) = 1, and if
+    rational it is -1 or 1.  At -1 the question reduces to the quaternion
+    algebra (c, -c') over Q: division exactly when c is not represented by
+    x^2 + c'*y^2.  At 1 there is no verdict (degenerate).  Otherwise the
+    test moves to the quaternion algebra (-c', 2 + t) over Q with t = 2x
+    the rational trace of u*sigma(u), and y != 0 puts the tested value
+    2 + 2x strictly between 0 and 4.
     """
     if ctx.cprime not in (1, 2):
         raise UnsupportedFormError(f"division test implemented for cprime in {{1, 2}}, got {ctx.cprime}")
     if u.norm() != 1:
         raise ValueError("u must have norm 1")
     u_sigma = u * u.sigma()
-    if u_sigma == ctx.element(-1):
+    if u_sigma == -1:
         branch, q, subject = "norm_form", Fraction(ctx.c), str(ctx.c)
+    elif u_sigma == 1:
+        return DivisionCertificate(None, "degenerate", None, None,
+                                   "u*sigma(u) is not a proper element of Q(sqrt(-c))")
     else:
-        if not u_sigma.in_q_omega() or u_sigma.is_rational():
-            return DivisionCertificate(None, "degenerate", None, None,
-                                       "u*sigma(u) is not a proper element of Q(sqrt(-c))")
         q = 2 + 2 * u_sigma.coords[0]  # 2 + the trace of u*sigma(u) down to Q
         branch, subject = "trace_form", f"2 + t = {q}"
     wit = representable(q, ctx.cprime)

@@ -12,11 +12,11 @@ source of that draw.  It runs numpy's SeedSequence hash for a whole range
 of trials as numpy columns, and its one Python loop rekeys a single
 Philox per trial for the raw words and normals; everything else works on
 the whole range at once.  _trial_rng, sample_channel, transmit and
-ChannelInstance are kept as the written-out form of philox-ss-v1 that
-bench/ and the tests read; nothing in src/ calls them.  Workers run whole
-batches of BATCH_SIZE trials, streamed back in order, and the stopping
-rule walks them in that order, so results are byte-identical across
-reruns and independent of the worker count.
+ChannelInstance write the same draw out one call at a time; they are
+kept for bench/ alone, and nothing in src/ or the tests calls them.
+Workers run whole batches of BATCH_SIZE trials, streamed back in order,
+and the stopping rule walks them in that order, so results are
+byte-identical across reruns and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _point_pool(seed: int, point_index: int) -> tuple:
 
 def _trial_keys(seed: int, point_index: int, start: int, stop: int):
     """Philox keys of trials start..stop-1, as tuples of two ints: the key
-    _trial_rng(seed, point_index, t) starts from, derived without building
-    a SeedSequence.
+    that Philox(SeedSequence(entropy=seed, spawn_key=(point_index, t)))
+    starts from, derived without building a SeedSequence.
 
     Each run of trials that share their upper words (and so their word
     count) is hashed at once: one uint32 column per word of t and per pool
@@ -132,15 +132,15 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     """Trials start..stop-1 stacked: sent symbols s0 (B, 16), received real
     vectors y (B, 16) and their real channels G (B, 16, 16).
 
-    Bit for bit the draws of _trial_rng(seed, point_index, t) in the order
-    symbols, channel, noise, by a cheaper route.  _trial_keys hashes the
-    Philox keys of the whole range in numpy columns; the one loop over
-    trials rekeys a single Philox with each key (counter 0, empty buffer)
-    and takes eight raw words and 32 normals.  A trial's symbols are the
-    top bits of the 32-bit halves of the raw words, low half first, which
-    is what integers(0, 2, 16) returns; its channel and noise are the
-    normals.  Everything after the loop works on the whole batch, the
-    codewords as two real products of the symbols with the generators.
+    Bit for bit the draws of Philox(SeedSequence(entropy=seed, spawn_key=
+    (point_index, t))) in the order symbols, channel, noise, by a cheaper
+    route.  _trial_keys hashes the Philox keys of the whole range in numpy
+    columns; the one loop over trials rekeys a single Philox with each key
+    (counter 0, empty buffer) and takes eight raw words and 32 normals.  A
+    trial's symbols are the top bits of the 32-bit halves of the raw words,
+    low half first, which is what integers(0, 2, 16) returns; its channel
+    and noise are the normals.  Everything after the loop works on the whole
+    batch, the codewords as two real products of the symbols with the generators.
     Raises ValueError for a negative seed, point index or trial index,
     for an empty range (stop <= start) and for a noise variance sigma2
     that is negative or not finite (0 draws noise-free trials).

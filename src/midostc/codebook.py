@@ -142,7 +142,7 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
 
 
 def c4_transform(code: DispersionCode) -> DispersionCode:
-    """The "C4" variant of a code built on the first reference parameters."""
+    """The "C4" variant of a code on the first reference parameters, kept for bench/ (elsewhere build_code)."""
     return build_code(code.params, code.basis.id, "C4")
 
 

@@ -168,6 +168,7 @@ def real_channel(code, H: np.ndarray) -> np.ndarray:
     columns are the stacked images of each generator through H.
 
     H is one 2x4 channel or a (B, 2, 4) stack; G is then (16, 16) or (B, 16, 16).
+    Kept for bench/, which calls it by name; src/ calls _real_channel.
     """
     return _real_channel(code.generators, H)
 
@@ -234,7 +235,9 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     and the reported metric ||y - G s||^2 are argmin and minimum of that
     rescoring, the arithmetic of a search over the whole grid, so ties (s
     and -s at y = 0, say) go to the lexicographically smallest symbol vector
-    and the metric is that search's value bit for bit.  Nothing here uses
+    and the metric is that search's value bit for bit wherever BLAS gives a
+    column of G S^T the same bits whatever columns stand beside it (OpenBLAS's
+    SkylakeX kernels do; its Haswell ones not always).  Nothing here uses
     the Gram matrix or any group structure: this is the independent
     reference for the decoders.
     """

@@ -244,10 +244,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def in_q_omega(self) -> bool:
-        """Membership in Q(w) = Q(sqrt(-c)), the fixed field of sigma."""
-        return self.nums[1] == 0 and self.nums[3] == 0
-
     def is_conjugation_fixed(self) -> bool:
         """True when the element is fixed by sigma_tau, i.e. embeds to a real number."""
         return self.nums[1] == 0 and self.nums[2] == 0

@@ -130,7 +130,7 @@ def test_criterion_4_determinant_preservation():
             assert abs(d2 - d0) <= 1e-10 * scale
         # block scaling step: the C4 variant against the identically
         # parameterized plain build
-        c4 = codebook.c4_transform(codebook.build_code(p, "B2"))
+        c4 = codebook.build_code(p, "B2", "C4")
         plain = codebook.build_code(
             algebra.build_params(p.ctx, p.u, k=F(4, 7), lprime=F(4, 7)), "B2")
         S = random_symbols(rng, 1000)

@@ -229,6 +229,21 @@ def test_representable_rejects_other_forms():
         division_check(ctx, ctx.element(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: main(["analyze", "--c", "2", "--cprime", "1", "--u", "0,0,1/2,1/2"]),
+     "error: shaping conditions failed, cannot build codewords\n"),
+    (lambda: division_check(FieldContext(3, 1), FieldContext(3, 1).element(2)), "u must have norm 1"),
+], ids=["analyze-failed-shaping", "division-check-norm-2"])
+def test_algebra_refusals(capsys, call, message):
+    # a refusal raises ValueError, which main prints to stderr with exit code 1
+    try:
+        rc = call()
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        assert rc == 1 and capsys.readouterr().err == message
+
+
 def test_division_table_frozen():
     assert division_table() == DIVISION_TABLE_EXPECTED
 
@@ -243,8 +258,9 @@ def test_division_check_catalog_details():
 
 
 def test_trace_form_value_lies_strictly_between_0_and_4():
-    # u*sigma(u) = x + y*w has x^2 + c*y^2 = N(u) = 1, so 2 + t = 2 + 2x is
-    # in [0, 4], and the ends (u*sigma(u) = -1 or +1) never reach this branch
+    # u*sigma(u) = x + y*w lies in Q(w) and has x^2 + c*y^2 = N(u) = 1, so
+    # 2 + t = 2 + 2x is in [0, 4]; the ends are u*sigma(u) = -1 (norm_form)
+    # and +1 (degenerate), the only rational values, and never reach this branch
     rng = random.Random(11)
     values = []
     for c, cprime in ((2, 1), (3, 1), (6, 1), (11, 1), (3, 2), (5, 2), (7, 2)):
@@ -255,6 +271,10 @@ def test_trace_form_value_lies_strictly_between_0_and_4():
                 continue
             for u in (z / z.tau(), z / z.sigma(), z / z.sigma_tau()):
                 cert = division_check(ctx, u)
+                u_sigma = u * u.sigma()
+                assert u_sigma.coords[1] == u_sigma.coords[3] == 0
+                assert (cert.branch == "degenerate") == (u_sigma == 1)
+                assert (cert.branch == "norm_form") == (u_sigma == -1)
                 if cert.branch == "trace_form":
                     values.append(cert.tested_value)
     assert len(values) > 300

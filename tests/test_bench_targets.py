@@ -14,11 +14,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 import midostc
-from midostc import channel, fastdecode
+from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -68,6 +71,15 @@ def test_oracle_verify_names_exist():
             ("channel", "transmit"), ("fastdecode", "stack_real"), ("fastdecode", "real_channel")} <= used
     for module, attr in sorted(used):
         assert hasattr(modules[module], attr), f"{module}.{attr}"
+
+
+def test_c4_variant_is_c4_transform():
+    # bench/run.py builds C4 through c4_transform; both routes rebuild entry 1 with k = lprime = 4/7
+    direct = codebook.build_code(algebra.catalog_entry(1), "B2", "C4")
+    via = codebook.c4_transform(codebook.build_code(algebra.catalog_entry(1), "B2"))
+    assert direct.name == via.name == "example1-B2-C4"
+    assert direct.params.scale_k == Fraction(4, 7)
+    assert np.array_equal(direct.generators, via.generators)
 
 
 def _load_run():

@@ -12,15 +12,11 @@ from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import CODE_SHORTCUTS, main
 from midostc.channel import (
     RNG_SCHEME,
-    ChannelInstance,
     _run_trials,
     _trial_keys,
-    _trial_rng,
     draw_trials,
-    sample_channel,
     simulate_wer,
     snr_to_sigma2,
-    transmit,
     wilson_interval,
 )
 
@@ -53,6 +49,14 @@ def reference_draw(seed, point_index, trial, generators, sigma2):
     y = stacked(H @ X + (w[..., 0] + 1j * w[..., 1]) * math.sqrt(sigma2 / 2.0))
     G = np.stack([stacked(H @ A) for A in generators], axis=1)
     return s0, y, G
+
+
+def drawn_channels(seed, point_index, start, stop):
+    """H (B, 2, 4) of trials start..stop-1 as draw_trials draws them.  Drawn
+    with the unit generators E_rc (generator 4r + c), entry (k, r) of H is
+    entry (4k, 4r) of the complex form of G."""
+    _, _, G = draw_trials(seed, point_index, start, stop, np.eye(16).reshape(16, 4, 4), 0.0)
+    return (G[:, :8] + 1j * G[:, 8:])[:, ::4, ::4]
 
 
 def test_draw_trials_rows_are_single_draws():
@@ -117,7 +121,8 @@ def test_draw_trials_takes_numpy_integers():
 def test_symbol_bits_are_integers_draws():
     # draw_trials reads the symbols off raw Philox words; integers(0, 2, 16) is the definition
     s0, _, _ = draw_trials(41, 3, 0, 4096, shortcut_code("C2").generators, 0.1)
-    want = [_trial_rng(41, 3, t).integers(0, 2, 16) * 2.0 - 1.0 for t in range(4096)]
+    want = [np.random.Generator(np.random.Philox(np.random.SeedSequence(41, spawn_key=(3, t))))
+            .integers(0, 2, 16) * 2.0 - 1.0 for t in range(4096)]
     assert np.array_equal(s0, want)
 
 
@@ -134,6 +139,17 @@ def test_symbol_bits_are_integers_draws():
 def test_negative_seed_and_indices_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(*c2_code_and_structure())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"snr_db_list": []}, "need one or more finite SNR points, got []"),
+    ({"snr_db_list": [10.0], "threads": 0}, "threads must be at least 1, got 0"),
+], ids=["no-snr", "threads-0"])
+def test_simulate_wer_refusals(kwargs, message):
+    # the CLI refuses both before simulate_wer sees them; bench/ calls simulate_wer directly
+    with pytest.raises(ValueError) as info:
+        simulate_wer(*c2_code_and_structure(), seed=0, **kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("start, stop", [(5, 5), (5, 3)], ids=["empty", "reversed"])
@@ -160,10 +176,10 @@ def test_batched_real_channel_equals_per_channel_stacks():
     code, _ = c2_code_and_structure()
     rng = np.random.default_rng(37)
     H = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
-    G = fastdecode.real_channel(code, H)
+    G = fastdecode._real_channel(code.generators, H)
     assert G.shape == (5, 16, 16)
     for i in range(5):
-        assert np.array_equal(G[i], fastdecode.real_channel(code, H[i]))
+        assert np.array_equal(G[i], fastdecode._real_channel(code.generators, H[i]))
     Y = H[:, None] @ code.generators[:3]                 # (5, 3, 2, 4)
     stacked = fastdecode.stack_real(Y)
     assert stacked.shape == (5, 3, 16)
@@ -186,8 +202,7 @@ def test_run_trials_counts_like_a_per_trial_loop():
 
 
 def test_channel_entries_are_unit_variance():
-    rng = _trial_rng(100, 0, 0)
-    samples = np.concatenate([sample_channel(rng).ravel() for _ in range(4000)])
+    samples = drawn_channels(100, 0, 0, 4000).ravel()
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
     assert abs(np.mean(samples.real)) < 0.02
     assert np.mean(samples.real ** 2) == pytest.approx(0.5, rel=0.05)
@@ -220,26 +235,17 @@ def test_simulate_checks_every_snr_before_any_trial(monkeypatch):
 
 
 def test_noise_variance_matches_sigma2():
-    rng = _trial_rng(101, 0, 0)
-    ch = ChannelInstance(np.zeros((2, 4), dtype=complex), 0.7)
-    X = np.zeros((4, 4), dtype=complex)
-    noise = np.concatenate([transmit(X, ch, rng).ravel() for _ in range(4000)])
+    # with zero generators y is the stacked noise
+    _, y, _ = draw_trials(101, 0, 0, 4000, np.zeros((16, 4, 4)), 0.7)
+    noise = y[:, :8] + 1j * y[:, 8:]
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.7, rel=0.03)
 
 
-def test_zero_noise_transmit_is_exact():
-    rng = _trial_rng(102, 0, 0)
-    H = sample_channel(rng)
-    X = np.eye(4, dtype=complex)[:4]
-    y = transmit(X, ChannelInstance(H, 0.0), rng)
-    assert np.allclose(y, H @ X, atol=0)
-
-
 def test_trial_rng_determinism():
-    a = sample_channel(_trial_rng(7, 1, 42))
-    b = sample_channel(_trial_rng(7, 1, 42))
-    c = sample_channel(_trial_rng(7, 1, 43))
-    d = sample_channel(_trial_rng(8, 1, 42))
+    a = drawn_channels(7, 1, 42, 43)
+    b = drawn_channels(7, 1, 42, 43)
+    c = drawn_channels(7, 1, 43, 44)
+    d = drawn_channels(8, 1, 42, 43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import midostc
-from midostc import algebra, channel, codebook
+from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import _parse_snr_list, build_parser, main
 
 
@@ -227,6 +227,24 @@ def test_decode_verify_pins_hold_in_slices(capsys, monkeypatch, code):
                                 "--seed", "0", "--snr-db", "10"])
     assert rc == 0 and err == ""
     assert out == DECODE_VERIFY_PINNED[code]
+
+
+def test_decode_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
+    # an oracle that disagrees on trial 7, by a metric gap of 1, fails the run
+    oracle, calls = fastdecode.ml_exhaustive, []
+
+    def wrong_on_trial_7(y, G, pam):
+        res = oracle(y, G, pam)
+        calls.append(None)
+        if len(calls) != 8:
+            return res
+        return fastdecode.DecodeResult(-res.symbols, res.metric + 1.0, res.visits)
+
+    monkeypatch.setattr(fastdecode, "ml_exhaustive", wrong_on_trial_7)
+    rc, out, err = run(capsys, ["decode-verify", "--code", "C2", "--trials", "20"])
+    assert rc == 1
+    assert err == "MISMATCH against the exhaustive oracle\n"
+    assert "oracle agreement: 19/20" in out
 
 
 def test_decode_verify_rejects_negative_seed(capsys):

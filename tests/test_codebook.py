@@ -20,7 +20,6 @@ from midostc.codebook import (
     UnsupportedBasisError,
     UnsupportedVariantError,
     build_code,
-    c4_transform,
     encode,
     make_basis,
     min_det_search,
@@ -76,6 +75,16 @@ def test_basis_b3_only_for_c3():
 def test_basis_unknown_id():
     with pytest.raises(UnsupportedBasisError):
         make_basis(FieldContext(3, 1), "B9")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: encode(build_code(algebra.catalog_entry(1), "B2"), [1.0] * 15), "need 16 real symbols, got 15"),
+    (lambda: codebook._witness([]), "every sampled difference is zero"),
+], ids=["encode-15-symbols", "witness-of-no-slices"])
+def test_codebook_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_build_code_rejects_bad_variant():
@@ -168,7 +177,7 @@ def _catalog_codes():
             except UnsupportedBasisError:
                 continue
             if n == 1:
-                codes.append(c4_transform(codes[-1]))
+                codes.append(build_code(algebra.catalog_entry(1), basis, "C4"))
     return codes
 
 
@@ -200,7 +209,7 @@ def test_energy_empirical_average():
 
 
 def test_c4_parameters_and_block_scale():
-    code = c4_transform(build_code(algebra.catalog_entry(1), "B2"))
+    code = build_code(algebra.catalog_entry(1), "B2", "C4")
     p = code.params
     assert p.scale_k == F(4, 7) and p.scale_lprime == F(4, 7)
     # |a| = |4/7 * embed(w)| = 4*sqrt(3)/7, close to 1 by design
@@ -213,24 +222,13 @@ def test_c4_parameters_and_block_scale():
 
 def test_c4_rejected_off_catalog():
     with pytest.raises(UnsupportedVariantError):
-        c4_transform(build_code(algebra.catalog_entry(2), "B2"))
-    with pytest.raises(UnsupportedVariantError):
         build_code(algebra.catalog_entry(2), "B2", "C4")
-
-
-def test_c4_variant_is_c4_transform():
-    # both routes to C4 rebuild entry 1 with k = lprime = 4/7
-    direct = build_code(algebra.catalog_entry(1), "B2", "C4")
-    via = c4_transform(build_code(algebra.catalog_entry(1), "B2"))
-    assert direct.name == via.name == "example1-B2-C4"
-    assert direct.params.scale_k == F(4, 7)
-    assert np.array_equal(direct.generators, via.generators)
 
 
 def test_c4_preserves_determinants():
     # the off-diagonal block scaling multiplies det by lambda^2 / lambda^2 = 1
     rng = random.Random(14)
-    c4 = c4_transform(build_code(algebra.catalog_entry(1), "B2"))
+    c4 = build_code(algebra.catalog_entry(1), "B2", "C4")
     plain_params = algebra.build_params(c4.params.ctx, c4.params.u,
                                         k=F(4, 7), lprime=F(4, 7))
     plain = build_code(plain_params, "B2")
@@ -244,7 +242,7 @@ def test_c4_preserves_determinants():
 
 
 def test_c4_codeword_set_differs_from_plain():
-    c4 = c4_transform(build_code(algebra.catalog_entry(1), "B2"))
+    c4 = build_code(algebra.catalog_entry(1), "B2", "C4")
     plain = build_code(algebra.catalog_entry(1), "B2")
     s = [1.0] * 16
     assert not np.allclose(encode(c4, s), encode(plain, s), atol=1e-6)

@@ -28,8 +28,8 @@ from midostc.fastdecode import (
     detect_groups,
     hurwitz_radon,
     ml_exhaustive,
+    _real_channel,
     pam_levels,
-    real_channel,
     stack_real,
 )
 from midostc.numberfield import FieldContext
@@ -152,7 +152,7 @@ def test_real_channel_consistency():
     code = build(1, "B2")
     for _ in range(10):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        G = real_channel(code, H)
+        G = _real_channel(code.generators, H)
         assert G.shape == (16, 16)
         s = rng.integers(0, 2, 16) * 2.0 - 1.0
         X = np.einsum("i,ijk->jk", s, code.generators)
@@ -163,7 +163,7 @@ def test_ml_budget_guard():
     code = build(1, "B2")
     rng = np.random.default_rng(23)
     H = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     with pytest.raises(BudgetExceededError):
         ml_exhaustive(np.zeros(16), G, pam_levels(4))   # 4^16 > 2^20
 
@@ -174,7 +174,7 @@ def test_ml_noiseless_recovery_and_visits():
     pam = pam_levels(2)
     for _ in range(5):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        G = real_channel(code, H)
+        G = _real_channel(code.generators, H)
         s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
         res = ml_exhaustive(G @ s0, G, pam)
         assert np.array_equal(res.symbols, s0)
@@ -186,7 +186,7 @@ def test_ml_tie_break_is_lexicographic():
     rng = np.random.default_rng(25)
     code = build(1, "B2")
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     # y = 0 makes s and -s metric-equal; the first of the pair in
     # lexicographic order starts at -1
     res = ml_exhaustive(np.zeros(16), G, pam_levels(2))
@@ -293,7 +293,7 @@ def test_conditional_matches_oracle():
     sigma = 0.8
     for _ in range(30):
         H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        G = real_channel(code, H)
+        G = _real_channel(code.generators, H)
         s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
         y = G @ s0 + sigma * rng.standard_normal(16)
         r_ml = ml_exhaustive(y, G, pam)
@@ -309,7 +309,7 @@ def test_visits_arithmetic():
     gs = detect_groups(hurwitz_radon(code))
     rng = np.random.default_rng(27)
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     res = conditional_group_decode(np.zeros(16), G, gs, pam_levels(2))
     # 2^8 conditioned assignments times two groups of four: 256 * 32
     assert res.visits == 2 ** len(gs.conditioned) * sum(2 ** len(g) for g in gs.groups)
@@ -320,7 +320,7 @@ def test_wrong_structure_fails_loudly():
     code = build(1, "B2")
     rng = np.random.default_rng(28)
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     bogus = GroupStructure((), tuple((i,) for i in range(16)), 1)
     with pytest.raises(StructureInvalidError):
         conditional_group_decode(np.zeros(16), G, bogus, pam_levels(2))
@@ -330,7 +330,7 @@ def test_trivial_structure_reduces_to_ml():
     rng = np.random.default_rng(29)
     code = build(1, "B2")
     H = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     y = G @ (rng.integers(0, 2, 16) * 2.0 - 1.0) + 0.5 * rng.standard_normal(16)
     triv = GroupStructure((), (tuple(range(16)),), 16)
     r_triv = conditional_group_decode(y, G, triv, pam_levels(2))
@@ -371,7 +371,7 @@ def batch_case(name, trials, seed):
     code = build(entry, basis)
     gs = gs or detect_groups(hurwitz_radon(code))
     H = (rng.standard_normal((trials, 2, 4)) + 1j * rng.standard_normal((trials, 2, 4))) / np.sqrt(2)
-    return gs, real_channel(code, H), rng
+    return gs, _real_channel(code.generators, H), rng
 
 
 def decode_each(y, G, gs):
@@ -493,20 +493,12 @@ def test_metrics_at_0_and_40_db_are_pinned(name, snr_db):
 # The child reports the kernel it ran on, or None when numpy's BLAS is not
 # the scipy-openblas build that OPENBLAS_CORETYPE selects in.
 HASWELL_CHILD = """
-import ctypes, glob, json, os, sys
+import json, sys
 sys.path[:0] = sys.argv[1:]
-import numpy as np
+from conftest import blas_core
 from test_fastdecode import decoded_at
 
-def core():
-    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        name = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
-        if name is not None:
-            name.restype = ctypes.c_char_p
-            return name().decode()
-    return None
-
-print(json.dumps([core(), {f"{name} {snr_db}": decoded_at(name, snr_db)[0]
+print(json.dumps([blas_core(), {f"{name} {snr_db}": decoded_at(name, snr_db)[0]
                            for name in ("C2", "C3", "C5") for snr_db in (0.0, 15.0, 40.0)}]))
 """
 
@@ -878,7 +870,7 @@ _unit = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
 def test_decoder_agrees_with_oracle_property(name, h, s0, noise):
     code, gs = PROPERTY_CODES[name]
     H = np.array(h[:8]).reshape(2, 4) + 1j * np.array(h[8:]).reshape(2, 4)
-    G = real_channel(code, H)
+    G = _real_channel(code.generators, H)
     y = G @ np.array(s0) + np.array(noise)
     r_cg = conditional_group_decode(y, G, gs, pam_levels(2))
     r_ml = ml_exhaustive(y, G, pam_levels(2))

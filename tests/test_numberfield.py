@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc.numberfield import ContextMismatchError, FieldContext
+from midostc.numberfield import ContextMismatchError, FieldContext, FieldElement
 
 
 def random_element(ctx, rng, span=6):
@@ -92,6 +92,16 @@ def test_scalar_mixing():
         x / 0
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FieldElement(FieldContext(3, 1), (1, 2)), ValueError, "need exactly four coordinates"),
+    (lambda: FieldContext(3, 1).zero().inverse(), ZeroDivisionError, "zero has no inverse"),
+], ids=["two-coordinates", "inverse-of-zero"])
+def test_numberfield_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_galois_action_table():
     ctx = FieldContext(3, 1)
     x = ctx.element(1, 2, 3, 4)
@@ -131,8 +141,6 @@ def test_norm_examples_and_multiplicativity():
 def test_subfield_predicates():
     ctx = FieldContext(3, 1)
     assert ctx.element(2).is_rational()
-    assert ctx.element(1, 0, 5, 0).in_q_omega()
-    assert not ctx.element(1, 1, 5, 0).in_q_omega()
     assert ctx.element(1, 0, 0, 7).is_conjugation_fixed()
     assert not ctx.element(1, 0, 1, 7).is_conjugation_fixed()
 
