@@ -24,18 +24,6 @@ import numpy as np
 from .numberfield import FieldContext, FieldElement
 
 
-class UnsupportedBranchError(ValueError):
-    """The construction branch for this unit is not implemented."""
-
-
-class DegenerateAlgebraError(ValueError):
-    """The unit makes the crossed product collapse (no valid generator pair)."""
-
-
-class UnsupportedFormError(ValueError):
-    """Division testing is only implemented for c' in {1, 2}."""
-
-
 # ----------------------------------------------------------------------
 # parameter derivation and condition checks
 
@@ -50,9 +38,10 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
       epsilon == -1      ->  b = lprime * w'
       epsilon irrational ->  b = lprime / (1 + epsilon)
 
-    Returns (a, b).  Units with u*sigma(u) != -1 are rejected
-    (UnsupportedBranchError), and epsilon == +1 collapses the second
-    generator (DegenerateAlgebraError).
+    Returns (a, b).  A unit with u*sigma(u) != -1 is refused with "only
+    the u*sigma(u) = -1 branch is constructed", and epsilon == +1, which
+    collapses the second generator, with "u*tau(u) = 1 leaves no valid
+    second generator" (both ValueError).
     """
     k = Fraction(k)
     lprime = Fraction(lprime)
@@ -61,11 +50,10 @@ def derive_ab(ctx: FieldContext, u: FieldElement, k=1, lprime=1):
         raise ValueError(f"u must have norm 1, got {n}")
     u_sigma = u * u.sigma()
     if u_sigma != -1:
-        raise UnsupportedBranchError(
-            f"only the u*sigma(u) = -1 branch is constructed, got u*sigma(u) = {u_sigma}")
+        raise ValueError(f"only the u*sigma(u) = -1 branch is constructed, got u*sigma(u) = {u_sigma}")
     epsilon = u * u.tau()
     if epsilon == 1:
-        raise DegenerateAlgebraError("u*tau(u) = 1 leaves no valid second generator")
+        raise ValueError("u*tau(u) = 1 leaves no valid second generator")
     b = ctx.omega_prime() * lprime if epsilon == -1 else ctx.element(lprime) / (ctx.one() + epsilon)
     return ctx.omega() * k, b
 
@@ -129,7 +117,7 @@ def representable(q: Fraction, cprime: int):
     table's printed forms.  n*d above MAX_NORM_SEARCH raises ValueError.
     """
     if cprime not in (1, 2):
-        raise UnsupportedFormError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
+        raise ValueError(f"norm-form test implemented for cprime in {{1, 2}}, got {cprime}")
     q = Fraction(q)
     nd = q.numerator * q.denominator
     if nd > MAX_NORM_SEARCH:
@@ -171,7 +159,7 @@ def division_check(ctx: FieldContext, u: FieldElement) -> DivisionCertificate:
     2 + 2x strictly between 0 and 4.
     """
     if ctx.cprime not in (1, 2):
-        raise UnsupportedFormError(f"division test implemented for cprime in {{1, 2}}, got {ctx.cprime}")
+        raise ValueError(f"division test implemented for cprime in {{1, 2}}, got {ctx.cprime}")
     if u.norm() != 1:
         raise ValueError("u must have norm 1")
     u_sigma = u * u.sigma()

@@ -23,14 +23,6 @@ from .algebra import (COEFFICIENT_AT, CodeParams, _normalize, build_params, det_
 from .numberfield import FieldContext, FieldElement
 
 
-class UnsupportedBasisError(ValueError):
-    """The requested symbol basis is not defined for this field."""
-
-
-class UnsupportedVariantError(ValueError):
-    """The requested code variant is not defined for these parameters."""
-
-
 TARGET_ENERGY = 16.0  # average squared Frobenius norm per codeword
 _SAMPLE_SLICE = 1 << 14  # random differences drawn and evaluated at a time
 _TIE = 1e-9             # ties: |det| within _TIE * its absolute Leibniz sum, far above rounding
@@ -54,17 +46,17 @@ def make_basis(ctx: FieldContext, basis_id: str) -> SymbolBasis:
         b1, b2 = ctx.one(), ctx.omega()
     elif basis_id == "B1":
         if ctx.cprime != 1:
-            raise UnsupportedBasisError("B1 is defined over Q(i, sqrt(-c)) only (c' = 1)")
+            raise ValueError("B1 is defined over Q(i, sqrt(-c)) only (c' = 1)")
         if (-ctx.c) % 4 == 1:
             b1, b2 = ctx.one(), (ctx.one() + ctx.omega()) * Fraction(1, 2)
         else:
             b1, b2 = ctx.one(), ctx.omega()
     elif basis_id == "B3":
         if ctx.c != 3:
-            raise UnsupportedBasisError("B3 = {2, w} is defined for c = 3 only")
+            raise ValueError("B3 = {2, w} is defined for c = 3 only")
         b1, b2 = ctx.element(2), ctx.omega()
     else:
-        raise UnsupportedBasisError(f"unknown basis id {basis_id!r}")
+        raise ValueError(f"unknown basis id {basis_id!r}")
     return SymbolBasis(basis_id, b1, b2)
 
 
@@ -121,12 +113,12 @@ def build_code(params: CodeParams, basis_id: str = "B2", variant: str = "plain")
     the block scale |embed(a)|^(1/4), which leaves every determinant unchanged.
     """
     if variant not in ("plain", "C4"):
-        raise UnsupportedVariantError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {variant!r}")
     basis = make_basis(params.ctx, basis_id)
     block_scale = 1.0
     if variant == "C4":
         if (params.ctx.c, params.ctx.cprime) != (3, 1) or params.name != "example1":
-            raise UnsupportedVariantError("the C4 renormalization is defined for the first reference code only")
+            raise ValueError("the C4 renormalization is defined for the first reference code only")
         params = build_params(params.ctx, params.u, k=Fraction(4, 7), lprime=Fraction(4, 7), name=params.name)
         block_scale = abs(params.a.embed()) ** 0.25
     # generator 4j + t: slot t's normalized codeword on (slot,) * 4, kept where COEFFICIENT_AT is j

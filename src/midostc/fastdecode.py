@@ -22,10 +22,6 @@ _NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measur
 ORTHOGONALITY_TOL = 1e-8
 
 
-class BudgetExceededError(ValueError):
-    """Exhaustive enumeration would exceed the visit budget."""
-
-
 class StructureInvalidError(ValueError):
     """The supplied group structure is not orthogonal for this channel."""
 
@@ -248,7 +244,7 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     m = len(levels)
     count = m ** n
     if count > DEFAULT_VISIT_BUDGET:
-        raise BudgetExceededError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
+        raise ValueError(f"{m}^{n} = {count} exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     h = n // 2
     U, V = _candidate_grid(levels, h), _candidate_grid(levels, n - h)
     a = y[:, None] - G[:, :h] @ U.T
@@ -277,8 +273,12 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
     _check_symmetric(levels)
     if sorted([*gs.conditioned, *(v for g in gs.groups for v in g)]) != list(range(width)):
         raise ValueError(f"{gs} does not partition the {width} columns of G into its conditioned set and groups")
+    m, sizes = len(levels), [len(g) for g in gs.groups]
+    visits = m ** len(gs.conditioned) * (sum(m ** k for k in sizes) if sizes else 1)
+    if visits > DEFAULT_VISIT_BUDGET:
+        raise ValueError(f"{m}^{len(gs.conditioned)} * ({' + '.join(f'{m}^{k}' for k in sizes) or 1}) = {visits} "
+                         f"exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     a, b = np.split(np.array(gs.conditioned, dtype=np.intp), [len(gs.conditioned) // 2])
-    sizes = [len(g) for g in gs.groups]
     label = np.array([next((i for i, g in enumerate(gs.groups) if v in g), -1) for v in range(width)])
     cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
     stacks = tuple((np.array([g for g in gs.groups if len(g) == k], dtype=np.intp), Sg, Sg[:len(Sg) - len(Sg) // 2])
@@ -286,8 +286,7 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
     for arr in (a, b, label, cross, *(x for stack in stacks for x in stack)):
         arr.setflags(write=False)
     return (a, b, _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b)), label, cross, stacks,
-            tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes)),
-            len(levels) ** len(gs.conditioned) * (sum(len(levels) ** k for k in sizes) if sizes else 1))
+            tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes)), visits)
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
@@ -427,7 +426,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     y, G and pam pass ml_exhaustive's checks (_real_trials and
     _check_symmetric).  What depends only on gs, pam and G's width is
     planned once (_plan), which raises ValueError unless gs partitions the
-    columns of G.  Returns the symbols and the residual metric ||y - G s||^2
+    columns of G within ml_exhaustive's visit budget, before any grid is
+    built.  Returns the symbols and the residual metric ||y - G s||^2
     per trial, shaped like y's batch (a float for a single trial).  Visits
     are per trial: M^|conditioned| * sum_i M^|group_i| candidate
     enumerations, or M^|conditioned| with no groups.  The group terms scale

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class ContextMismatchError(ValueError):
-    """Raised when elements of different field contexts are combined."""
-
-
 # Largest c or c' accepted: the squarefree test and the norm-form search
 # each run up to sqrt(MAX_C), about 31,600 steps.
 MAX_C = 10 ** 9
@@ -117,7 +113,7 @@ class FieldElement:
 
     def _check(self, other: "FieldElement") -> None:
         if self.ctx != other.ctx:
-            raise ContextMismatchError(f"cannot combine {self.ctx!r} with {other.ctx!r}")
+            raise ValueError(f"cannot combine {self.ctx!r} with {other.ctx!r}")
 
     def __add__(self, other):
         if other.__class__ is not FieldElement:

@@ -3,12 +3,16 @@
 bench/tracer.py patches functions by attribute name and bench/run.py
 draws oracle instances through channel and fastdecode internals; a name
 lost in a refactor would make every traced run fail with a KeyError, and
-a changed return type would make every oracle check fail.  The commands
-that certify_catalog runs must also keep printing the same bytes.
+a changed return type would make every oracle check fail.  Some names
+(channel.wilson_interval, channel.RNG_SCHEME) are read only by full runs
+and the report, which no test runs, so every package name either file
+reaches is checked.  The commands that certify_catalog runs must also
+keep printing the same bytes.
 """
 
 import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -21,7 +25,7 @@ from unittest import mock
 import numpy as np
 
 import midostc
-from midostc import algebra, channel, codebook, fastdecode
+from midostc import algebra, channel, cli, codebook, fastdecode
 from midostc.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,18 +63,33 @@ def test_fresh_import_loads_the_five_submodules_and_not_the_cli():
     assert all(present)
 
 
+MODULES = {"midostc": midostc, "algebra": algebra, "channel": channel, "cli": cli, "codebook": codebook,
+           "fastdecode": fastdecode}
+
+
+def _reached(tree):
+    """(module, name) for every attribute of a package module read in tree and every name imported
+    from the package, with modules keyed as MODULES or by their dotted path."""
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in MODULES:
+            reached.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "midostc":
+            reached |= {(node.module, alias.name) for alias in node.names}
+    return reached
+
+
 def test_oracle_verify_names_exist():
-    tree = ast.parse((BENCH / "run.py").read_text())
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "OracleVerify")
+    run_tree = ast.parse((BENCH / "run.py").read_text())
+    cls = next(n for n in run_tree.body if isinstance(n, ast.ClassDef) and n.name == "OracleVerify")
     verify = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "verify")
-    modules = {"channel": channel, "fastdecode": fastdecode}
-    used = {(node.value.id, node.attr) for node in ast.walk(verify)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules}
     assert {("channel", "_trial_rng"), ("channel", "ChannelInstance"), ("channel", "sample_channel"),
-            ("channel", "transmit"), ("fastdecode", "stack_real"), ("fastdecode", "real_channel")} <= used
-    for module, attr in sorted(used):
-        assert hasattr(modules[module], attr), f"{module}.{attr}"
+            ("channel", "transmit"), ("fastdecode", "stack_real"), ("fastdecode", "real_channel")} <= _reached(verify)
+    reached = _reached(run_tree) | _reached(ast.parse((BENCH / "tracer.py").read_text()))
+    assert {("channel", "wilson_interval"), ("channel", "RNG_SCHEME"), ("midostc.numberfield", "FieldElement")} <= reached
+    for module, attr in sorted(reached):
+        owner = MODULES.get(module) or importlib.import_module(module)
+        assert hasattr(owner, attr), f"{module}.{attr}"
 
 
 def test_c4_variant_is_c4_transform():

@@ -649,15 +649,29 @@ def test_every_subcommand_exits_cleanly_on_generated_argv(argv):
             "target", "samples", "seed", "trials", "threads", "min-errors", "max-trials", "snr", "snr-db"))), (argv, err)
 
 
+def run_module(*argv):
+    """python -m midostc argv in a child process, with the package's src directory on PYTHONPATH."""
+    src = str(Path(midostc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "midostc", *argv], env=env, capture_output=True, text=True)
+
+
+def test_python_m_midostc_runs_the_cli():
+    # the README's way to run the package
+    table = run_module("division-table")
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected" / "division_table.csv"
+    assert (table.returncode, table.stdout, table.stderr) == (0, expected.read_text(), "")
+    refused = run_module("analyze", "--code", "C9")
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert len(refused.stderr.splitlines()) == 1 and refused.stderr.startswith("error: unknown code shortcut 'C9'")
+
+
 def test_cached_parser_carries_nothing_between_calls(capsys):
     # build_parser is built once per process; a call's options must not
     # leak into the next call's namespace
     assert build_parser() is build_parser()
     assert run(capsys, ["mindet", "--code", "C2", "--strategy", "random", "--samples", "5"])[0] == 0
     rc, out, err = run(capsys, ["mindet", "--code", "C2"])
-    src = str(Path(midostc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    fresh = subprocess.run([sys.executable, "-m", "midostc", "mindet", "--code", "C2"], env=env,
-                           capture_output=True, text=True)
+    fresh = run_module("mindet", "--code", "C2")
     assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert out.startswith("code,strategy,") and ",sparse_exhaustive,39360," in out

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import CODE_SHORTCUTS
 from midostc.fastdecode import (
-    BudgetExceededError,
     GroupStructure,
     StructureInvalidError,
     adjacency,
@@ -164,8 +163,8 @@ def test_ml_budget_guard():
     rng = np.random.default_rng(23)
     H = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     G = _real_channel(code.generators, H)
-    with pytest.raises(BudgetExceededError):
-        ml_exhaustive(np.zeros(16), G, pam_levels(4))   # 4^16 > 2^20
+    with pytest.raises(ValueError, match=re.escape("4^16 = 4294967296 exceeds the visit budget 1048576")):
+        ml_exhaustive(np.zeros(16), G, pam_levels(4))
 
 
 def test_ml_noiseless_recovery_and_visits():
@@ -280,8 +279,8 @@ def test_ml_exhaustive_rejects_an_asymmetric_alphabet(pam):
 
 def test_ml_budget_guard_builds_no_grid():
     calls = fastdecode._candidate_grid.cache_info()[:2]
-    with pytest.raises(BudgetExceededError):
-        ml_exhaustive(np.zeros(4), np.ones((4, 21)), pam_levels(2))   # 2^21 > 2^20
+    with pytest.raises(ValueError, match=re.escape("2^21 = 2097152 exceeds the visit budget 1048576")):
+        ml_exhaustive(np.zeros(4), np.ones((4, 21)), pam_levels(2))
     assert fastdecode._candidate_grid.cache_info()[:2] == calls
 
 
@@ -348,6 +347,19 @@ TRIVIAL = GroupStructure((), (tuple(range(16)),), 16)
 MIXED = GroupStructure((0, 5, 10, 15), ((1, 6, 11), (2,), (3, 4, 7, 8), (9, 12, 13, 14)), 8)
 BATCH_CASES = {"C2": (1, "B2", None), "C5": (5, "B2", None),
                "B1": (1, "B1", None), "trivial": (1, "B2", TRIVIAL), "mixed": (None, None, MIXED)}
+
+
+@pytest.mark.parametrize("gs, pam, message", [
+    (GroupStructure(tuple(range(20)), ((20,),), 21), pam_levels(2), "2^20 * (2^1) = 2097152"),
+    (TRIVIAL, pam_levels(4), "4^0 * (4^16) = 4294967296"),
+], ids=["2-pam-2^21", "4-pam-4^16"])
+def test_conditional_budget_guard_builds_no_grid(gs, pam, message):
+    # the oracle's visit budget, refused before _plan builds a grid (4^16 rows would not fit in memory)
+    width = len(gs.conditioned) + sum(map(len, gs.groups))
+    calls = fastdecode._candidate_grid.cache_info()[:2]
+    with pytest.raises(ValueError, match=re.escape(f"{message} exceeds the visit budget 1048576")):
+        conditional_group_decode(np.zeros(4), np.ones((4, width)), gs, pam)
+    assert fastdecode._candidate_grid.cache_info()[:2] == calls
 
 
 def mixed_channels(trials, rng):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc.numberfield import ContextMismatchError, FieldContext, FieldElement
+from midostc.numberfield import FieldContext, FieldElement
 
 
 def random_element(ctx, rng, span=6):
@@ -212,12 +213,25 @@ def test_str_format():
     assert str(x) == "-1/2 + 3/4*w' + 0*w + 2*w'w"
 
 
+def test_unsupported_operands_are_refused():
+    # a float is no field element: each operator returns NotImplemented, so Python refuses it
+    x = FieldContext(3, 1).element(Fraction(-1, 2), Fraction(3, 4), 0, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((x, 0.5), (0.5, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert (x == 0.5) is False and (x != 0.5) is True
+    assert repr(x) == ("FieldElement(FieldContext(c=3, cprime=1), "
+                       "(Fraction(-1, 2), Fraction(3, 4), Fraction(0, 1), Fraction(2, 1)))")
+
+
 def test_context_mismatch_raises():
     x = FieldContext(3, 1).element(1)
     y = FieldContext(6, 1).element(1)
-    with pytest.raises(ContextMismatchError):
+    mismatch = re.escape("cannot combine FieldContext(c=3, cprime=1) with FieldContext(c=6, cprime=1)")
+    with pytest.raises(ValueError, match=mismatch):
         x + y
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ValueError, match=mismatch):
         x * y
     # equal rationals are one number in either field; an irrational element is not
     assert x == y
@@ -343,7 +357,7 @@ def test_fast_paths_across_equal_contexts(pair, a, b):
     other = FieldContext(*pair[::-1]).element(*b)
     for op in (operator.add, operator.sub, operator.mul):
         for left, right in ((x, other), (other, x)):
-            with pytest.raises(ContextMismatchError):
+            with pytest.raises(ValueError, match=re.escape(f"cannot combine {left.ctx!r} with {right.ctx!r}")):
                 op(left, right)
 
 
