@@ -16,12 +16,12 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import isqrt
 
 import numpy as np
 
-from .numberfield import FieldContext, FieldElement
+from .numberfield import FieldContext, FieldElement, mul_nums
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +218,7 @@ class CodeParams:
     @cached_property
     def representation_table(self) -> tuple:
         """K of representation_elements, built once per parameter set; None is 1."""
-        a, b, u = self.a, self.b, self.u
-        ta = a.tau()
+        a, b, u, ta = self.a, self.b, self.u, self.a.tau()
         return ((None, a, b, self.conditions.ab_tau_u), (None, None, b, b * u.tau()),
                 (None, ta * u, None, ta), (None, u, None, None))
 
@@ -255,7 +254,7 @@ def representation_elements(p: CodeParams, xs):
     K = ((1, a, b, a*b*tau(u)), (1, 1, b, b*tau(u)), (1, tau(a)*u, 1, tau(a)), (1, u, 1, 1)).
     """
     K = p.representation_table
-    gx = [(x, x.sigma(), x.tau(), x.sigma_tau()) for x in xs]       # gx[j][c] = g_c(x_j)
+    gx = [(x, x.sigma(), x.tau(), x.sigma_tau()) for x in _coefficients(p, xs)]       # gx[j][c] = g_c(x_j)
     return [[gx[r ^ c][c] if K[r][c] is None else K[r][c] * gx[r ^ c][c] for c in range(4)] for r in range(4)]
 
 
@@ -302,10 +301,9 @@ def _normalize(p: CodeParams, m: np.ndarray, block_scale: float) -> np.ndarray:
 
 
 def det_exact(grid, op=operator.sub) -> FieldElement:
-    """Exact determinant of a 4x4 grid of field elements, by Laplace expansion
-    along the 2x2 minors of rows 1-2 against those of rows 3-4 (30 products).
-    A grid of numpy arrays, such as a (4, 4, N) array, gives N determinants.
-    op=operator.add turns every sign to + and gives the permanent, which for
+    """Exact determinant of a 4x4 grid of field elements, by Laplace expansion along the 2x2 minors
+    of rows 1-2 against those of rows 3-4 (30 products).  Its callers are the tests and min_det_search,
+    whose (4, 4, N) float slices give N determinants; op=operator.add gives the permanent, which for
     a grid |M| is the absolute Leibniz sum of det(M)."""
     def minors(r, s):
         return {(j, k): op(r[j] * s[k], r[k] * s[j]) for j, k in itertools.combinations(range(4), 2)}
@@ -314,12 +312,49 @@ def det_exact(grid, op=operator.sub) -> FieldElement:
                + top[1, 2] * bottom[0, 3], top[1, 3] * bottom[0, 2]) + top[2, 3] * bottom[0, 1])
 
 
+def _coefficients(p: CodeParams, xs):
+    if not (isinstance(xs, (tuple, list)) and len(xs) == 4
+            and all(isinstance(x, FieldElement) and x.ctx == p.ctx for x in xs)):
+        raise ValueError(f"xs must be four FieldElements of {p.ctx!r}, got {xs!r}")
+    return xs
+
+
+def _block_det(p: CodeParams, xs) -> tuple:
+    """(numerators, denominator) of the determinant in L: 22 products, nothing brought to lowest terms."""
+    def sigma(n):
+        return n[0], -n[1], n[2], -n[3]
+    def tau(n):
+        return n[0], n[1], -n[2], -n[3]
+    def comb(s, y, t, z):                                                     # s*y - t*z for integers s, t
+        return s * y[0] - t * z[0], s * y[1] - t * z[1], s * y[2] - t * z[2], s * y[3] - t * z[3]
+    K, mul = p.representation_table, partial(mul_nums, p.ctx.c, p.ctx.cprime)
+    ys = (*_coefficients(p, xs), K[0][1], K[0][2], K[2][1], K[3][1])          # x0..x3, a, b, tau(a)u, u
+    d = math.lcm(*(y.den for y in ys))
+    X0, X1, X2, X3, A, B, T, U = ([n * (d // y.den) for n in y.nums] for y in ys)
+    P = comb(d, mul(X0, sigma(X0)), 1, mul(A, mul(X1, sigma(X1))))            # d^3 det P
+    R = comb(1, mul(U, mul(X2, sigma(X2))), 1, mul(T, mul(X3, sigma(X3))))    # d^3 det R
+    m02 = comb(1, mul(X2, tau(X1)), 1, mul(tau(X0), X3))                      # d^2 m02
+    xp, xq = mul(X2, sigma(tau(X0))), mul(X3, sigma(tau(X1)))  # d^2 x2*sigma(tau(x0)), d^2 x3*sigma(tau(x1))
+    m03, m12 = comb(d, xp, 1, mul(tau(A), xq)), comb(1, mul(T, sigma(xq)), 1, mul(U, sigma(xp)))   # d^3 m03, m12
+    y = mul(T, mul(tau(m02), sigma(m02)))                                     # -d^5 tau(m02)*m13
+    mixed = comb(-2 * d, (y[0], y[1], 0, 0), 1, comb(1, mul(m12, tau(m12)), -1, mul(m03, tau(m03))))
+    return comb(d * d, mul(P, tau(P)), -1, mul(B, comb(1, mul(B, mul(R, tau(R))), -d, mixed))), d ** 8
+
+
 def representation_det_exact(p: CodeParams, xs) -> Fraction:
-    """Exact determinant of the representation, which is always rational."""
-    d = det_exact(representation_elements(p, xs))
-    if not d.is_rational():
+    """Exact determinant of the representation, which is always rational.
+
+    By K the grid is M = [[P, b*tau(R)], [R, tau(P)]], P = [[x0, a*sigma(x1)], [x1, sigma(x0)]],
+    R = [[x2, tau(a)u*sigma(x3)], [x3, u*sigma(x2)]]: rows 1-2 are tau of rows 3-4, column blocks
+    swapped, the right one times b, so the Laplace expansion along rows 1-2 collapses to
+        det M = N(det P) + b^2*N(det R) + b*(Tr(tau(m02)*m13) - N(m12) - N(m03)),
+    N(y) = y*tau(y), Tr(y) = y + tau(y), m_jk the minor of rows 3-4 on columns j, k (0-based), where
+    m13 = -tau(a)u*sigma(m02), and m03 and m12 share x2*sigma(tau(x0)) and x3*sigma(tau(x1)).
+    """
+    nums, den = _block_det(p, xs)
+    if any(nums[1:]):
         raise ArithmeticError("representation determinant came out irrational, arithmetic bug")
-    return Fraction(d.nums[0], d.den)
+    return Fraction(nums[0], den)
 
 
 # ----------------------------------------------------------------------

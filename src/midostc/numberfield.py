@@ -11,6 +11,7 @@ i*sqrt(c) (hence w'w to -sqrt(c*c')).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,15 @@ class FieldContext:
         return self.element(0, 0, 0, 1)
 
 
+def mul_nums(c: int, cprime: int, a, b) -> tuple:
+    """Numerators of the product of numerators a and b: __mul__'s table without its gcd."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4) = a, b
+    return (a1 * b1 - cprime * a2 * b2 - c * a3 * b3 + c * cprime * a4 * b4,
+            a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
+            a1 * b3 + a3 * b1 - cprime * (a2 * b4 + a4 * b2),
+            a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2)
+
+
 def _new(ctx: FieldContext, nums: tuple, den: int) -> "FieldElement":
     """The element nums / den, which must already be in lowest terms with den > 0."""
     x = object.__new__(FieldElement)
@@ -100,9 +110,10 @@ class FieldElement:
     def __init__(self, ctx: FieldContext, coords):
         if len(coords) != 4:
             raise ValueError("need exactly four coordinates")
-        fs = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in coords]
-        self.ctx, self.den = ctx, math.lcm(*(f.denominator for f in fs))
-        self.nums = tuple(f.numerator * (self.den // f.denominator) for f in fs)
+        if not all(isinstance(a, numbers.Rational) for a in coords):
+            raise TypeError(f"coordinates must be exact rationals (int, Fraction or a numpy integer), got {coords!r}")
+        self.ctx, self.den = ctx, math.lcm(*(int(a.denominator) for a in coords))   # int(): no numpy int64
+        self.nums = tuple(int(a.numerator) * (self.den // int(a.denominator)) for a in coords)
 
     @property
     def coords(self) -> tuple:
@@ -136,18 +147,7 @@ class FieldElement:
         return _new(self.ctx, (-n1, -n2, -n3, -n4), self.den)     # a sign flip keeps lowest terms
 
     def __sub__(self, other):
-        if other.__class__ is not FieldElement:
-            if isinstance(other, (int, Fraction)):
-                n1, n2, n3, n4, q = *self.nums, other.denominator
-                return _element(self.ctx, n1 * q - other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
-            if not isinstance(other, FieldElement):
-                return NotImplemented
-        if self.ctx is not other.ctx:
-            self._check(other)
-        a1, a2, a3, a4 = self.nums
-        b1, b2, b3, b4 = other.nums
-        da, db = self.den, other.den
-        return _element(self.ctx, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da, a4 * db - b4 * da, da * db)
+        return self + -other if isinstance(other, (int, Fraction, FieldElement)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc import algebra
+from midostc import algebra, codebook
 from midostc.algebra import (
     ConditionsReport,
     build_params,
@@ -25,7 +25,7 @@ from midostc.algebra import (
     representable,
 )
 from midostc.cli import main
-from midostc.numberfield import FieldContext
+from midostc.numberfield import FieldContext, FieldElement
 
 F = Fraction
 
@@ -453,6 +453,113 @@ CATALOG_CONTEXTS = [catalog_entry(n).ctx for n in range(1, 6)]
 def test_det_exact_equals_the_leibniz_sum(ctx, coords):
     grid = [[ctx.element(*coords[16 * r + 4 * c:16 * r + 4 * c + 4]) for c in range(4)] for r in range(4)]
     assert algebra.det_exact(grid) == reference_det(grid)
+
+
+# ----------------------------------------------------------------------
+# the block form [[P, b*tau(R)], [R, tau(P)]] and the determinant kernel on it
+
+
+def twisted_params():
+    """Entry 1's unit with a supplied (a, b) that tau does not fix: no crossed product has this grid."""
+    ctx = catalog_entry(1).ctx
+    a, b = ctx.element(1, 2, F(1, 2), 0), ctx.element(F(1, 3), -1, 2, 1)
+    assert b.tau() != b and a.tau() != a
+    return build_params(ctx, catalog_entry(1).u, a=a, b=b, name="twisted")
+
+
+C4_PARAMS = codebook.build_code(catalog_entry(1), "B2", "C4").params
+TWISTED_PARAMS = twisted_params()
+PARAM_SETS = [catalog_entry(n) for n in range(1, 6)] + [C4_PARAMS, TWISTED_PARAMS]
+PARAM_IDS = [f"example{n}" for n in range(1, 6)] + ["C4", "twisted"]
+
+
+def block_form(p, xs):
+    """[[P, b*tau(R)], [R, tau(P)]] with P = [[x0, a*sigma(x1)], [x1, sigma(x0)]] and
+    R = [[x2, tau(a)*u*sigma(x3)], [x3, u*sigma(x2)]], from p.a, p.b and p.u alone."""
+    x0, x1, x2, x3 = xs
+    P = [[x0, p.a * x1.sigma()], [x1, x0.sigma()]]
+    R = [[x2, p.a.tau() * p.u * x3.sigma()], [x3, p.u * x2.sigma()]]
+    return ([P[i] + [p.b * y.tau() for y in R[i]] for i in range(2)]
+            + [R[i] + [y.tau() for y in P[i]] for i in range(2)])
+
+
+def random_coefficients(ctx, rng):
+    return tuple(ctx.element(*[rng.choice((rng.randint(-3, 3), F(rng.randint(-3, 3), rng.randint(1, 4))))
+                               for _ in range(4)]) for _ in range(4))
+
+
+@pytest.mark.parametrize("seed, p", enumerate(PARAM_SETS), ids=PARAM_IDS)
+def test_representation_is_the_block_form(seed, p):
+    # the layout of K that the determinant kernel reads a, b, tau(a)u and u from
+    rng = random.Random(seed)
+    for _ in range(20):
+        xs = random_coefficients(p.ctx, rng)
+        assert algebra.representation_elements(p, xs) == block_form(p, xs)
+
+
+KERNEL_CASES = ([(catalog_entry(n), basis) for n in range(1, 6) for basis in ("B1", "B2") if n != 4]
+                + [(catalog_entry(4), "B2"), (C4_PARAMS, "B1"), (C4_PARAMS, "B2"), (TWISTED_PARAMS, "B2")])
+_small_rational = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.sampled_from(KERNEL_CASES), s=st.lists(_small_rational, min_size=16, max_size=16))
+def test_block_determinant_is_the_laplace_determinant(case, s):
+    # the kernel's whole element of L, before representation_det_exact asks it
+    # to be rational, against the 30-product expansion of representation_elements;
+    # the symbols are exact, as a float draw can be subnormal
+    p, basis = case
+    xs = codebook._symbols_to_coefficients(p, codebook.make_basis(p.ctx, basis), s)
+    nums, den = algebra._block_det(p, xs)
+    want = algebra.det_exact(algebra.representation_elements(p, xs))
+    assert FieldElement(p.ctx, [F(n, den) for n in nums]) == want
+    if p is not TWISTED_PARAMS:
+        assert algebra.representation_det_exact(p, xs) == want
+
+
+def test_a_twisted_determinant_is_irrational():
+    # with tau(b) != b the grid is no algebra's representation: the kernel still
+    # gives its determinant, and representation_det_exact refuses it as irrational
+    p = TWISTED_PARAMS
+    one, zero = p.ctx.one(), p.ctx.zero()
+    xs = (one, zero, one, zero)
+    nums, den = algebra._block_det(p, xs)
+    assert any(nums[1:])
+    assert FieldElement(p.ctx, [F(n, den) for n in nums]) == algebra.det_exact(algebra.representation_elements(p, xs))
+    with pytest.raises(ArithmeticError, match="came out irrational"):
+        algebra.representation_det_exact(p, xs)
+
+
+@pytest.mark.parametrize("make_xs", [
+    lambda p: (p.ctx.one(), p.ctx.zero(), p.ctx.zero()),
+    lambda p: (p.ctx.one(),) + (p.ctx.zero(),) * 4,
+    lambda p: (1, 0, 0, 0),
+    lambda p: (p.ctx.one(), F(1, 2), p.ctx.zero(), p.ctx.zero()),
+    lambda p: tuple(FieldContext(6, 1).element(v) for v in (1, 0, 0, 0)),
+    lambda p: p.ctx.one(),
+    lambda p: iter((p.ctx.one(),) * 4),
+], ids=["three", "five", "ints", "a-fraction", "another-field", "one-element", "an-iterator"])
+@pytest.mark.parametrize("call", [algebra.representation_elements, algebra.representation,
+                                  algebra.normalized_codeword, algebra.representation_det_exact],
+                         ids=["elements", "representation", "normalized", "det-exact"])
+def test_representation_refuses_anything_but_four_coefficients_of_its_field(call, make_xs):
+    p = catalog_entry(1)
+    xs = make_xs(p)
+    with pytest.raises(ValueError) as info:
+        call(p, xs)
+    assert str(info.value) == f"xs must be four FieldElements of FieldContext(c=3, cprime=1), got {xs!r}"
+
+
+def test_representation_accepts_an_equal_field_context():
+    # catalog_entry builds its own FieldContext: an equal one is the same field
+    p = catalog_entry(2)
+    ctx = FieldContext(6, 1)
+    assert ctx == p.ctx and ctx is not p.ctx
+    xs = (ctx.element(1, 2), ctx.element(0, 1, 1), ctx.element(F(1, 2)), ctx.element(0, 0, 0, 3))
+    same = tuple(p.ctx.element(*x.coords) for x in xs)
+    assert algebra.representation_det_exact(p, xs) == algebra.representation_det_exact(p, same)
+    assert algebra.representation_elements(p, xs) == algebra.representation_elements(p, same)
+    assert algebra.normalized_codeword(p, xs).tobytes() == algebra.normalized_codeword(p, same).tobytes()
 
 
 def test_params_json_shape(capsys):

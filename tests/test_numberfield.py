@@ -8,11 +8,12 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc.numberfield import FieldContext, FieldElement
+from midostc.numberfield import FieldContext, FieldElement, mul_nums
 
 
 def random_element(ctx, rng, span=6):
@@ -96,11 +97,34 @@ def test_scalar_mixing():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: FieldElement(FieldContext(3, 1), (1, 2)), ValueError, "need exactly four coordinates"),
     (lambda: FieldContext(3, 1).zero().inverse(), ZeroDivisionError, "zero has no inverse"),
-], ids=["two-coordinates", "inverse-of-zero"])
+    (lambda: FieldContext(3, 1).element(0.1), TypeError,
+     "coordinates must be exact rationals (int, Fraction or a numpy integer), got (0.1, 0, 0, 0)"),
+    (lambda: FieldContext(3, 1).element(1, math.nan), TypeError,
+     "coordinates must be exact rationals (int, Fraction or a numpy integer), got (1, nan, 0, 0)"),
+    (lambda: FieldContext(3, 1).element("1/2"), TypeError,
+     "coordinates must be exact rationals (int, Fraction or a numpy integer), got ('1/2', 0, 0, 0)"),
+    (lambda: FieldContext(3, 1).element(0, 0, Decimal("0.5")), TypeError,
+     "coordinates must be exact rationals (int, Fraction or a numpy integer), got (0, 0, Decimal('0.5'), 0)"),
+    (lambda: FieldElement(FieldContext(3, 1), np.array([1.0, 0.0, 0.0, 0.0])), TypeError,
+     "coordinates must be exact rationals (int, Fraction or a numpy integer), got array([1., 0., 0., 0.])"),
+], ids=["two-coordinates", "inverse-of-zero", "float", "nan", "string", "decimal", "float-array"])
 def test_numberfield_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def test_exact_coordinates_are_accepted_as_python_ints():
+    # numpy integers are exact, but their int64 products would overflow: the
+    # numerators are Python ints whatever integer type came in
+    ctx = FieldContext(3, 1)
+    x = ctx.element(np.int64(2 ** 62), np.int32(-3), np.uint8(7), True)
+    assert all(type(n) is int for n in x.nums) and x.den == 1
+    assert x == ctx.element(2 ** 62, -3, 7, 1)
+    assert (x * x).nums[0] == 2 ** 124 - 9 - 3 * 49 + 3
+    y = FieldElement(ctx, np.array([4, -6, 0, 2]) // 2)
+    assert y == ctx.element(2, -3, 0, 1) and all(type(n) is int for n in y.nums)
+    assert ctx.element(Fraction(-3, 4), 1, 0, Fraction(1, 6)).nums == (-9, 12, 0, 2)
 
 
 def test_galois_action_table():
@@ -327,6 +351,10 @@ def test_arithmetic_matches_fraction_reference(pair, a, b):
     assert x.norm() == norm[0]
     assert bool(x) is any(a)
     assert x.is_rational() is (a[1:] == (0, 0, 0))
+    # mul_nums repeats __mul__'s table without its gcd: over den(x)*den(y) its
+    # numerators are those of x*y, times the gcd that __mul__ divided out
+    xy, den = x * y, x.den * y.den
+    assert mul_nums(ctx.c, ctx.cprime, x.nums, y.nums) == tuple(n * (den // xy.den) for n in xy.nums)
 
 
 _fraction = st.fractions(min_value=-40, max_value=40, max_denominator=36).filter(lambda f: f.denominator > 1)
