@@ -230,7 +230,9 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
 
     Condition failures do not raise; they are recorded on the report and
     alpha stays None (the normalized codeword then refuses to build).  An
-    alpha that is positive but 0 or infinite as a double raises ValueError.
+    alpha that is positive but 0 or infinite as a double raises ValueError,
+    and so does a supplied a that sigma does not fix or b that tau does not
+    fix: e*e^2 = e^2*e forces sigma(a) = a and f*f^2 = f^2*f forces tau(b) = b.
     """
     k = Fraction(k)
     lprime = Fraction(lprime)
@@ -238,6 +240,10 @@ def build_params(ctx: FieldContext, u: FieldElement, k=1, lprime=1, *,
         raise ValueError("supply both a and b or neither")
     if a is None:
         a, b = derive_ab(ctx, u, k, lprime)
+    elif a.sigma() != a:
+        raise ValueError(f"a = {a} is not fixed by sigma, so no crossed product has e^2 = a")
+    elif b.tau() != b:
+        raise ValueError(f"b = {b} is not fixed by tau, so no crossed product has f^2 = b")
     conditions = ConditionsReport(u.norm(), u * u.sigma(), u * u.tau(), a * b * u.tau())
     return CodeParams(ctx, u, a, b, k, lprime, conditions, division_check(ctx, u), name)
 

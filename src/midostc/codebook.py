@@ -85,9 +85,15 @@ def _slots(params: CodeParams, basis: SymbolBasis) -> tuple:
 
 
 def _symbols_to_coefficients(params: CodeParams, basis: SymbolBasis, s) -> tuple:
-    """Pack sixteen real symbols into the four field coefficients (see _slots)."""
+    """Pack sixteen real symbols into the four field coefficients (see _slots).
+
+    A finite float symbol keeps its exact binary value (0.1 is 3602879701896397 / 2^55),
+    which keeps the packing linear; a NaN or infinite one is refused (ValueError)."""
     if len(s) != 16:
         raise ValueError(f"need 16 real symbols, got {len(s)}")
+    for i, x in enumerate(s):
+        if isinstance(x, float | np.floating) and not math.isfinite(x):
+            raise ValueError(f"symbol {i + 1} is {x}, not a finite number")
     # numpy integers would overflow in the exact layer's int arithmetic
     vals = [Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x) for x in s]
     slots = _slots(params, basis)

@@ -98,12 +98,17 @@ def _components(coupled: np.ndarray, rem: np.ndarray):
 def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> GroupStructure:
     """Find a conditioning set whose removal splits the coupling graph.
 
-    Decides all 2^n - 1 proper conditioning sets at once, flooding their
-    complements as uint32 bitmask columns, and takes the least (exponent,
-    |set|, mask) among those that leave two or more components, so the result
-    is deterministic and invariant under symbol permutations.  The exponent
-    is |conditioned| plus the size of the largest remaining group: enumerating
-    M^exponent candidates dominates the conditional decoder's complexity.
+    Decides the proper conditioning sets at once, flooding their complements
+    as uint32 bitmask columns, and takes the least (exponent, |set|, mask)
+    among those that leave two or more components, so the result is
+    deterministic and invariant under symbol permutations.  Swapping twins
+    u < v (equal open or equal closed adjacency rows) is a graph automorphism;
+    it maps a set holding v but not u to one with the same |set|, the same
+    component sizes and a smaller mask, so the least set never holds v without
+    u.  Twinship is an equivalence, so only the sets meeting each twin class in
+    a prefix are decided.  The exponent is |conditioned| plus the size of the
+    largest remaining group: enumerating M^exponent candidates dominates the
+    conditional decoder's complexity.
     With target_conditioned given, only sets of that size are considered; it
     must lie in 0..n-1.  Groups come out in order of their lowest symbol.
     Returns the trivial structure when nothing splits.
@@ -113,16 +118,24 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         raise ValueError("bitmask search is sized for small generator sets")
     if target_conditioned is not None and not 0 <= target_conditioned < n:
         raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
-    adj = adjacency(b) @ (1 << np.arange(n, dtype=np.uint32))
-    # coupled[mask]: the symbols coupled to any symbol in mask; size[mask]: its popcount
+    bit = 1 << np.arange(n, dtype=np.uint32)
+    adj = adjacency(b) @ bit
+    # coupled[mask]: the symbols coupled to any symbol in mask; size[mask]: its popcount;
+    # keep[mask]: mask holds each symbol only beside its nearest lower twin
     coupled, size = np.zeros(1 << n, dtype=np.uint32), np.zeros(1 << n, dtype=np.uint8)
+    keep = np.ones(1 << n, dtype=bool)
     for v in range(n):
         coupled[1 << v:2 << v] = coupled[:1 << v] | adj[v]
         size[1 << v:2 << v] = size[:1 << v] + 1
+        keep[1 << v:2 << v] = keep[:1 << v]
+        twins = np.flatnonzero((adj[:v] == adj[v]) | (adj[:v] | bit[:v] == adj[v] | bit[v]))
+        if len(twins):
+            keep[1 << v:2 << v].reshape(-1, 2, 1 << twins[-1])[:, 0] = False
     full = (1 << n) - 1
-    masks = np.arange(full, dtype=np.uint32)
+    keep[full] = False
     if target_conditioned is not None:
-        masks = masks[size[:full] == target_conditioned]
+        keep &= size == target_conditioned
+    masks = np.flatnonzero(keep).astype(np.uint32)
     count, largest = np.zeros(len(masks), dtype=np.uint8), np.zeros(len(masks), dtype=np.uint8)
     for idx, comp in _components(coupled, full ^ masks):
         count[idx] += 1

@@ -327,6 +327,20 @@ def test_build_params_needs_both_generators_or_neither():
     assert build_params(p.ctx, p.u, a=p.a, b=p.b).epsilon == p.u * p.u.tau() == p.conditions.u_tau_u
 
 
+def test_build_params_refuses_generators_no_crossed_product_carries():
+    # e*e^2 = e^2*e forces sigma(a) = a, and f*f^2 = f^2*f forces tau(b) = b
+    p = catalog_entry(1)
+    twisted_a, twisted_b = TWISTED_A_B
+    with pytest.raises(ValueError, match=re.escape(f"a = {twisted_a} is not fixed by sigma")):
+        build_params(p.ctx, p.u, a=twisted_a, b=p.b)
+    with pytest.raises(ValueError, match=re.escape(f"b = {twisted_b} is not fixed by tau")):
+        build_params(p.ctx, p.u, a=p.a, b=twisted_b)
+    # sigma fixes Q(w) and tau fixes Q(w'): entry 5's (a, b) and every derived pair pass
+    for n in range(1, 6):
+        q = catalog_entry(n)
+        assert build_params(q.ctx, q.u, a=q.a, b=q.b).conditions == q.conditions
+
+
 def test_code_params_are_frozen():
     p = catalog_entry(1)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -459,12 +473,17 @@ def test_det_exact_equals_the_leibniz_sum(ctx, coords):
 # the block form [[P, b*tau(R)], [R, tau(P)]] and the determinant kernel on it
 
 
+TWISTED_A_B = (catalog_entry(1).ctx.element(1, 2, F(1, 2), 0), catalog_entry(1).ctx.element(F(1, 3), -1, 2, 1))
+
+
 def twisted_params():
-    """Entry 1's unit with a supplied (a, b) that tau does not fix: no crossed product has this grid."""
-    ctx = catalog_entry(1).ctx
-    a, b = ctx.element(1, 2, F(1, 2), 0), ctx.element(F(1, 3), -1, 2, 1)
-    assert b.tau() != b and a.tau() != a
-    return build_params(ctx, catalog_entry(1).u, a=a, b=b, name="twisted")
+    """Entry 1's unit with an (a, b) that neither sigma nor tau fixes: no crossed
+    product has this grid, so build_params refuses it and the constructor builds it."""
+    ctx, u = catalog_entry(1).ctx, catalog_entry(1).u
+    a, b = TWISTED_A_B
+    assert a.sigma() != a and a.tau() != a and b.tau() != b
+    conditions = ConditionsReport(u.norm(), u * u.sigma(), u * u.tau(), a * b * u.tau())
+    return algebra.CodeParams(ctx, u, a, b, F(1), F(1), conditions, division_check(ctx, u), "twisted")
 
 
 C4_PARAMS = codebook.build_code(catalog_entry(1), "B2", "C4").params

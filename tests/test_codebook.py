@@ -78,7 +78,14 @@ def test_basis_unknown_id():
 @pytest.mark.parametrize("call, message", [
     (lambda: encode(build_code(algebra.catalog_entry(1), "B2"), [1.0] * 15), "need 16 real symbols, got 15"),
     (lambda: codebook._witness([]), "every sampled difference is zero"),
-], ids=["encode-15-symbols", "witness-of-no-slices"])
+    (lambda: encode(build_code(algebra.catalog_entry(1), "B2"), [1.0] * 3 + [np.nan] + [1.0] * 12),
+     "symbol 4 is nan, not a finite number"),
+    (lambda: encode(build_code(algebra.catalog_entry(1), "B2"), [1] * 15 + [-np.inf]),
+     "symbol 16 is -inf, not a finite number"),
+    (lambda: codebook._symbols_to_coefficients(algebra.catalog_entry(1), make_basis(FieldContext(3, 1), "B2"),
+                                               [0.0] * 8 + [np.float32(np.inf)] + [0.0] * 7),
+     "symbol 9 is inf, not a finite number"),
+], ids=["encode-15-symbols", "witness-of-no-slices", "encode-a-nan", "encode-an-infinity", "pack-a-float32-infinity"])
 def test_codebook_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -869,6 +869,62 @@ def test_detect_groups_finds_a_planted_separator(separator, small, large):
     assert detect_groups(b, separator - 1) == GroupStructure((), (tuple(range(n)),), n)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(classes=st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=2, max_size=8)
+       .filter(lambda cs: sum(size for size, _ in cs) <= 12 and max(size for size, _ in cs) >= 2),
+       density=st.floats(0.1, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_detect_groups_matches_brute_force_on_planted_twins(classes, density, seed):
+    # each class of 2-4 symbols shares its neighbours outside the class: true twins
+    # when the class is a clique, false twins when it has no inner edge; the search
+    # skips the sets that hold a twin without its lower ones
+    rng = np.random.default_rng(seed)
+    sizes, cliques = zip(*classes)
+    upper = np.triu(rng.random((len(sizes), len(sizes))) < density, 1)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    adj = (upper | upper.T)[np.ix_(label, label)] | (label[:, None] == label) & np.array(cliques)[label]
+    n = len(label)
+    perm = rng.permutation(n)
+    adj = adj[np.ix_(perm, perm)] & ~np.eye(n, dtype=bool)
+    b = adj * rng.uniform(0.5, 2.0, (n, n))
+    b = np.maximum(b, b.T) + np.eye(n)
+    assert (adjacency(b) == adj).all()
+    for target in (None, *range(n)):
+        gs = detect_groups(b, target)
+        assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adj, target), target
+
+
+# The default structure of every catalog build as a search over all 65,535
+# proper sets gives it: (conditioned, groups, exponent).
+CATALOG_STRUCTURES = {
+    (1, "B2", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (2, "B2", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (3, "B2", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (4, "B2", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (5, "B2", "plain"): ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), ((12, 15), (13, 14)), 14),
+    (1, "B1", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 1, 2, 3), (12, 13, 14, 15)), 12),
+    (2, "B1", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (3, "B1", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 1, 2, 3), (12, 13, 14, 15)), 12),
+    (5, "B1", "plain"): ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), ((14,), (15,)), 15),
+    (1, "B3", "plain"): ((4, 5, 6, 7, 8, 9, 10, 11), ((0, 3), (1, 2), (12, 15), (13, 14)), 10),
+    (5, "B3", "plain"): ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), ((12, 15), (13, 14)), 14),
+    (1, "B2", "C4"): ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), ((12, 15), (13, 14)), 14),
+}
+
+
+@pytest.mark.parametrize("entry, basis, variant", sorted(CATALOG_STRUCTURES))
+def test_catalog_structures_are_pinned(entry, basis, variant):
+    gs = detect_groups(hurwitz_radon(codebook.build_code(algebra.catalog_entry(entry), basis, variant)))
+    assert (gs.conditioned, gs.groups, gs.exponent) == CATALOG_STRUCTURES[entry, basis, variant]
+
+
+@pytest.mark.parametrize("target", [7, 9, 12])
+def test_c2_at_a_target_matches_brute_force(target):
+    # C2's graph splits into twin pairs; at 9 and 12 the least set holds the lower of a pair
+    b = hurwitz_radon(build(1, "B2"))
+    gs = detect_groups(b, target)
+    assert (gs.conditioned, gs.groups, gs.exponent) == reference_groups(adjacency(b), target)
+
+
 PROPERTY_CODES = {name: (code, detect_groups(hurwitz_radon(code)))
                   for name, code in (("C2", build(1, "B2")), ("C5", build(5, "B2")))}
 _unit = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
