@@ -8,11 +8,11 @@ receive SNR is 4 / sigma2, so sigma2 = 4 * 10^(-snr_db/10).
 Determinism ("philox-ss-v1"): trial t of SNR point p draws symbols,
 channel and noise, in that order, from the Philox generator of
 SeedSequence(entropy=seed, spawn_key=(p, t)).  draw_trials is the one
-source of that draw.  It runs numpy's SeedSequence hash for a whole range
-of trials as numpy columns, and its one Python loop rekeys a single
-Philox per trial for the raw words and normals; everything else works on
-the whole range at once.  _trial_rng, sample_channel, transmit and
-ChannelInstance write the same draw out one call at a time; they are
+source of that draw.  It runs numpy's SeedSequence hash for n trials at
+once on a (4, n) uint32 array of pool words, and its one Python loop
+rekeys a single Philox per trial for the raw words and normals; all else
+works on the whole range at once.  _trial_rng, sample_channel, transmit
+and ChannelInstance write the same draw out one call at a time; they are
 kept for bench/ alone, and nothing in src/ or the tests calls them.
 Workers run whole batches of BATCH_SIZE trials, streamed back in order,
 and the stopping rule walks them in that order, so results are
@@ -85,31 +85,25 @@ def _trial_keys(seed: int, point_index: int, start: int, stop: int):
     starts from, derived without building a SeedSequence.
 
     Each run of trials that share their upper words (and so their word
-    count) is hashed at once: one uint32 column per word of t and per pool
-    word, one numpy pass per hash step, then generate_state(2, np.uint64).
+    count) is hashed at once: the four pool words of every trial as one
+    (4, n) uint32 array, one numpy pass per word of t for its four hash
+    steps, then generate_state(2, np.uint64) as one more pass.
     """
     pool, pool_hash = _point_pool(seed, point_index)
+    # the hash constant before and after each step: four per word of t, then the four output steps
+    steps = np.array([pool_hash * pow(_MULT_A, i, 1 << 32) & _MASK32 for i in range(4 * len(_words(stop - 1)) + 1)],
+                     dtype=np.uint32)[:, None]
+    final = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(5)], dtype=np.uint32)[:, None]
     while start < stop:
         end = min(stop, ((start >> 32) + 1) << 32)
-        n, low = end - start, start & _MASK32
-        words = [np.arange(low, low + n, dtype=np.uint32),
-                 *(np.full(n, w, dtype=np.uint32) for w in _words(start)[1:])]
-        mixed = [np.full(n, v, dtype=np.uint32) for v in pool]
-        hash_const = pool_hash
-        for w in words:
-            for dst in range(4):
-                v = w ^ hash_const
-                hash_const = hash_const * _MULT_A & _MASK32
-                v *= hash_const
-                r = _MIX_MULT_L * mixed[dst] - _MIX_MULT_R * (v ^ v >> 16)
-                mixed[dst] = r ^ r >> 16
-        out = []
-        hash_const = _INIT_B
-        for v in mixed:
-            v ^= hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            v *= hash_const
-            out.append((v ^ v >> 16).astype(np.uint64))
+        low = start & _MASK32
+        mixed = np.array(pool, dtype=np.uint32)[:, None]
+        for i, w in enumerate([np.arange(low, low + end - start, dtype=np.uint32), *_words(start)[1:]]):
+            v = (w ^ steps[4 * i:4 * i + 4]) * steps[4 * i + 1:4 * i + 5]
+            r = _MIX_MULT_L * mixed - _MIX_MULT_R * (v ^ v >> 16)
+            mixed = r ^ r >> 16
+        v = (mixed ^ final[:4]) * final[1:]
+        out = (v ^ v >> 16).astype(np.uint64)
         yield from zip((out[0] | out[1] << 32).tolist(), (out[2] | out[3] << 32).tolist())
         start = end
 
@@ -134,9 +128,10 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
 
     Bit for bit the draws of Philox(SeedSequence(entropy=seed, spawn_key=
     (point_index, t))) in the order symbols, channel, noise, by a cheaper
-    route.  _trial_keys hashes the Philox keys of the whole range in numpy
-    columns; the one loop over trials rekeys a single Philox with each key
-    (counter 0, empty buffer) and takes eight raw words and 32 normals.  A
+    route.  _trial_keys hashes the Philox keys of the whole range as one
+    (4, n) uint32 array of pool words; the one loop over trials rekeys this
+    call's own Philox with each key (counter 0, empty buffer) and takes
+    eight raw words and 32 normals into its rows of the batch.  A
     trial's symbols are the top bits of the 32-bit halves of the raw words,
     low half first, which is what integers(0, 2, 16) returns; its channel
     and noise are the normals.  Everything after the loop works on the whole
@@ -161,11 +156,11 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     raw = np.empty((n, 8), dtype=np.uint64)
     normals = np.empty((n, 32))
-    for i, key in enumerate(_trial_keys(seed, point_index, start, stop)):
+    for key, raw_row, normals_row in zip(_trial_keys(seed, point_index, start, stop), raw, normals):
         state["state"]["key"] = key
         bitgen.state = state
-        raw[i] = bitgen.random_raw(8)
-        rng.standard_normal(out=normals[i])
+        raw_row[:] = bitgen.random_raw(8)
+        rng.standard_normal(out=normals_row)
     s0 = np.stack([(raw >> 31) & 1, raw >> 63], axis=-1).reshape(n, 16) * 2.0 - 1.0
     z = normals.reshape(n, 2, 2, 4, 2)
     H = (z[:, 0, ..., 0] + 1j * z[:, 0, ..., 1]) * SQRT_HALF

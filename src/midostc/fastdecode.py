@@ -5,7 +5,7 @@ off the matrix b[l, m] = ||A_l A_m^H + A_m A_l^H||_F.  A structural zero
 there makes the corresponding real-channel columns orthogonal for every
 channel realization, which is what allows conditioning on a subset of
 symbols and decoding the rest in independent groups.  One scale-free rule,
-_coupled, judges b and every trial's Gram matrix alike.  The conditional
+_coupled's, judges b and every trial's Gram matrix alike.  The conditional
 decoder plans each structure once and decodes same-size groups as a stack.
 """
 
@@ -120,22 +120,24 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
     bit = 1 << np.arange(n, dtype=np.uint32)
     adj = adjacency(b) @ bit
+    # each symbol's nearest lower twin, if it has one
+    twin = [np.flatnonzero((adj[:v] == adj[v]) | (adj[:v] | bit[:v] == adj[v] | bit[v]))[-1:].tolist()
+            for v in range(n)]
     # coupled[mask]: the symbols coupled to any symbol in mask; size[mask]: its popcount;
-    # keep[mask]: mask holds each symbol only beside its nearest lower twin
+    # keep[mask]: mask holds each symbol only beside its nearest lower twin (not built without twins)
     coupled, size = np.zeros(1 << n, dtype=np.uint32), np.zeros(1 << n, dtype=np.uint8)
-    keep = np.ones(1 << n, dtype=bool)
+    keep = np.ones(1 << n, dtype=bool) if any(map(len, twin)) else None
     for v in range(n):
         coupled[1 << v:2 << v] = coupled[:1 << v] | adj[v]
         size[1 << v:2 << v] = size[:1 << v] + 1
-        keep[1 << v:2 << v] = keep[:1 << v]
-        twins = np.flatnonzero((adj[:v] == adj[v]) | (adj[:v] | bit[:v] == adj[v] | bit[v]))
-        if len(twins):
-            keep[1 << v:2 << v].reshape(-1, 2, 1 << twins[-1])[:, 0] = False
+        if keep is not None:
+            keep[1 << v:2 << v] = keep[:1 << v]
+            for u in twin[v]:
+                keep[1 << v:2 << v].reshape(-1, 2, 1 << u)[:, 0] = False
     full = (1 << n) - 1
-    keep[full] = False
+    masks = np.arange(full, dtype=np.uint32) if keep is None else np.flatnonzero(keep[:full]).astype(np.uint32)
     if target_conditioned is not None:
-        keep &= size == target_conditioned
-    masks = np.flatnonzero(keep).astype(np.uint32)
+        masks = masks[size[masks] == target_conditioned]
     count, largest = np.zeros(len(masks), dtype=np.uint8), np.zeros(len(masks), dtype=np.uint8)
     for idx, comp in _components(coupled, full ^ masks):
         count[idx] += 1
@@ -167,9 +169,11 @@ def stack_real(Y: np.ndarray) -> np.ndarray:
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> np.ndarray:
     n, r, c = generators.shape
-    # One GEMM: H (..., 2, 4) times every generator side by side (4, 16 * 4).
+    # A product per H with all generators side by side (4, 64): one GEMM on all H's rows rounds otherwise on Haswell.
     HA = (H @ generators.transpose(1, 0, 2).reshape(r, n * c)).reshape(*H.shape[:-1], n, c)
-    return stack_real(HA.swapaxes(-2, -3)).swapaxes(-1, -2)   # column i: H A_i stacked
+    Gt = np.empty((*H.shape[:-2], n, 2, H.shape[-2], c))    # row i: H A_i stacked as stack_real stacks it
+    Gt[..., 0, :, :], Gt[..., 1, :, :] = HA.real.swapaxes(-2, -3), HA.imag.swapaxes(-2, -3)
+    return Gt.reshape(*H.shape[:-2], n, -1).swapaxes(-1, -2)
 
 
 def real_channel(code, H: np.ndarray) -> np.ndarray:
@@ -281,8 +285,9 @@ _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignment
 @lru_cache(maxsize=32)
 def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
     """Read-only arrays for decoding width columns over gs with the alphabet levels: conditioned prefix
-    a, suffix b and their grids; each symbol's group (-1 if conditioned) and the cross-group mask; same-size
-    groups stacked as (indices (ng, k), grid, half grid); each group's (stack, row); visits."""
+    a, suffix b and their grids; each symbol's group (-1 if conditioned) and the cross-group pairs l < m in
+    row-major order, (2, P); same-size groups stacked as (indices (ng, k), grid, half grid); each group's
+    (stack, row); visits."""
     _check_symmetric(levels)
     if sorted([*gs.conditioned, *(v for g in gs.groups for v in g)]) != list(range(width)):
         raise ValueError(f"{gs} does not partition the {width} columns of G into its conditioned set and groups")
@@ -293,7 +298,7 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
                          f"exceeds the visit budget {DEFAULT_VISIT_BUDGET}")
     a, b = np.split(np.array(gs.conditioned, dtype=np.intp), [len(gs.conditioned) // 2])
     label = np.array([next((i for i, g in enumerate(gs.groups) if v in g), -1) for v in range(width)])
-    cross = (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
+    cross = np.array(np.nonzero(np.triu((label[:, None] != label) & (label[:, None] >= 0) & (label >= 0))))
     stacks = tuple((np.array([g for g in gs.groups if len(g) == k], dtype=np.intp), Sg, Sg[:len(Sg) - len(Sg) // 2])
                    for k in sorted(set(sizes)) for Sg in [_candidate_grid(levels, k)])
     for arr in (a, b, label, cross, *(x for stack in stacks for x in stack)):
@@ -303,32 +308,42 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
-    """Raise unless no trial's K couples two groups, under the rule of _coupled."""
-    bad = _coupled(K) & cross
+    """Raise unless no trial's K couples two groups, under the rule of _coupled applied to _plan's cross-group
+    pairs l < m alone, in row-major order: K is symmetric, so the first failing trial and pair are the stack's."""
+    d = np.sqrt(np.einsum("...ii->...i", K))
+    bad = np.abs(K[:, cross[0], cross[1]]) > ORTHOGONALITY_TOL * (d[:, cross[0]] * d[:, cross[1]])
     if bad.any():
-        t, l, m = np.argwhere(bad)[0]
+        t, p = np.argwhere(bad)[0]
+        l, m = cross[:, p]
         dot = abs(K[t, l, m]) / np.sqrt(K[t, l, l]) / np.sqrt(K[t, m, m])
         raise StructureInvalidError(
             f"trial {t} of the batch: groups {gs.groups[label[l]]} and {gs.groups[label[m]]} are not "
             f"orthogonal for this channel (normalized inner product {dot:.3e})")
 
 
-def _quadratic(T: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """t^T K t - 2 z^T t for every row t of T and every K, z: (..., len(T)).  K t - 2 z is
-    held one coordinate per row, (..., n, len(T)), so the sum over coordinates runs in order."""
-    P = K.swapaxes(-1, -2) @ T.T - 2.0 * z[..., None]
-    P *= T.T
-    return P.sum(axis=-2)
+def _quadratic(T: np.ndarray, Kt: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """t^T K t - 2 z^T t for every row t of T and every trial's K, given transposed as Kt (B, n, n), and
+    z (B, n): (B, len(T)).  K t - 2 z is held one coordinate per row, (n, B, len(T)), from one GEMM over
+    the batch, so the sum over coordinates runs in order."""
+    B, n = z.shape
+    P = (Kt.swapaxes(0, 1).reshape(n * B, n) @ T.T).reshape(n, B, len(T)) - 2.0 * z.T[..., None]
+    P *= T.T[:, None]
+    return P.sum(axis=0)
 
 
 def _stack_terms(K: np.ndarray, z: np.ndarray, a: np.ndarray, Ta: np.ndarray, b: np.ndarray, Tb: np.ndarray,
                  gi: np.ndarray, half: np.ndarray) -> tuple:
     """q, q(s_0) - q and 2 la, 2 lb of a stack gi (ng, k) of same-size groups over the half grid half
-    (H, k): (B, ng, H), (B, ng, H), (B, ng, H, len(Ta)) and (B, ng, H, len(Tb))."""
-    q = ((half @ K[:, gi[:, :, None], gi[:, None, :]]) * half).sum(axis=-1)
-    la = (K[:, gi.ravel()[:, None], a] @ Ta.T - z[:, gi.ravel(), None]).reshape(*q.shape[:2], -1, len(Ta))
-    lb = (K[:, gi.ravel()[:, None], b] @ Tb.T).reshape(*q.shape[:2], -1, len(Tb))
-    return q, q[..., :1] - q, 2.0 * half @ la, 2.0 * half @ lb
+    (H, k): (B, ng, H), (B, ng, H), (B, ng, H, len(Ta)) and (B, ng, H, len(Tb)), views of (H, ng, B, ...)
+    arrays.  Each is one GEMM over the batch, its operand held group coordinate first, (k, ng, B, ...)."""
+    (ng, k), B, H, rows = gi.shape, len(K), len(half), gi.T.ravel()[:, None]
+    Kgg = K[np.arange(B)[:, None], gi.T[:, :, None, None], gi[:, None, :]]           # (k, ng, B, k)
+    q = ((half @ Kgg.reshape(k, -1)).reshape(H, ng, B, k) * half[:, None, None, :]).sum(axis=-1).T
+    la = (K[:, rows, a].swapaxes(0, 1).reshape(gi.size * B, len(a)) @ Ta.T).reshape(k, ng, B, len(Ta))
+    la -= z[:, gi].T[..., None]
+    lb = K[:, rows, b].swapaxes(0, 1).reshape(gi.size * B, len(b)) @ Tb.T
+    la, lb = ((2.0 * half @ l.reshape(k, -1)).reshape(H, ng, B, -1).transpose(2, 1, 0, 3) for l in (la, lb))
+    return q, q[..., :1] - q, la, lb
 
 
 def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
@@ -366,8 +381,8 @@ def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
     a, b, Ta, Tb, _, _, stacks, place, _ = plan
     B, A, B_ = len(K), len(Ta), len(Tb)
     terms = [_stack_terms(K, z, a, Ta, b, Tb, gi, half) for gi, _, half in stacks]
-    Qa = _quadratic(Ta, K[:, a[:, None], a], z[:, a])                          # (B, A)
-    Qb = _quadratic(Tb, K[:, b[:, None], b], z[:, b])                          # (B, B_)
+    Qa = _quadratic(Ta, K[:, a, a[:, None]], z[:, a])                          # (B, A)
+    Qb = _quadratic(Tb, K[:, b, b[:, None]], z[:, b])                          # (B, B_)
     Kab = K[:, a[:, None], b].swapaxes(-1, -2)
     step = max(1, _BLOCK_VALUES // (A * B_))
     n = min(step, B)
@@ -451,7 +466,7 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     plan = _plan(gs, tuple(pam), G.shape[-1])
     Yb, Gb = y.reshape(-1, y.shape[-1]), G.reshape(-1, *G.shape[-2:])
     Gt = Gb.swapaxes(-1, -2)
-    K = Gt @ Gb
+    K = Gt @ np.ascontiguousarray(Gb)
     z = (Gt @ Yb[..., None])[..., 0]
     _verify_structure(K, gs, *plan[4:6])
     s = _decode_block(K, z, plan)

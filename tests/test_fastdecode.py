@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from midostc import algebra, channel, codebook, fastdecode
 from midostc.cli import CODE_SHORTCUTS
 from midostc.fastdecode import (
+    ORTHOGONALITY_TOL,
     GroupStructure,
     StructureInvalidError,
     adjacency,
@@ -725,6 +726,98 @@ def test_batch_names_the_trial_that_breaks_orthogonality():
     keep = [0, 1, 2, 4]
     res = conditional_group_decode(np.zeros((4, 16)), G[keep], gs, pam_levels(2))
     assert res.symbols.shape == (4, 16)
+
+
+def cross_mask(label):
+    """(n, n): True where symbols l and m lie in two different groups."""
+    return (label[:, None] != label) & (label[:, None] >= 0) & (label >= 0)
+
+
+def first_coupling(K, gs, label):
+    """The error the guard must raise for K, read off the whole (B, n, n) stack with _coupled; None
+    when no trial couples two groups."""
+    bad = np.argwhere(fastdecode._coupled(K) & cross_mask(label))
+    if not len(bad):
+        return None
+    t, l, m = bad[0]
+    dot = abs(K[t, l, m]) / np.sqrt(K[t, l, l]) / np.sqrt(K[t, m, m])
+    return (f"trial {t} of the batch: groups {gs.groups[label[l]]} and {gs.groups[label[m]]} are not "
+            f"orthogonal for this channel (normalized inner product {dot:.3e})")
+
+
+def guard_message(K, gs):
+    """The guard's error for K, or None when it passes K."""
+    plan = fastdecode._plan(gs, pam_levels(2), K.shape[-1])
+    try:
+        fastdecode._verify_structure(K, gs, *plan[4:6])
+    except StructureInvalidError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["B1", "C2", "C5", "mixed"]), trials=st.integers(1, 9), data=st.data())
+def test_guard_names_the_first_coupling_of_the_whole_matrix(name, trials, data):
+    # couplings planted at random trials and cross-group pairs, below, at, above and far above the
+    # rule's 1e-8 and overflowed, are judged as _coupled judges the whole matrix
+    gs, G, _ = batch_case(name, trials, 70)
+    K = G.swapaxes(-1, -2) @ G
+    label = fastdecode._plan(gs, pam_levels(2), 16)[4]
+    pairs = np.argwhere(cross_mask(label))
+    plants = data.draw(st.lists(st.tuples(st.integers(0, trials - 1), st.integers(0, len(pairs) - 1),
+                                          st.sampled_from([5e-9, -5e-9, "edge", 1.5e-8, -1.5e-8, 0.3, np.inf])),
+                                max_size=4))
+    for t, p, scale in plants:
+        l, m = pairs[p]
+        d = np.sqrt(K[t, l, l]), np.sqrt(K[t, m, m])
+        K[t, l, m] = K[t, m, l] = ORTHOGONALITY_TOL * (d[0] * d[1]) if scale == "edge" else scale * d[0] * d[1]
+    assert guard_message(K, gs) == first_coupling(K, gs, label)
+
+
+def test_guard_names_an_overflowed_coupling_of_two_groups_only():
+    gs, G, _ = batch_case("C2", 3, 72)
+    K = G.swapaxes(-1, -2) @ G
+    label = fastdecode._plan(gs, pam_levels(2), 16)[4]
+    (u, v), (w, _) = gs.groups[:2]
+    for l, m in ((u, v), (gs.conditioned[0], u)):       # inside a group; a conditioned symbol and a group
+        K[0, l, m] = K[0, m, l] = np.inf
+    assert guard_message(K, gs) is None
+    K[1, v, w] = K[1, w, v] = np.inf
+    assert guard_message(K, gs) == first_coupling(K, gs, label)
+    assert "trial 1 of the batch" in guard_message(K, gs) and "inner product inf" in guard_message(K, gs)
+
+
+@pytest.mark.parametrize("gs", [TRIVIAL, GroupStructure((0, 1, 2, 3), (tuple(range(4, 16)),), 16)],
+                         ids=["trivial", "one-group"])
+def test_guard_passes_a_structure_without_cross_group_pairs(gs):
+    rng = np.random.default_rng(73)
+    G = rng.standard_normal((4, 16, 16))
+    K = G.swapaxes(-1, -2) @ G
+    K[2, 4, 15] = K[2, 15, 4] = np.inf
+    assert fastdecode._plan(gs, pam_levels(2), 16)[5].size == 0
+    assert guard_message(K, gs) is None
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 15.0, 40.0, None], ids=["0dB", "15dB", "40dB", "zero-signal"])
+@pytest.mark.parametrize("name, rows", [("C2", 256), ("C5", 256), ("trivial", 20)])
+def test_decisions_do_not_depend_on_the_batch(name, rows, snr_db):
+    # the same drawn rows decoded one at a time, 13 at a time and all at once; the trivial
+    # structure's group terms take 8 MB a row, so it decodes fewer
+    example, basis, variant = CODE_SHORTCUTS["C2" if name == "trivial" else name]
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    gs = TRIVIAL if name == "trivial" else detect_groups(hurwitz_radon(code))
+    sigma2 = channel.snr_to_sigma2(15.0 if snr_db is None else snr_db)
+    _, y, G = channel.draw_trials(12, 0, 0, rows, code.generators, sigma2)
+    if snr_db is None:
+        y = np.zeros_like(y)
+    runs = []
+    for size in (1, 13, rows):
+        parts = [conditional_group_decode(y[lo:lo + size], G[lo:lo + size], gs, pam_levels(2))
+                 for lo in range(0, rows, size)]
+        runs.append([np.concatenate([res.symbols for res in parts]), np.concatenate([res.metric for res in parts])])
+    for symbols, metrics in runs[1:]:
+        assert np.array_equal(symbols, runs[0][0])
+        assert np.array_equal(metrics.view(np.uint64), runs[0][1].view(np.uint64))
 
 
 @pytest.mark.parametrize("y_shape, g_shape", [
