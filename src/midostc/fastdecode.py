@@ -5,7 +5,7 @@ off the matrix b[l, m] = ||A_l A_m^H + A_m A_l^H||_F.  A structural zero
 there makes the corresponding real-channel columns orthogonal for every
 channel realization, which is what allows conditioning on a subset of
 symbols and decoding the rest in independent groups.  One scale-free rule,
-_coupled's, judges b and every trial's Gram matrix alike.  The conditional
+_coupled, judges b and every trial's Gram matrix alike.  The conditional
 decoder plans each structure once and decodes same-size groups as a stack.
 """
 
@@ -40,10 +40,12 @@ def hurwitz_radon(code) -> np.ndarray:
     return np.linalg.norm(P + P.swapaxes(0, 1), axis=(2, 3))
 
 
-def _coupled(M: np.ndarray) -> np.ndarray:
-    """|M_lm| > ORTHOGONALITY_TOL * sqrt(M_ll M_mm), for one matrix or a (..., n, n) stack."""
+def _coupled(M: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+    """|M_lm| > ORTHOGONALITY_TOL * sqrt(M_ll M_mm), for one matrix or a (..., n, n) stack: at every
+    (l, m), (..., n, n), or at the index pairs (2, P) given alone, (..., P)."""
     d = np.sqrt(np.einsum("...ii->...i", M))
-    return np.abs(M) > ORTHOGONALITY_TOL * (d[..., :, None] * d[..., None, :])
+    l, m = np.indices(M.shape[-2:]) if pairs is None else pairs
+    return np.abs(M[..., l, m]) > ORTHOGONALITY_TOL * (d[..., l] * d[..., m])
 
 
 def adjacency(b: np.ndarray) -> np.ndarray:
@@ -120,24 +122,22 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
         raise ValueError(f"target_conditioned must be in 0..{n - 1}, got {target_conditioned}")
     bit = 1 << np.arange(n, dtype=np.uint32)
     adj = adjacency(b) @ bit
-    # each symbol's nearest lower twin, if it has one
-    twin = [np.flatnonzero((adj[:v] == adj[v]) | (adj[:v] | bit[:v] == adj[v] | bit[v]))[-1:].tolist()
-            for v in range(n)]
     # coupled[mask]: the symbols coupled to any symbol in mask; size[mask]: its popcount;
-    # keep[mask]: mask holds each symbol only beside its nearest lower twin (not built without twins)
+    # keep[mask]: mask holds each symbol only beside its nearest lower twin
     coupled, size = np.zeros(1 << n, dtype=np.uint32), np.zeros(1 << n, dtype=np.uint8)
-    keep = np.ones(1 << n, dtype=bool) if any(map(len, twin)) else None
+    keep = np.ones(1 << n, dtype=bool)
     for v in range(n):
         coupled[1 << v:2 << v] = coupled[:1 << v] | adj[v]
         size[1 << v:2 << v] = size[:1 << v] + 1
-        if keep is not None:
-            keep[1 << v:2 << v] = keep[:1 << v]
-            for u in twin[v]:
-                keep[1 << v:2 << v].reshape(-1, 2, 1 << u)[:, 0] = False
+        keep[1 << v:2 << v] = keep[:1 << v]
+        twins = np.flatnonzero((adj[:v] == adj[v]) | (adj[:v] | bit[:v] == adj[v] | bit[v]))
+        if len(twins):
+            keep[1 << v:2 << v].reshape(-1, 2, 1 << twins[-1])[:, 0] = False
     full = (1 << n) - 1
-    masks = np.arange(full, dtype=np.uint32) if keep is None else np.flatnonzero(keep[:full]).astype(np.uint32)
+    keep[full] = False
     if target_conditioned is not None:
-        masks = masks[size[masks] == target_conditioned]
+        keep &= size == target_conditioned
+    masks = np.flatnonzero(keep).astype(np.uint32)
     count, largest = np.zeros(len(masks), dtype=np.uint8), np.zeros(len(masks), dtype=np.uint8)
     for idx, comp in _components(coupled, full ^ masks):
         count[idx] += 1
@@ -162,18 +162,18 @@ def detect_groups(b: np.ndarray, target_conditioned: int | None = None) -> Group
 
 def stack_real(Y: np.ndarray) -> np.ndarray:
     """Stack a complex 2x4 matrix, or each of a (..., 2, 4) stack, as 16 reals
-    (row-major, then imaginary part)."""
-    flat = np.reshape(Y, (*np.shape(Y)[:-2], -1))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+    (row-major, then imaginary part), written straight from Y's real and imaginary views."""
+    Y = np.asarray(Y)
+    out = np.empty((*Y.shape[:-2], 2, *Y.shape[-2:]), dtype=Y.real.dtype)
+    out[..., 0, :, :], out[..., 1, :, :] = Y.real, Y.imag
+    return out.reshape(*Y.shape[:-2], -1)
 
 
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> np.ndarray:
     n, r, c = generators.shape
     # A product per H with all generators side by side (4, 64): one GEMM on all H's rows rounds otherwise on Haswell.
     HA = (H @ generators.transpose(1, 0, 2).reshape(r, n * c)).reshape(*H.shape[:-1], n, c)
-    Gt = np.empty((*H.shape[:-2], n, 2, H.shape[-2], c))    # row i: H A_i stacked as stack_real stacks it
-    Gt[..., 0, :, :], Gt[..., 1, :, :] = HA.real.swapaxes(-2, -3), HA.imag.swapaxes(-2, -3)
-    return Gt.reshape(*H.shape[:-2], n, -1).swapaxes(-1, -2)
+    return stack_real(HA.swapaxes(-2, -3)).swapaxes(-1, -2)   # column i: H A_i stacked
 
 
 def real_channel(code, H: np.ndarray) -> np.ndarray:
@@ -310,8 +310,7 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
 def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
     """Raise unless no trial's K couples two groups, under the rule of _coupled applied to _plan's cross-group
     pairs l < m alone, in row-major order: K is symmetric, so the first failing trial and pair are the stack's."""
-    d = np.sqrt(np.einsum("...ii->...i", K))
-    bad = np.abs(K[:, cross[0], cross[1]]) > ORTHOGONALITY_TOL * (d[:, cross[0]] * d[:, cross[1]])
+    bad = _coupled(K, cross)
     if bad.any():
         t, p = np.argwhere(bad)[0]
         l, m = cross[:, p]
