@@ -257,20 +257,17 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
 
     "sparse_exhaustive" enumerates every difference supported on at most
     two field coefficients and ranks them by the product of two 2x2 minors
-    (_sparse_determinants); "random" samples n full-width differences from
-    {-2, 0, 2}^16, n at least 1, seed non-negative, drops the zero ones and
-    ranks them by det_exact's Laplace expansion.  Either set is ranked
-    _SAMPLE_SLICE differences at a time by _witness: memory stays flat in
-    n, and the allocator reuses a slice's temporaries (the whole sparse
-    set's would page-fault afresh on every call).  The minimum is the exact
-    determinant at the witness; a strictly positive one over the sparse set
-    is the nonvanishing determinant expected from a division algebra.
+    (_sparse_determinants), the whole set in one _witness slice; "random"
+    samples n full-width differences from {-2, 0, 2}^16, n at least 1, seed
+    non-negative, drops the zero ones and ranks them by det_exact's Laplace
+    expansion, _SAMPLE_SLICE differences at a time, so its memory stays flat
+    in n.  The minimum is the exact determinant at the witness; a strictly
+    positive one over the sparse set is the nonvanishing determinant
+    expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
         dets, perms = _sparse_determinants(code)     # the sparse set has no zero difference
-        index = np.arange(len(dets))
-        slices = ((index[lo:lo + _SAMPLE_SLICE], dets[lo:lo + _SAMPLE_SLICE], perms[lo:lo + _SAMPLE_SLICE])
-                  for lo in range(0, len(dets), _SAMPLE_SLICE))
+        slices = [(range(len(dets)), dets, perms)]      # a range: a 39,360-entry index array page-faults afresh
     elif strategy == "random":
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")

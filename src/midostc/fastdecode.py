@@ -280,14 +280,16 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
 
 
 _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignments
+_TERM_VALUES = 1 << 20   # group-term values built at a time: trials x (group candidates x terms)
 
 
 @lru_cache(maxsize=32)
 def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
     """Read-only arrays for decoding width columns over gs with the alphabet levels: conditioned prefix
-    a, suffix b and their grids; each symbol's group (-1 if conditioned) and the cross-group pairs l < m in
-    row-major order, (2, P); same-size groups stacked as (indices (ng, k), grid, half grid); each group's
-    (stack, row); visits."""
+    a, suffix b and their grids Ta, Tb; each symbol's group (-1 if conditioned) and the cross-group pairs
+    l < m in row-major order, (2, P); same-size groups stacked as (indices (ng, k), grid, half grid H);
+    each group's (stack, row); the rows per _decode_block call, at least one, whose group terms fit
+    _TERM_VALUES at H ng (k + |Ta| + |Tb|) values a row per stack; visits."""
     _check_symmetric(levels)
     if sorted([*gs.conditioned, *(v for g in gs.groups for v in g)]) != list(range(width)):
         raise ValueError(f"{gs} does not partition the {width} columns of G into its conditioned set and groups")
@@ -303,8 +305,10 @@ def _plan(gs: GroupStructure, levels: tuple, width: int) -> tuple:
                    for k in sorted(set(sizes)) for Sg in [_candidate_grid(levels, k)])
     for arr in (a, b, label, cross, *(x for stack in stacks for x in stack)):
         arr.setflags(write=False)
-    return (a, b, _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b)), label, cross, stacks,
-            tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes)), visits)
+    Ta, Tb = _candidate_grid(levels, len(a)), _candidate_grid(levels, len(b))
+    terms = sum(len(half) * (gi.size + len(gi) * (len(Ta) + len(Tb))) for gi, _, half in stacks)
+    place = tuple((sorted(set(sizes)).index(k), sizes[:i].count(k)) for i, k in enumerate(sizes))
+    return a, b, Ta, Tb, label, cross, stacks, place, max(1, _TERM_VALUES // max(1, terms)), visits
 
 
 def _verify_structure(K: np.ndarray, gs: GroupStructure, label: np.ndarray, cross: np.ndarray) -> None:
@@ -377,7 +381,7 @@ def _decode_block(K: np.ndarray, z: np.ndarray, plan: tuple) -> np.ndarray:
     group's symbols come from an exact argmin over all of Sg: q + l on the
     first half and q - l on the mirrored second half, in grid order.
     """
-    a, b, Ta, Tb, _, _, stacks, place, _ = plan
+    a, b, Ta, Tb, _, _, stacks, place = plan[:8]
     B, A, B_ = len(K), len(Ta), len(Tb)
     terms = [_stack_terms(K, z, a, Ta, b, Tb, gi, half) for gi, _, half in stacks]
     Qa = _quadratic(Ta, K[:, a, a[:, None]], z[:, a])                          # (B, A)
@@ -457,9 +461,9 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     built.  Returns the symbols and the residual metric ||y - G s||^2
     per trial, shaped like y's batch (a float for a single trial).  Visits
     are per trial: M^|conditioned| * sum_i M^|group_i| candidate
-    enumerations, or M^|conditioned| with no groups.  The group terms scale
-    with the rows passed (about 13 KB per C5 row at peak), the block buffers
-    do not; the callers in this package pass at most channel.BATCH_SIZE rows.
+    enumerations, or M^|conditioned| with no groups.  _decode_block takes
+    the rows in chunks of _plan's row bound, so memory stays flat in the
+    rows; every catalog code takes a channel.BATCH_SIZE batch in one chunk.
     """
     y, G = _real_trials(y, G, batched=True)
     plan = _plan(gs, tuple(pam), G.shape[-1])
@@ -468,7 +472,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     K = Gt @ np.ascontiguousarray(Gb)
     z = (Gt @ Yb[..., None])[..., 0]
     _verify_structure(K, gs, *plan[4:6])
-    s = _decode_block(K, z, plan)
+    rows = plan[-2]
+    s = np.concatenate([_decode_block(K[lo:lo + rows], z[lo:lo + rows], plan) for lo in range(0, len(K), rows)])
     resid = Yb - (Gb @ s[..., None])[..., 0]
     metric = np.einsum("bi,bi->b", resid, resid)
     if y.ndim == 1:

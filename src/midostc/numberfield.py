@@ -75,7 +75,8 @@ class FieldContext:
 
 
 def mul_nums(c: int, cprime: int, a, b) -> tuple:
-    """Numerators of the product of numerators a and b: __mul__'s table without its gcd."""
+    """Numerators of the product of numerators a and b, no gcd taken: L's one multiplication table,
+    from w'^2 = -c', w^2 = -c, (w'w)^2 = c*c', w'*w = w'w, w'*(w'w) = -c'*w and w*(w'w) = -c*w'."""
     (a1, a2, a3, a4), (b1, b2, b3, b4) = a, b
     return (a1 * b1 - cprime * a2 * b2 - c * a3 * b3 + c * cprime * a4 * b4,
             a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
@@ -162,18 +163,7 @@ class FieldElement:
                 return NotImplemented
         if self.ctx is not other.ctx:
             self._check(other)
-        a1, a2, a3, a4 = self.nums
-        b1, b2, b3, b4 = other.nums
-        c = self.ctx.c
-        cp = self.ctx.cprime
-        # Multiplication table of the basis: w'^2 = -c', w^2 = -c,
-        # (w'w)^2 = c*c', w'*w = w'w, w'*(w'w) = -c'*w, w*(w'w) = -c*w'.
-        return _element(self.ctx,
-                        a1 * b1 - cp * a2 * b2 - c * a3 * b3 + c * cp * a4 * b4,
-                        a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
-                        a1 * b3 + a3 * b1 - cp * (a2 * b4 + a4 * b2),
-                        a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
-                        self.den * other.den)
+        return _element(self.ctx, *mul_nums(self.ctx.c, self.ctx.cprime, self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -818,6 +819,34 @@ def test_decisions_do_not_depend_on_the_batch(name, rows, snr_db):
     for symbols, metrics in runs[1:]:
         assert np.array_equal(symbols, runs[0][0])
         assert np.array_equal(metrics.view(np.uint64), runs[0][1].view(np.uint64))
+
+
+def test_trivial_structure_decodes_a_batch_in_bounded_memory():
+    # the trivial structure's group terms take about 8 MB a row, so 24 rows at once would need
+    # about 200 MB; decoded in row chunks they stay within 48 MB, bit for bit as row by row
+    code = build(1, "B2")
+    _, y, G = channel.draw_trials(3, 0, 0, 24, code.generators, channel.snr_to_sigma2(15.0))
+    single = [conditional_group_decode(y[i], G[i], TRIVIAL, pam_levels(2)) for i in range(len(y))]
+    tracemalloc.start()
+    try:
+        res = conditional_group_decode(y, G, TRIVIAL, pam_levels(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    assert np.array_equal(res.symbols, [r.symbols for r in single])
+    assert np.array_equal(res.metric.view(np.uint64), np.array([r.metric for r in single]).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "B1"])
+def test_catalog_codes_decode_a_whole_batch_in_one_block(name, monkeypatch):
+    example, basis, variant = CODE_SHORTCUTS.get(name, (1, "B1", "plain"))
+    code = codebook.build_code(algebra.catalog_entry(example), basis, variant)
+    _, y, G = channel.draw_trials(4, 0, 0, channel.BATCH_SIZE, code.generators, channel.snr_to_sigma2(15.0))
+    rows, decode_block = [], fastdecode._decode_block
+    monkeypatch.setattr(fastdecode, "_decode_block", lambda K, z, plan: rows.append(len(K)) or decode_block(K, z, plan))
+    conditional_group_decode(y, G, detect_groups(hurwitz_radon(code)), pam_levels(2))
+    assert rows == [channel.BATCH_SIZE]
 
 
 @pytest.mark.parametrize("y_shape, g_shape", [

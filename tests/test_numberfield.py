@@ -351,7 +351,7 @@ def test_arithmetic_matches_fraction_reference(pair, a, b):
     assert x.norm() == norm[0]
     assert bool(x) is any(a)
     assert x.is_rational() is (a[1:] == (0, 0, 0))
-    # mul_nums repeats __mul__'s table without its gcd: over den(x)*den(y) its
+    # mul_nums is the table __mul__ reduces by one gcd: over den(x)*den(y) its
     # numerators are those of x*y, times the gcd that __mul__ divided out
     xy, den = x * y, x.den * y.den
     assert mul_nums(ctx.c, ctx.cprime, x.nums, y.nums) == tuple(n * (den // xy.den) for n in xy.nums)
