@@ -158,9 +158,10 @@ class MinDetResult:
 
 _DELTAS = np.array(list(itertools.product((-2, 0, 2), repeat=4)), dtype=float)  # one coefficient's 81 PAM differences
 _ZERO_CELL = 40 * 81 + 40     # the (zero, zero) cell of a coefficient pair's (81, 81) grid: row 40 is zero
-
-
 _PAIRS = tuple(itertools.combinations(range(4), 2))
+# sparse index of each sign class's representative: per pair, rows 0..40 against rows 0..40, less the zero cell
+_REPRESENTATIVES = (np.arange(6)[:, None] * 6560 + (81 * np.arange(41)[:, None] + np.arange(41)).ravel()[:-1]).ravel()
+_REPRESENTATIVES.flags.writeable = False
 
 
 def _sparse_difference(index: int) -> tuple:
@@ -181,8 +182,8 @@ def _sparse_difference(index: int) -> tuple:
 
 
 def _sparse_determinants(code: DispersionCode) -> tuple:
-    """|det| and the permanent of |M| for every sparse difference M, in
-    _sparse_difference order, energy scale factored out.
+    """|det| and the permanent of |M| for one sparse difference M of each
+    sign class, in _REPRESENTATIVES order, energy scale factored out.
 
     Coefficient j's part X_j of the normalized codeword is monomial on the
     entries (r, pi_j(r)) where COEFFICIENT_AT is j.  For j != k, pi_j pi_k is
@@ -190,10 +191,12 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
     On each, X_j(d) + X_k(e) is a 2x2 block with determinant P(d) - Q(e),
     P = X_j[r, pi_j(r)] X_j[r', pi_j(r')] and Q the same product over X_k, and
     permanent |P| + |Q|; det and permanent of M are the products over the two.
+    As P(-d) = P(d), Q(-e) = Q(e) and row 80 - i of _DELTAS is -row i, each pair's
+    rows 0..40, less the last, zero, cell, rank every sign class (+-d, +-e) by its first.
     """
     A = (code.generators / code.energy_scale).reshape(4, 4, 4, 4)      # [j, t, r, c]
     pi = [[COEFFICIENT_AT[r].index(j) for r in range(4)] for j in range(4)]
-    X = [_DELTAS @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on the grid
+    X = [_DELTAS[:41] @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on rows 0..40
     dets, perms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for j, k in _PAIRS:
@@ -203,8 +206,8 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
                 P, Q = X[j][:, r] * X[j][:, partner[r]], X[k][:, r] * X[k][:, partner[r]]
                 det = det * np.abs(P[:, None] - Q)
                 perm = perm * (np.abs(P)[:, None] + np.abs(Q))
-            dets.append(np.delete(det.ravel(), _ZERO_CELL))
-            perms.append(np.delete(perm.ravel(), _ZERO_CELL))
+            dets.append(det.ravel()[:-1])
+            perms.append(perm.ravel()[:-1])
     return np.concatenate(dets), np.concatenate(perms)
 
 
@@ -229,7 +232,8 @@ def _random_slices(code: DispersionCode, n: int, seed: int):
 
 def _witness(slices) -> tuple:
     """The witness and the candidate count over (differences, |det|, permanent)
-    slices, where a difference may also be its index in the sparse set.
+    slices, where a difference may also be its index in the sparse set; a
+    copy with equal |det| and permanent after a difference never moves the witness.
 
     The witness is the first difference whose |det| lies within _TIE times its
     permanent, its own absolute Leibniz sum, of its slice's minimum; a later
@@ -255,20 +259,24 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
                    n: int = 1000, seed: int = 0) -> MinDetResult:
     """Minimum |det| over codeword differences, energy scale factored out.
 
-    "sparse_exhaustive" enumerates every difference supported on at most
-    two field coefficients and ranks them by the product of two 2x2 minors
-    (_sparse_determinants), the whole set in one _witness slice; "random"
-    samples n full-width differences from {-2, 0, 2}^16, n at least 1, seed
-    non-negative, drops the zero ones and ranks them by det_exact's Laplace
+    "sparse_exhaustive" certifies all 39,360 differences supported on at most
+    two field coefficients by ranking the 10,080 first in their sign class with
+    the product of two 2x2 minors (_sparse_determinants) in one _witness slice;
+    "random" samples n full-width differences from {-2, 0, 2}^16, integers n >= 1
+    and seed >= 0, drops the zero ones and ranks them by det_exact's Laplace
     expansion, _SAMPLE_SLICE differences at a time, so its memory stays flat
     in n.  The minimum is the exact determinant at the witness; a strictly
     positive one over the sparse set is the nonvanishing determinant
     expected from a division algebra.
     """
     if strategy == "sparse_exhaustive":
-        dets, perms = _sparse_determinants(code)     # the sparse set has no zero difference
-        slices = [(range(len(dets)), dets, perms)]      # a range: a 39,360-entry index array page-faults afresh
+        slices = [(_REPRESENTATIVES, *_sparse_determinants(code))]     # the sparse set has no zero difference
     elif strategy == "random":
+        for name, value in (("samples", n), ("seed", seed)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if n < 1:
             raise ValueError(f"samples must be at least 1, got {n}")
         if seed < 0:
@@ -277,7 +285,9 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     witness, candidates = _witness(slices)
-    witness = _sparse_difference(int(witness)) if strategy == "sparse_exhaustive" else tuple(int(v) for v in witness)
+    if strategy == "sparse_exhaustive":     # every copy of a sign class is certified by its first
+        witness, candidates = _sparse_difference(int(witness)), len(_PAIRS) * (81 * 81 - 1)
+    witness = tuple(int(v) for v in witness)
     exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
     if exact and float(exact) == 0.0:
         raise ValueError("the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision")

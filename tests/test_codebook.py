@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -85,7 +85,14 @@ def test_basis_unknown_id():
     (lambda: codebook._symbols_to_coefficients(algebra.catalog_entry(1), make_basis(FieldContext(3, 1), "B2"),
                                                [0.0] * 8 + [np.float32(np.inf)] + [0.0] * 7),
      "symbol 9 is inf, not a finite number"),
-], ids=["encode-15-symbols", "witness-of-no-slices", "encode-a-nan", "encode-an-infinity", "pack-a-float32-infinity"])
+    (lambda: min_det_search(build_code(algebra.catalog_entry(1), "B2"), "random", n=float("nan")),
+     "samples must be an integer, got nan"),
+    (lambda: min_det_search(build_code(algebra.catalog_entry(1), "B2"), "random", n=1000.0),
+     "samples must be an integer, got 1000.0"),
+    (lambda: min_det_search(build_code(algebra.catalog_entry(1), "B2"), "random", seed=1.5),
+     "seed must be an integer, got 1.5"),
+], ids=["encode-15-symbols", "witness-of-no-slices", "encode-a-nan", "encode-an-infinity", "pack-a-float32-infinity",
+        "random-nan-samples", "random-float-samples", "random-float-seed"])
 def test_codebook_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -281,6 +288,7 @@ def test_min_det_random_strategy():
     assert res.min_abs_det > 0
     res2 = min_det_search(code, "random", n=500, seed=5)
     assert res.witness == res2.witness
+    assert min_det_search(code, "random", n=np.int64(500), seed=np.uint8(5)) == res
     with pytest.raises(ValueError):
         min_det_search(code, "full_exhaustive")
     with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
@@ -304,6 +312,33 @@ def sparse_difference_vectors():
     return np.concatenate(out)
 
 
+def sign_class_representatives():
+    """For each of the 39,360 sparse differences, the position in
+    codebook._REPRESENTATIVES of its sign class's representative: the
+    difference with each coefficient's four symbols negated where their first
+    nonzero one is positive, found by value among the representatives of the
+    same coefficient pair (6,560 differences each; pairs share some values)."""
+    sparse = sparse_difference_vectors()
+    blocks = sparse.reshape(-1, 4, 4)
+    first = np.take_along_axis(blocks, np.argmax(blocks != 0, axis=2)[..., None], axis=2)
+    canonical = (blocks * np.where(first > 0, -1, 1)).reshape(-1, 16)
+    pair = np.arange(len(sparse)) // 6560
+    R = codebook._REPRESENTATIVES
+    position = {(p, *row): i for i, (p, row) in enumerate(zip(pair[R].tolist(), sparse[R].tolist()))}
+    return np.array([position[(p, *row)] for p, row in zip(pair.tolist(), canonical.tolist())])
+
+
+def test_each_representative_is_the_first_of_its_sign_class():
+    # every sparse difference maps to a representative, which is the smallest
+    # sparse index of its class, and the classes are the pairs' (+-d, +-e)
+    rep = sign_class_representatives()
+    assert len(codebook._REPRESENTATIVES) == 10080 and not codebook._REPRESENTATIVES.flags.writeable
+    first = np.full(10080, 39360)
+    np.minimum.at(first, rep, np.arange(39360))
+    assert np.array_equal(first, codebook._REPRESENTATIVES)
+    assert np.bincount(rep).tolist() == (([4] * 40 + [2]) * 40 + [2] * 40) * 6
+
+
 def test_sparse_differences_are_decoded_from_their_index():
     sparse = sparse_difference_vectors()
     assert sparse.shape == (39360, 16)
@@ -317,12 +352,13 @@ def test_min_det_search_repeats_on_one_code():
 
 def test_min_det_random_slices_do_not_change_the_result(monkeypatch):
     code = build_code(algebra.catalog_entry(1), "B2")
-    cases = (("random", 500), ("sparse_exhaustive", 39360))
-    whole = [min_det_search(code, strategy, n=500, seed=5) for strategy, _ in cases]
-    monkeypatch.setattr(codebook, "_SAMPLE_SLICE", 7)
-    for (strategy, candidates), res in zip(cases, whole):
-        assert min_det_search(code, strategy, n=500, seed=5) == res
-        assert res.candidates == candidates
+    whole = min_det_search(code, "random", n=500, seed=5)
+    assert whole.candidates == 500
+    with monkeypatch.context() as patch:
+        patch.setattr(codebook, "_SAMPLE_SLICE", 7)
+        assert min_det_search(code, "random", n=500, seed=5) == whole
+    # the sparse path reads no _SAMPLE_SLICE: it ranks 10,080 representatives and certifies all 39,360
+    assert min_det_search(code).candidates == 39360
 
 
 def test_generators_match_exact_determinants():
@@ -427,14 +463,16 @@ def test_a_later_slice_replaces_the_witness_by_its_minimum():
 
 @pytest.mark.parametrize("k", [F(1), F(1, 10 ** 100)])
 def test_sparse_determinants_factor_into_two_minors(k):
-    # every coefficient's generators live on pi_j(r) = S[S[r] XOR j], and over
-    # the whole sparse set the two-minor product and its permanent agree with
-    # det_exact's Laplace expansion of the (4, 4, N) differences; away from
-    # k = 1 the plain codes of entry 1's unit (C4 fixes its own k)
+    # every coefficient's generators live on pi_j(r) = S[S[r] XOR j], and the
+    # two-minor product and its permanent on the 10,080 representatives,
+    # spread over the whole sparse set through the sign classes, agree with
+    # det_exact's Laplace expansion of all 39,360 (4, 4, N) differences; away
+    # from k = 1 the plain codes of entry 1's unit (C4 fixes its own k)
     S = algebra._SWAP
     entry = algebra.catalog_entry(1)
     codes = _catalog_codes() if k == 1 else [
         build_code(algebra.build_params(entry.ctx, entry.u, k=k), basis) for basis in ("B1", "B2", "B3")]
+    rep = sign_class_representatives()
     for code in codes:
         A = code.generators / code.energy_scale
         for j in range(4):
@@ -443,7 +481,8 @@ def test_sparse_determinants_factor_into_two_minors(k):
             assert not np.any(A[4 * j: 4 * j + 4][:, off]), (code.name, j)
         M = np.einsum("ni,ijk->jkn", sparse_difference_vectors(), A)
         dets, perms = codebook._sparse_determinants(code)
-        assert dets.shape == perms.shape == (39360,)
+        assert dets.shape == perms.shape == (10080,)
+        dets, perms = dets[rep], perms[rep]
         assert np.all(np.abs(dets - np.abs(algebra.det_exact(M))) <= 1e-12 * perms), code.name
         assert np.all(np.abs(perms - algebra.det_exact(np.abs(M), operator.add)) <= 1e-12 * perms), code.name
 
@@ -463,6 +502,55 @@ def test_min_det_at_extreme_scales_is_refused_or_matches_lapack(basis, k, lprime
         assert "the parameters leave double precision" in str(exc)
         return
     assert res.witness == lapack_witness(code)[0]
+
+
+def full_set_search(code):
+    """min_det_search's sparse result, or its refusal's text, by the
+    definition: _witness over det_exact's |det| and permanent of all 39,360
+    sparse differences, and the exact determinant at its witness."""
+    sparse = sparse_difference_vectors()
+    M = np.einsum("ni,ijk->jkn", sparse, code.generators / code.energy_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slices = [(sparse, np.abs(algebra.det_exact(M)), algebra.det_exact(np.abs(M), operator.add))]
+    try:
+        witness, candidates = codebook._witness(slices)
+    except ValueError as exc:
+        return str(exc)
+    witness = tuple(int(v) for v in witness)
+    exact = abs(algebra.representation_det_exact(code.params, codebook._symbols_to_coefficients(
+        code.params, code.basis, witness)))
+    if exact and float(exact) == 0.0:
+        return "the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision"
+    return codebook.MinDetResult("sparse_exhaustive", candidates, float(exact), witness)
+
+
+scales = st.builds(lambda m, e: F(m, 7) * F(10) ** e, st.integers(1, 70), st.integers(-60, 60))  # 1/7e-60 to 1e61
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(key=st.sampled_from(sorted(GENERATORS_SHA256)), k=scales, lprime=scales)
+@example(key=(1, "B2", "plain"), k=F(1, 10 ** 90), lprime=F(1, 10 ** 90))     # the exact minimum is 0 as a double
+@example(key=(5, "B2", "plain"), k=F(1), lprime=F(10 ** 160))                  # a determinant term overflows
+def test_min_det_search_equals_the_full_set_search(key, k, lprime):
+    # ranking one representative per sign class finds the full set's witness,
+    # count and exact minimum, or the same refusal; a and b scale by k and
+    # lprime (entry 5 has no derive_ab branch), and C4 fixes its own scales
+    n, basis, variant = key
+    entry = algebra.catalog_entry(n)
+    try:
+        params = algebra.build_params(entry.ctx, entry.u, k, lprime, a=entry.a * k, b=entry.b * lprime,
+                                      name=entry.name)
+        code = build_code(params, basis, variant)
+    except ValueError as exc:
+        assert "the parameters leave double precision" in str(exc)
+        return
+    want = full_set_search(code)
+    try:
+        got = min_det_search(code)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+    assert isinstance(got, codebook.MinDetResult) or "the parameters leave double precision" in got
 
 
 def test_min_det_refuses_a_determinant_term_that_overflows():
