@@ -273,6 +273,8 @@ _SWAP = (0, 3, 2, 1)  # rows/columns 2 and 4 exchanged
 # Entry (r, c) of every normalized codeword carries x_{COEFFICIENT_AT[r][c]}:
 # the representation's x_{r XOR c}, moved by the swap.
 COEFFICIENT_AT = tuple(tuple(_SWAP[r] ^ _SWAP[c] for c in range(4)) for r in range(4))
+# pi_j(r) = SUPPORT[j][r], the column of x_j's entry in row r; an involution, so also the row of its entry in column r.
+SUPPORT = tuple(tuple(_SWAP[_SWAP[r] ^ j] for r in range(4)) for j in range(4))
 
 
 def normalized_codeword(p: CodeParams, xs, block_scale: float = 1.0) -> np.ndarray:

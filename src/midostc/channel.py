@@ -12,8 +12,9 @@ source of that draw.  It runs numpy's SeedSequence hash for n trials at
 once on a (4, n) uint32 array of pool words, and its one Python loop
 rekeys a single Philox per trial for the raw words and normals; all else
 works on the whole range at once.  _trial_rng, sample_channel, transmit
-and ChannelInstance write the same draw out one call at a time; they are
-kept for bench/ alone, and nothing in src/ or the tests calls them.
+and ChannelInstance draw the same numbers one call at a time (transmit's
+H X + N is draw_trials' y only up to rounding); they are kept for bench/
+alone, and nothing in src/ or the tests calls them.
 Workers run whole batches of BATCH_SIZE trials, streamed back in order,
 and the stopping rule walks them in that order, so results are
 byte-identical across reruns and independent of the worker count.
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastdecode import (GroupStructure, _real_channel, conditional_group_decode, pam_levels,
-                         stack_real)
+from .fastdecode import GroupStructure, _product, _real_channel, conditional_group_decode, pam_levels
 
 RNG_SCHEME = "philox-ss-v1"
 BATCH_SIZE = 256
@@ -135,10 +135,11 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
     trial's symbols are the top bits of the 32-bit halves of the raw words,
     low half first, which is what integers(0, 2, 16) returns; its channel
     and noise are the normals.  Everything after the loop works on the whole
-    batch, the codewords as two real products of the symbols with the generators.
-    Raises ValueError for a negative seed, point index or trial index,
-    for an empty range (stop <= start) and for a noise variance sigma2
-    that is negative or not finite (0 draws noise-free trials).
+    batch: G by _real_channel, y as G s0 by fastdecode._product plus the noise.
+    Raises ValueError for a negative seed, point index or trial index, for
+    an empty range (stop <= start), for a noise variance sigma2 that is
+    negative or not finite (0 draws noise-free trials) and, by _real_channel,
+    for generators off the support of algebra.SUPPORT.
     """
     # numpy integers would overflow in the key hash's index arithmetic
     seed, point_index, start, stop = map(operator.index, (seed, point_index, start, stop))
@@ -162,16 +163,10 @@ def draw_trials(seed: int, point_index: int, start: int, stop: int, generators: 
         raw_row[:] = bitgen.random_raw(8)
         rng.standard_normal(out=normals_row)
     s0 = np.stack([(raw >> 31) & 1, raw >> 63], axis=-1).reshape(n, 16) * 2.0 - 1.0
-    z = normals.reshape(n, 2, 2, 4, 2)
-    H = (z[:, 0, ..., 0] + 1j * z[:, 0, ..., 1]) * SQRT_HALF
-    noise = (z[:, 1, ..., 0] + 1j * z[:, 1, ..., 1]) * math.sqrt(sigma2 / 2.0)
-    # sum_i s_i A_i as two real products, since the symbols are real
-    A = generators.reshape(len(generators), -1)
-    X = np.empty((n, A.shape[1]), dtype=complex)
-    X.real = s0 @ A.real
-    X.imag = s0 @ A.imag
-    Y = H @ X.reshape(n, *generators.shape[1:]) + noise
-    return s0, stack_real(Y), _real_channel(generators, H)
+    z = normals.reshape(n, 2, 2, 4, 2)      # channel, then noise: row, column, real and imaginary part
+    G = _real_channel(generators, (z[:, 0] * SQRT_HALF).view(complex)[..., 0])
+    noise = np.multiply(z[:, 1].transpose(0, 3, 1, 2), math.sqrt(sigma2 / 2.0), order="C").reshape(n, 16)
+    return s0, _product(G, s0) + noise, G
 
 
 def snr_to_sigma2(snr_db: float, name: str = "SNR") -> float:

@@ -13,13 +13,14 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (COEFFICIENT_AT, CodeParams, _normalize, build_params, det_exact, normalized_codeword,
-                      representation, representation_det_exact)
+from .algebra import (COEFFICIENT_AT, SUPPORT, CodeParams, _normalize, build_params, det_exact,
+                      normalized_codeword, representation, representation_det_exact)
 from .numberfield import FieldContext, FieldElement
 
 
@@ -186,7 +187,7 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
     sign class, in _REPRESENTATIVES order, energy scale factored out.
 
     Coefficient j's part X_j of the normalized codeword is monomial on the
-    entries (r, pi_j(r)) where COEFFICIENT_AT is j.  For j != k, pi_j pi_k is
+    entries (r, pi_j(r)), pi_j(r) = SUPPORT[j][r].  For j != k, pi_j pi_k is
     conjugate to XOR by j XOR k: two 2-cycles {r, r'} with r' = pi_j(pi_k(r)).
     On each, X_j(d) + X_k(e) is a 2x2 block with determinant P(d) - Q(e),
     P = X_j[r, pi_j(r)] X_j[r', pi_j(r')] and Q the same product over X_k, and
@@ -195,13 +196,12 @@ def _sparse_determinants(code: DispersionCode) -> tuple:
     rows 0..40, less the last, zero, cell, rank every sign class (+-d, +-e) by its first.
     """
     A = (code.generators / code.energy_scale).reshape(4, 4, 4, 4)      # [j, t, r, c]
-    pi = [[COEFFICIENT_AT[r].index(j) for r in range(4)] for j in range(4)]
-    X = [_DELTAS[:41] @ A[j][:, range(4), pi[j]] for j in range(4)]     # X[j][:, r] = X_j[r, pi_j(r)] on rows 0..40
+    X = [_DELTAS[:41] @ A[j][:, range(4), SUPPORT[j]] for j in range(4)]   # X[j][:, r] = X_j[r, pi_j(r)] on rows 0..40
     dets, perms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for j, k in _PAIRS:
             det = perm = 1.0
-            partner = [pi[j][pi[k][r]] for r in range(4)]
+            partner = [SUPPORT[j][SUPPORT[k][r]] for r in range(4)]
             for r in (r for r in range(4) if r < partner[r]):         # one row of each 2-cycle
                 P, Q = X[j][:, r] * X[j][:, partner[r]], X[k][:, r] * X[k][:, partner[r]]
                 det = det * np.abs(P[:, None] - Q)
@@ -289,6 +289,7 @@ def min_det_search(code: DispersionCode, strategy: str = "sparse_exhaustive",
         witness, candidates = _sparse_difference(int(witness)), len(_PAIRS) * (81 * 81 - 1)
     witness = tuple(int(v) for v in witness)
     exact = abs(representation_det_exact(code.params, _symbols_to_coefficients(code.params, code.basis, witness)))
-    if exact and float(exact) == 0.0:
-        raise ValueError("the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision")
+    if exact and float(exact) < sys.float_info.min:
+        raise ValueError("the exact minimum determinant is nonzero but not a normal double: "
+                         "the parameters leave double precision")
     return MinDetResult(strategy, candidates, float(exact), witness)

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import SUPPORT
+
 DEFAULT_VISIT_BUDGET = 1 << 20
 _NEAR_TIE_RTOL = 1e-10  # ml_exhaustive's pruning slack; its split scores measured within 2.93 eps (6.5e-16)
 ORTHOGONALITY_TOL = 1e-8
@@ -169,11 +171,46 @@ def stack_real(Y: np.ndarray) -> np.ndarray:
     return out.reshape(*Y.shape[:-2], -1)
 
 
+# Generator 4j + t holds x_j's slot t, one entry per column c in row SUPPORT[j][c]: entry (k, c) of H A_i is one
+# complex product h v, h = H[k, SUPPORT[j][c]], real part Re h Re v + Im h (-Im v), imaginary Im h Re v + Re h Im v.
+_ROW = np.repeat(np.array(SUPPORT), 4, axis=0)                                 # (16, 4): generator i's row in column c
+_RE = 2 * (4 * np.arange(2)[:, None] + _ROW[:, None])                          # (16, 2, 4): Re h in H's float view
+# per generator and stacked entry of H A_i (real parts, then imaginary, row-major): v in the flat generators, h's two
+# factors in H's float view, and the sign of Im v
+_V_AT = (16 * np.arange(16)[:, None] + 4 * _ROW + np.arange(4))[:, np.arange(16) % 4]
+_FIRST, _SECOND = (np.stack(h, axis=1).reshape(16, 16) for h in ((_RE, _RE + 1), (_RE + 1, _RE)))
+_SIGN = np.repeat([-1.0, 1.0], 8)
+
+
 def _real_channel(generators: np.ndarray, H: np.ndarray) -> np.ndarray:
-    n, r, c = generators.shape
-    # A product per H with all generators side by side (4, 64): one GEMM on all H's rows rounds otherwise on Haswell.
-    HA = (H @ generators.transpose(1, 0, 2).reshape(r, n * c)).reshape(*H.shape[:-1], n, c)
-    return stack_real(HA.swapaxes(-2, -3)).swapaxes(-1, -2)   # column i: H A_i stacked
+    """G, column i the stacked H A_i, for one (2, 4) H or a (..., 2, 4) stack: a gather of H and one complex
+    product per entry, written out in real products so that no fused multiply-add rounds it.  Raises ValueError
+    for generators that are not (16, 4, 4) or have a nonzero entry off the support, which G would drop."""
+    generators = np.asarray(generators)
+    v = generators.reshape(-1)[_V_AT] if generators.shape == (16, 4, 4) else None     # each entry read 4 times
+    if v is None or 4 * np.count_nonzero(generators) > np.count_nonzero(v):
+        raise ValueError("need (16, 4, 4) generators, each zero off the support of its field coefficient")
+    h = np.ascontiguousarray(H, dtype=complex).view(float).reshape(*np.shape(H)[:-2], 16)
+    Gt = np.take(h, _FIRST, axis=-1)
+    Gt *= v.real
+    second = np.take(h, _SECOND, axis=-1)
+    second *= v.imag * _SIGN
+    Gt += second
+    return Gt.swapaxes(-1, -2)                                                   # column i: H A_i stacked
+
+
+def _product(G: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G s for one trial, G (r, n) and s (n,), or per trial of a stack, with the columns G[..., i] s_i added in
+    index order and no BLAS.  numpy adds in order along an axis that is not the fastest in memory, so the terms
+    are held column first, (n, ..., r); a single sum, where that axis is the only one, is accumulated."""
+    P = np.einsum("...ri,...i->i...r", G, s, order="C")                         # no index is summed: products only
+    return np.add.reduce(P, axis=0) if P.size > len(P) else np.add.accumulate(P, axis=0)[-1]
+
+
+def _metric(y: np.ndarray, G: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """||y - G s||^2 per trial, by _product and the squares added in index order: both decoders report it."""
+    d = y - _product(G, s)
+    return np.add.accumulate(d * d, axis=-1)[..., -1]
 
 
 def real_channel(code, H: np.ndarray) -> np.ndarray:
@@ -193,7 +230,8 @@ class DecodeResult:
     visits: int
 
 
-def _check_symmetric(levels) -> None:
+@lru_cache(maxsize=32)
+def _check_symmetric(levels: tuple) -> None:
     """Raise unless the alphabet is two or more distinct finite levels symmetric about zero, so that
     candidate -1-j of its lexicographic grid is minus candidate j; both decoders pair candidates that way."""
     if len(levels) < 2 or len(set(levels)) < len(levels) or not np.isfinite(levels).all():
@@ -245,14 +283,11 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     of that from the rescored metric (C2 and C5, 0 to 40 dB and y = 0).  The
     surviving blocks, still in lexicographic order, are rescored as a
     residual matrix y - G S^T and its column sums of squares.  The decision
-    and the reported metric ||y - G s||^2 are argmin and minimum of that
-    rescoring, the arithmetic of a search over the whole grid, so ties (s
-    and -s at y = 0, say) go to the lexicographically smallest symbol vector
-    and the metric is that search's value bit for bit wherever BLAS gives a
-    column of G S^T the same bits whatever columns stand beside it (OpenBLAS's
-    SkylakeX kernels do; its Haswell ones not always).  Nothing here uses
-    the Gram matrix or any group structure: this is the independent
-    reference for the decoders.
+    is the argmin of that rescoring, the arithmetic of a search over the whole
+    grid, so ties (s and -s at y = 0, say) go to the lexicographically
+    smallest symbol vector; the reported metric ||y - G s||^2 is _metric's,
+    as the conditional decoder's is.  Nothing here uses the Gram matrix or any
+    group structure: this is the independent reference for the decoders.
     """
     y, G = _real_trials(y, G, batched=False)
     levels = tuple(pam)
@@ -272,11 +307,13 @@ def ml_exhaustive(y: np.ndarray, G: np.ndarray, pam: tuple) -> DecodeResult:
     C -= 0.5 * qb[:, None]
     best = qa - 2.0 * C.max(axis=0)                                 # per prefix u
     near = np.flatnonzero(best <= best.min() + _NEAR_TIE_RTOL * (qa.max() + qb.max() + y @ y))
-    S = np.concatenate([np.repeat(U[near], len(V), axis=0), np.tile(V, (len(near), 1))], axis=1)
+    S = np.empty((len(near), len(V), n))
+    S[..., :h], S[..., h:] = U[near, None], V
+    S = S.reshape(-1, n)
     D = y[:, None] - G @ S.T
     metrics = np.einsum("ij,ij->j", D, D)
     i = int(np.argmin(metrics))
-    return DecodeResult(S[i], float(metrics[i]), count)
+    return DecodeResult(S[i], float(_metric(y, G, S[i])), count)
 
 
 _BLOCK_VALUES = 1 << 15  # objective values built at a time: trials x assignments
@@ -458,8 +495,8 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     _check_symmetric).  What depends only on gs, pam and G's width is
     planned once (_plan), which raises ValueError unless gs partitions the
     columns of G within ml_exhaustive's visit budget, before any grid is
-    built.  Returns the symbols and the residual metric ||y - G s||^2
-    per trial, shaped like y's batch (a float for a single trial).  Visits
+    built.  Returns the symbols and the residual metric ||y - G s||^2 by
+    _metric per trial, shaped like y's batch (a float for a single trial).  Visits
     are per trial: M^|conditioned| * sum_i M^|group_i| candidate
     enumerations, or M^|conditioned| with no groups.  _decode_block takes
     the rows in chunks of _plan's row bound, so memory stays flat in the
@@ -474,8 +511,6 @@ def conditional_group_decode(y: np.ndarray, G: np.ndarray, gs: GroupStructure,
     _verify_structure(K, gs, *plan[4:6])
     rows = plan[-2]
     s = np.concatenate([_decode_block(K[lo:lo + rows], z[lo:lo + rows], plan) for lo in range(0, len(K), rows)])
-    resid = Yb - (Gb @ s[..., None])[..., 0]
-    metric = np.einsum("bi,bi->b", resid, resid)
-    if y.ndim == 1:
-        return DecodeResult(s[0], float(metric[0]), plan[-1])
-    return DecodeResult(s, metric, plan[-1])
+    s = s.reshape(*y.shape[:-1], -1)
+    metric = _metric(y, G, s)
+    return DecodeResult(s, float(metric) if y.ndim == 1 else metric, plan[-1])

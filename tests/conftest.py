@@ -1,8 +1,10 @@
 """Per-test time bound, so that a hang fails its own test instead of
 stalling the whole suite (pytest-timeout is not a dependency), a check
 that no test leaves a worker process alive, and the name of the OpenBLAS
-kernel that numpy ran on, printed after the run: pinned metric bits move
-with that kernel."""
+kernel that numpy ran on, printed after the run.  The pins hold on every
+kernel: y, G and the reported metrics come from no BLAS product, and no
+pinned decision lies near enough to a tie for the searches' BLAS products
+to move it."""
 
 import ctypes
 import glob

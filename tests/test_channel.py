@@ -34,29 +34,43 @@ def shortcut_code(name):
 
 def reference_draw(seed, point_index, trial, generators, sigma2):
     """The philox-ss-v1 draw of one trial, written out with numpy alone:
-    symbols, channel, noise; y and the columns of G stack the real parts of
-    the row-major entries over their imaginary parts."""
+    symbols, channel, noise.  Column i of G stacks the real parts of the
+    row-major entries of H A_i over their imaginary parts, each entry the
+    product of H's entry with the one nonzero of A_i's column, in real
+    arithmetic; y is G s0, its columns added in index order, plus the noise
+    stacked alike."""
     def stacked(M):
         return np.concatenate([M.ravel().real, M.ravel().imag])
 
     ss = np.random.SeedSequence(seed, spawn_key=(point_index, trial))
     rng = np.random.Generator(np.random.Philox(ss))
     s0 = rng.integers(0, 2, 16) * 2.0 - 1.0
-    X = np.einsum("i,ijk->jk", s0, generators)
     z = rng.standard_normal((2, 4, 2))
     H = (z[..., 0] + 1j * z[..., 1]) * (1.0 / math.sqrt(2.0))
     w = rng.standard_normal((2, 4, 2))
-    y = stacked(H @ X + (w[..., 0] + 1j * w[..., 1]) * math.sqrt(sigma2 / 2.0))
-    G = np.stack([stacked(H @ A) for A in generators], axis=1)
-    return s0, y, G
+    G = np.empty((16, 16))
+    for i, A in enumerate(generators):
+        HA = np.empty((2, 4), dtype=complex)
+        for c in range(4):
+            (r,) = np.flatnonzero(A[:, c])
+            h, v = H[:, r], A[r, c]
+            HA.real[:, c] = h.real * v.real - h.imag * v.imag
+            HA.imag[:, c] = h.real * v.imag + h.imag * v.real
+        G[:, i] = stacked(HA)
+    y = G[:, 0] * s0[0]
+    for i in range(1, 16):
+        y = y + G[:, i] * s0[i]
+    return s0, y + stacked((w[..., 0] + 1j * w[..., 1]) * math.sqrt(sigma2 / 2.0)), G
 
 
 def drawn_channels(seed, point_index, start, stop):
     """H (B, 2, 4) of trials start..stop-1 as draw_trials draws them.  Drawn
-    with the unit generators E_rc (generator 4r + c), entry (k, r) of H is
-    entry (4k, 4r) of the complex form of G."""
-    _, _, G = draw_trials(seed, point_index, start, stop, np.eye(16).reshape(16, 4, 4), 0.0)
-    return (G[:, :8] + 1j * G[:, 8:])[:, ::4, ::4]
+    with the identity as the one nonzero generator, on coefficient 0, whose
+    support is the diagonal, column 0 of G is H stacked."""
+    generators = np.zeros((16, 4, 4), dtype=complex)
+    generators[0] = np.eye(4)
+    _, _, G = draw_trials(seed, point_index, start, stop, generators, 0.0)
+    return (G[:, :8, 0] + 1j * G[:, 8:, 0]).reshape(-1, 2, 4)
 
 
 def test_draw_trials_rows_are_single_draws():
@@ -169,7 +183,27 @@ def test_draw_trials_refuses_a_bad_noise_variance(sigma2):
 def test_draw_trials_without_noise_is_noise_free():
     code, _ = c2_code_and_structure()
     s0, y, G = draw_trials(1, 0, 0, 4, code.generators, 0.0)
-    assert np.allclose(y, (G @ s0[..., None])[..., 0], rtol=0, atol=1e-12)
+    assert np.array_equal(y, fastdecode._product(G, s0))
+
+
+def off_support_generators():
+    """C2's generators with one nonzero added off its coefficient's support: generator 6
+    (coefficient 1) gains entry (0, 0), on the diagonal, which is coefficient 0's support."""
+    generators = c2_code_and_structure()[0].generators.copy()
+    generators[5, 0, 0] = 1e-300
+    return generators
+
+
+@pytest.mark.parametrize("call", [
+    lambda generators: draw_trials(1, 0, 0, 4, generators, 0.1),
+    lambda generators: fastdecode._real_channel(generators, np.ones((3, 2, 4), dtype=complex)),
+    lambda generators: fastdecode._real_channel(generators[:15], np.ones((2, 4), dtype=complex)),
+], ids=["draw", "real-channel", "fifteen-generators"])
+def test_generators_off_the_support_are_refused(call):
+    # the real channel reads one entry per generator and column: any other entry would be dropped unseen
+    with pytest.raises(ValueError) as info:
+        call(off_support_generators())
+    assert str(info.value) == "need (16, 4, 4) generators, each zero off the support of its field coefficient"
 
 
 def test_batched_real_channel_equals_per_channel_stacks():

@@ -201,12 +201,12 @@ DECODE_VERIFY_PINNED = {
            "structure: conditioned=8 groups=[2, 2, 2, 2] exponent=10\n"
            "visits: conditional=4096 exhaustive=65536\n"
            "config: trials=20 snr_db=10.0 seed=0 rng=philox-ss-v1\n"
-           "oracle agreement: 20/20 (worst metric gap 1.776e-15)\n"),
+           "oracle agreement: 20/20 (worst metric gap 0.000e+00)\n"),
     "C5": ("code: example5-B2\n"
            "structure: conditioned=12 groups=[2, 2] exponent=14\n"
            "visits: conditional=32768 exhaustive=65536\n"
            "config: trials=20 snr_db=10.0 seed=0 rng=philox-ss-v1\n"
-           "oracle agreement: 20/20 (worst metric gap 1.332e-15)\n"),
+           "oracle agreement: 20/20 (worst metric gap 0.000e+00)\n"),
 }
 
 

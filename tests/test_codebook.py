@@ -7,6 +7,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,29 @@ def test_symbol_packing_and_encode_are_linear(n, k, s, t):
 def _catalog_codes():
     """Entries 1-5 on every basis each supports, and C4 on each basis of entry 1: the pinned builds."""
     return [build_code(algebra.catalog_entry(n), basis, variant) for n, basis, variant in GENERATORS_SHA256]
+
+
+def rebuilt_from_the_support(generators):
+    """The generators rebuilt from algebra.SUPPORT and the values gathered on it, as
+    fastdecode._real_channel reads them: generator 4j + t keeps its entry of column c
+    in row SUPPORT[j][c], and every other entry is zero."""
+    out = np.zeros((16, 4, 4), dtype=complex)
+    for i, c in itertools.product(range(16), range(4)):
+        r = algebra.SUPPORT[i // 4][c]
+        out[i, r, c] = generators[i, r, c]
+    return out
+
+
+def test_support_is_the_coefficient_layout():
+    # pi_j(r) = SUPPORT[j][r] is the column of x_j in row r, and an involution
+    for j, r in itertools.product(range(4), range(4)):
+        assert algebra.COEFFICIENT_AT[r][algebra.SUPPORT[j][r]] == j
+        assert algebra.SUPPORT[j][algebra.SUPPORT[j][r]] == r
+
+
+def test_support_rebuilds_every_pinned_build():
+    for code in _catalog_codes():
+        assert rebuilt_from_the_support(code.generators).tobytes() == code.generators.tobytes(), code.name
 
 
 def test_generators_are_the_codewords_of_unit_symbols():
@@ -519,8 +543,8 @@ def full_set_search(code):
     witness = tuple(int(v) for v in witness)
     exact = abs(algebra.representation_det_exact(code.params, codebook._symbols_to_coefficients(
         code.params, code.basis, witness)))
-    if exact and float(exact) == 0.0:
-        return "the exact minimum determinant is nonzero but 0 as a double: the parameters leave double precision"
+    if exact and float(exact) < sys.float_info.min:
+        return "the exact minimum determinant is nonzero but not a normal double: the parameters leave double precision"
     return codebook.MinDetResult("sparse_exhaustive", candidates, float(exact), witness)
 
 
@@ -529,7 +553,23 @@ scales = st.builds(lambda m, e: F(m, 7) * F(10) ** e, st.integers(1, 70), st.int
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(key=st.sampled_from(sorted(GENERATORS_SHA256)), k=scales, lprime=scales)
+def test_support_rebuilds_the_generators_at_generated_scales(key, k, lprime):
+    n, basis, variant = key
+    entry = algebra.catalog_entry(n)
+    try:
+        params = algebra.build_params(entry.ctx, entry.u, k, lprime, a=entry.a * k, b=entry.b * lprime,
+                                      name=entry.name)
+        code = build_code(params, basis, variant)
+    except ValueError as exc:
+        assert "the parameters leave double precision" in str(exc)
+        return
+    assert rebuilt_from_the_support(code.generators).tobytes() == code.generators.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(key=st.sampled_from(sorted(GENERATORS_SHA256)), k=scales, lprime=scales)
 @example(key=(1, "B2", "plain"), k=F(1, 10 ** 90), lprime=F(1, 10 ** 90))     # the exact minimum is 0 as a double
+@example(key=(1, "B2", "plain"), k=F(1, 10 ** 160), lprime=F(1))              # the exact minimum is subnormal
 @example(key=(5, "B2", "plain"), k=F(1), lprime=F(10 ** 160))                  # a determinant term overflows
 def test_min_det_search_equals_the_full_set_search(key, k, lprime):
     # ranking one representative per sign class finds the full set's witness,
@@ -560,6 +600,22 @@ def test_min_det_refuses_a_determinant_term_that_overflows():
     code = build_code(algebra.build_params(entry.ctx, entry.u, k=F(1, 10 ** 100), lprime=F(10 ** 160)))
     with pytest.raises(ValueError, match="a determinant term overflows a double: the parameters leave double"):
         min_det_search(code)
+
+
+def test_min_det_refuses_a_subnormal_minimum():
+    # at k = 1e-160 the exact minimum, 2.4e-319, is nonzero but subnormal: its tie margin
+    # underflows to 0, so the witness would hang on the determinant formula
+    entry = algebra.catalog_entry(1)
+    code = build_code(algebra.build_params(entry.ctx, entry.u, k=Fraction(1, 10 ** 160)), "B2")
+    witness = codebook._sparse_difference(int(codebook._witness([(codebook._REPRESENTATIVES,
+                                                                   *codebook._sparse_determinants(code))])[0]))
+    exact = abs(algebra.representation_det_exact(code.params, codebook._symbols_to_coefficients(
+        code.params, code.basis, witness)))
+    assert 0 < float(exact) < sys.float_info.min and f"{float(exact):.1e}" == "2.4e-319"
+    with pytest.raises(ValueError) as info:
+        min_det_search(code)
+    assert str(info.value) == ("the exact minimum determinant is nonzero but not a normal double: "
+                               "the parameters leave double precision")
 
 
 def test_min_det_tolerance_tells_a_tiny_minimum_apart():

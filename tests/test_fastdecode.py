@@ -197,12 +197,13 @@ def test_ml_tie_break_is_lexicographic():
 
 
 def reference_ml(y, G, pam):
-    """The full-grid search: one residual column per candidate, first minimum."""
+    """The full-grid search: one residual column per candidate, first minimum,
+    and the metric both decoders report at it, fastdecode._metric."""
     S = fastdecode._candidate_grid(tuple(pam), G.shape[1])
     D = y[:, None] - G @ S.T
     metrics = np.einsum("ij,ij->j", D, D)
     i = int(np.argmin(metrics))
-    return S[i], float(metrics[i])
+    return S[i], float(fastdecode._metric(y, G, S[i]))
 
 
 ALPHABETS = {"pam2": pam_levels(2), "pam4": pam_levels(4), "three-levels": (-1.0, 0.0, 1.0)}
@@ -437,31 +438,33 @@ DECISIONS_SHA256 = {
 
 
 # sha256 of the reported metrics (float64, trial-major) of the same batches:
-# a changed bit of any metric shows here even when no decision flips.
+# a changed bit of any metric shows here even when no decision flips.  y, G
+# and the metric come from no BLAS product, so these hold on every kernel.
 METRICS_SHA256 = {
-    "C2": "3a3f33e111975150347c37544cb446dcbb62a2781b341c4d6cae987461e3a672",
-    "C3": "03b0806624a3809582307688676a64dde31be167092a0e735af86988242e032e",
-    "C5": "91aa4396b442111f2ccf7a2a3436be4d952a7f71c339dd6cb0dd6da927622b9f",
+    "C2": "5d8418b3dec62c51d977083148070c8d37db134b80c1df863f2f7d479f13b259",
+    "C3": "f219e772a2eaed4361d595690ae875f514745665d4d4abf09d5caae1e13a7494",
+    "C5": "a45a52d415106c49248e2c958aebf18ec88d6d64d2cc2b7c058dcbad96e06365",
 }
 
 
 # The same two digests, (symbols, metrics), of the same trials at 0 dB and
-# at 40 dB, captured from the decoder that built each outer sum of the
-# assignment grid by broadcasting: every decision and every metric bit
+# at 40 dB, the decisions captured from the decoder that built each outer
+# sum of the assignment grid by broadcasting, the metrics from the shared
+# product of the draw and both decoders: every decision and every metric bit
 # must survive a change of how the grid is built, at low and high SNR.
 PINNED_AT_0_AND_40_DB = {
     ("C2", 0.0): ("de0a131384d9c8e44ea0be35d87c45c2bc599e4a55e0d35fc23121dea87acd7e",
-                  "468615067d7205c79f8392275ef1c6c1161725812dcf8032bc369ba4cc5a3e86"),
+                  "92b2a3c043974c2e436aaa43c4ce276a7779138b15478f65585953d8df0b5acb"),
     ("C3", 0.0): ("498832a00ef39889822b00c870f4ae7f603c47a6da7822298c0696bfc3f9ed4c",
-                  "7a97382daa04d654832e55ce027203a87267d7a2f0d3b5bc6a11e6005ea45830"),
+                  "0276ca97428c6710c7fe8ef6076571bf2911451e731204f6d208e209fbd97c28"),
     ("C5", 0.0): ("d70a60b86f9819f6985923588a4941ea4a4651b24c89316b979667a9c53b6d46",
-                  "6eb5a541137c4f643764664bb621824e1ffad779b99ce32d28a83bd070cab8b7"),
+                  "f92f425a7718cb6ec8df80f22b9cc5eff51933b7a7c5b96dcab9ef6f8dc44548"),
     ("C2", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
-                   "4231261cce7d16d3d83ac7f82310d21863a974e9ea6e96cc1dd4b560323957d2"),
+                   "d4358b098829406d11ca85338620c977e1dcacdc63c51dd44324e48204789685"),
     ("C3", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
-                   "4c93b1f27e64de0998dec9d3fedc8a95e01671bc8e0a18bc0a5dd0e83e822c5a"),
+                   "61bd3556eee022b2698d5a8206854d297dcf89c408f7c91f6263b0ea33ea3400"),
     ("C5", 40.0): ("a361a09e3acb20d44e619789452ddb7ee45aa17bc6054924e62ecee0993d7891",
-                   "0f6795998b1d85f88b27f22055809cbcc7aea325e7319346da7bd45059787e0f"),
+                   "4ad88dff3d86e8bb1fa7c365f0eb189c1a62529a24c13024d0aa0737bc34398b"),
 }
 
 
@@ -501,18 +504,19 @@ def test_metrics_at_0_and_40_db_are_pinned(name, snr_db):
     assert decoded_at(name, snr_db)[1] == PINNED_AT_0_AND_40_DB[name, snr_db][1]
 
 
-# The decisions pins above, rerun in a child process on OpenBLAS's Haswell
-# kernels, which it also picks on Zen CPUs.  y and G come from BLAS products,
-# so their last bits, and the metrics, move with the kernel; no decision may.
-# The child reports the kernel it ran on, or None when numpy's BLAS is not
-# the scipy-openblas build that OPENBLAS_CORETYPE selects in.
+# The decisions and metrics pins above, rerun in a child process on
+# OpenBLAS's Haswell kernels, which it also picks on Zen CPUs.  y, G and the
+# metrics come from no BLAS product, so no bit of them may move with the
+# kernel, nor may a decision.  The child reports the kernel it ran on, or None
+# when numpy's BLAS is not the scipy-openblas build that OPENBLAS_CORETYPE
+# selects in.
 HASWELL_CHILD = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
 from conftest import blas_core
 from test_fastdecode import decoded_at
 
-print(json.dumps([blas_core(), {f"{name} {snr_db}": decoded_at(name, snr_db)[0]
+print(json.dumps([blas_core(), {f"{name} {snr_db}": decoded_at(name, snr_db)
                            for name in ("C2", "C3", "C5") for snr_db in (0.0, 15.0, 40.0)}]))
 """
 
@@ -525,22 +529,23 @@ def test_decisions_are_pinned_on_the_haswell_blas_kernel():
     child = subprocess.run([sys.executable, "-c", HASWELL_CHILD, *paths], env=env,
                            capture_output=True, text=True, timeout=240)
     assert child.returncode == 0, child.stderr
-    core, decisions = json.loads(child.stdout)
+    core, digests = json.loads(child.stdout)
     if core is None:
         pytest.skip("numpy's BLAS is not scipy-openblas: OPENBLAS_CORETYPE selects no kernel")
     assert core == "Haswell"
-    pinned = {**{f"{name} 15.0": digest for name, digest in DECISIONS_SHA256.items()},
-              **{f"{name} {snr_db}": digests[0] for (name, snr_db), digests in PINNED_AT_0_AND_40_DB.items()}}
-    assert decisions == pinned
+    pinned = {**{f"{name} 15.0": [DECISIONS_SHA256[name], METRICS_SHA256[name]] for name in DECISIONS_SHA256},
+              **{f"{name} {snr_db}": list(pins) for (name, snr_db), pins in PINNED_AT_0_AND_40_DB.items()}}
+    assert {key: pair[0] for key, pair in digests.items()} == {key: pair[0] for key, pair in pinned.items()}
+    assert {key: pair[1] for key, pair in digests.items()} == {key: pair[1] for key, pair in pinned.items()}
 
 
 # sha256 of ml_exhaustive's symbols (int8) and metric (float64), trial by
 # trial, for trials 0..199 of SNR point 0 at 10 dB, seed 11, as the
-# full-grid search gave them: a flipped decision or a changed bit of a
-# reported metric shows here.
+# full-grid search gives them (reference_ml): a flipped decision or a
+# changed bit of a reported metric shows here.
 ORACLE_SHA256 = {
-    "C2": "febb63c173296983ffc421b4186075a7cb5e9dc5e2d4f2fd08e83100460b1b0a",
-    "C5": "6732c1c75b7c54a805ba448eeb8f79d0a4cf22850a268dd4aba7e98b45758b20",
+    "C2": "9301ad0c835500c638a4c404cd381c2ebbfed8fe62f65d456398494f27bc6dad",
+    "C5": "607074bf78dfffc6634683464cd4580d7ca343e4dfabf7d2783c8c13df5ffdec",
 }
 
 
