@@ -16,12 +16,12 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
-from .numberfield import FieldContext, FieldElement, mul_nums
+from .numberfield import FieldContext, FieldElement, mul_nums, mul_omega, norm_sigma, norm_tau
 
 
 # ----------------------------------------------------------------------
@@ -328,37 +328,43 @@ def _coefficients(p: CodeParams, xs):
 
 
 def _block_det(p: CodeParams, xs) -> tuple:
-    """(numerators, denominator) of the determinant in L: 22 products, nothing brought to lowest terms."""
-    def sigma(n):
-        return n[0], -n[1], n[2], -n[3]
-    def tau(n):
-        return n[0], n[1], -n[2], -n[3]
-    def comb(s, y, t, z):                                                     # s*y - t*z for integers s, t
-        return s * y[0] - t * z[0], s * y[1] - t * z[1], s * y[2] - t * z[2], s * y[3] - t * z[3]
-    K, mul = p.representation_table, partial(mul_nums, p.ctx.c, p.ctx.cprime)
-    ys = (*_coefficients(p, xs), K[0][1], K[0][2], K[2][1], K[3][1])          # x0..x3, a, b, tau(a)u, u
-    d = math.lcm(*(y.den for y in ys))
-    X0, X1, X2, X3, A, B, T, U = ([n * (d // y.den) for n in y.nums] for y in ys)
-    P = comb(d, mul(X0, sigma(X0)), 1, mul(A, mul(X1, sigma(X1))))            # d^3 det P
-    R = comb(1, mul(U, mul(X2, sigma(X2))), 1, mul(T, mul(X3, sigma(X3))))    # d^3 det R
-    m02 = comb(1, mul(X2, tau(X1)), 1, mul(tau(X0), X3))                      # d^2 m02
-    xp, xq = mul(X2, sigma(tau(X0))), mul(X3, sigma(tau(X1)))  # d^2 x2*sigma(tau(x0)), d^2 x3*sigma(tau(x1))
-    m03, m12 = comb(d, xp, 1, mul(tau(A), xq)), comb(1, mul(T, sigma(xq)), 1, mul(U, sigma(xp)))   # d^3 m03, m12
-    y = mul(T, mul(tau(m02), sigma(m02)))                                     # -d^5 tau(m02)*m13
-    mixed = comb(-2 * d, (y[0], y[1], 0, 0), 1, comb(1, mul(m12, tau(m12)), -1, mul(m03, tau(m03))))
-    return comb(d * d, mul(P, tau(P)), -1, mul(B, comb(1, mul(B, mul(R, tau(R))), -d, mixed))), d ** 8
-
-
-def representation_det_exact(p: CodeParams, xs) -> Fraction:
-    """Exact determinant of the representation, which is always rational.
+    """(numerators, denominator) of the determinant in L, nothing brought to lowest terms.
 
     By K the grid is M = [[P, b*tau(R)], [R, tau(P)]], P = [[x0, a*sigma(x1)], [x1, sigma(x0)]],
     R = [[x2, tau(a)u*sigma(x3)], [x3, u*sigma(x2)]]: rows 1-2 are tau of rows 3-4, column blocks
     swapped, the right one times b, so the Laplace expansion along rows 1-2 collapses to
         det M = N(det P) + b^2*N(det R) + b*(Tr(tau(m02)*m13) - N(m12) - N(m03)),
     N(y) = y*tau(y), Tr(y) = y + tau(y), m_jk the minor of rows 3-4 on columns j, k (0-based), where
-    m13 = -tau(a)u*sigma(m02), and m03 and m12 share x2*sigma(tau(x0)) and x3*sigma(tau(x1)).
+    m13 = -tau(a)u*sigma(m02), and m03 and m12 share x2*sigma(tau(x0)) and x3*sigma(tau(x1)).  Each norm
+    is taken in the subfield that holds it, x*sigma(x) in Q(w), N(y) in Q(w') and tau(m02)*sigma(m02) in
+    Q(w'w), and mul_nums takes the rest.  All four numerators return, as tau need not fix b.
     """
+    c, cp, K = p.ctx.c, p.ctx.cprime, p.representation_table
+    ys = (*_coefficients(p, xs), K[0][1], K[0][2], K[2][3], K[2][1], K[3][1])   # x0..x3, a, b, tau(a), tau(a)u, u
+    d = math.lcm(*(y.den for y in ys))
+    X0, X1, X2, X3, A, B, tA, T, U = (y.nums if y.den == d else [n * (d // y.den) for n in y.nums] for y in ys)
+    (x1, x2, x3, x4), (y1, y2, y3, y4), (t1, t2, t3, t4), (r, s) = X0, X1, T, norm_sigma(c, cp, X0)
+    a1, a2, a3, a4 = mul_omega(c, A, norm_sigma(c, cp, X1))
+    e, f = mul_omega(c, U, norm_sigma(c, cp, X2)), mul_omega(c, T, norm_sigma(c, cp, X3))
+    P = norm_tau(c, cp, (d * r - a1, -a2, d * s - a3, -a4))                      # d^6 N(det P)
+    R = norm_tau(c, cp, (e[0] - f[0], e[1] - f[1], e[2] - f[2], e[3] - f[3]))    # d^6 N(det R)
+    e, f = mul_nums(c, cp, X2, (y1, y2, -y3, -y4)), mul_nums(c, cp, (x1, x2, -x3, -x4), X3)
+    m1, m2, m3, m4 = e[0] - f[0], e[1] - f[1], e[2] - f[2], e[3] - f[3]           # d^2 m02
+    n1, n4 = m1 * m1 + cp * m2 * m2 + c * (m3 * m3 + cp * m4 * m4), 2 * (m2 * m3 - m1 * m4)  # d^4 tau(m02)sigma(m02)
+    p1, p2, p3, p4 = mul_nums(c, cp, X2, (x1, -x2, -x3, x4))                      # d^2 x2*sigma(tau(x0))
+    q1, q2, q3, q4 = xq = mul_nums(c, cp, X3, (y1, -y2, -y3, y4))                 # d^2 x3*sigma(tau(x1))
+    e, f, g = mul_nums(c, cp, tA, xq), mul_nums(c, cp, T, (q1, -q2, q3, -q4)), mul_nums(c, cp, U, (p1, -p2, p3, -p4))
+    h1, h2 = norm_tau(c, cp, (d * p1 - e[0], d * p2 - e[1], d * p3 - e[2], d * p4 - e[3]))          # d^6 N(m03)
+    k1, k2 = norm_tau(c, cp, (f[0] - g[0], f[1] - g[1], f[2] - g[2], f[3] - g[3]))                # d^6 N(m12)
+    b1, b2, b3, b4 = mul_nums(c, cp, B, (*R, 0, 0))                                # d^7 b*N(det R)
+    e = mul_nums(c, cp, B, (b1 - d * (2 * d * (t1 * n1 + c * cp * t4 * n4) + h1 + k1),
+                            b2 - d * (2 * d * (t2 * n1 - c * t3 * n4) + h2 + k2), b3, b4))
+    return (d * d * P[0] + e[0], d * d * P[1] + e[1], e[2], e[3]), d ** 8
+
+
+def representation_det_exact(p: CodeParams, xs) -> Fraction:
+    """Exact determinant of the representation, which is always rational: _block_det's element of L,
+    with an irrational one refused as an arithmetic bug."""
     nums, den = _block_det(p, xs)
     if any(nums[1:]):
         raise ArithmeticError("representation determinant came out irrational, arithmetic bug")

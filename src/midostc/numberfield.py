@@ -45,6 +45,10 @@ class FieldContext:
     cprime: int
 
     def __post_init__(self):
+        for name in ("c", "cprime"):       # a numpy integer becomes an int, so L's products never wrap
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.c > MAX_C or self.cprime > MAX_C:
             raise ValueError(f"c and cprime must be at most MAX_C = {MAX_C}, got c={self.c}, cprime={self.cprime}")
         if not _is_squarefree(self.c) or not _is_squarefree(self.cprime):
@@ -82,6 +86,24 @@ def mul_nums(c: int, cprime: int, a, b) -> tuple:
             a1 * b2 + a2 * b1 - c * (a3 * b4 + a4 * b3),
             a1 * b3 + a3 * b1 - cprime * (a2 * b4 + a4 * b2),
             a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2)
+
+
+def norm_sigma(c: int, cprime: int, x) -> tuple:
+    """(r, s) with x*sigma(x) = r + s*w, which lies in Q(w): mul_nums(c, cprime, x, sigma(x)) in 6 products."""
+    x1, x2, x3, x4 = x
+    return x1 * x1 - c * x3 * x3 + cprime * (x2 * x2 - c * x4 * x4), 2 * (x1 * x3 + cprime * x2 * x4)
+
+
+def norm_tau(c: int, cprime: int, x) -> tuple:
+    """(r, s) with x*tau(x) = r + s*w', which lies in Q(w'): mul_nums(c, cprime, x, tau(x)) in 6 products."""
+    x1, x2, x3, x4 = x
+    return x1 * x1 - cprime * x2 * x2 + c * (x3 * x3 - cprime * x4 * x4), 2 * (x1 * x2 + c * x3 * x4)
+
+
+def mul_omega(c: int, x, q) -> tuple:
+    """Numerators of x*(q1 + q2*w), an element of L times one of Q(w), in 8 products."""
+    (x1, x2, x3, x4), (q1, q2) = x, q
+    return x1 * q1 - c * x3 * q2, x2 * q1 - c * x4 * q2, x1 * q2 + x3 * q1, x2 * q2 + x4 * q1
 
 
 def _new(ctx: FieldContext, nums: tuple, den: int) -> "FieldElement":
@@ -129,6 +151,9 @@ class FieldElement:
 
     def __add__(self, other):
         if other.__class__ is not FieldElement:
+            if other.__class__ is int:       # gcd(n1 + n*den, n2, n3, n4, den) is gcd(n1, ..., den) = 1
+                n1, n2, n3, n4 = self.nums
+                return _new(self.ctx, (n1 + other * self.den, n2, n3, n4), self.den)
             if isinstance(other, (int, Fraction)):
                 n1, n2, n3, n4, q = *self.nums, other.denominator
                 return _element(self.ctx, n1 * q + other.numerator * self.den, n2 * q, n3 * q, n4 * q, self.den * q)
@@ -155,6 +180,10 @@ class FieldElement:
 
     def __mul__(self, other):
         if other.__class__ is not FieldElement:
+            if other.__class__ is int:       # nums are coprime to den, so only gcd(n, den) can cancel
+                g = math.gcd(other, self.den)
+                p, n1, n2, n3, n4 = other // g, *self.nums
+                return _new(self.ctx, (n1 * p, n2 * p, n3 * p, n4 * p), self.den // g)
             if isinstance(other, (int, Fraction)):
                 p = other.numerator
                 n1, n2, n3, n4 = self.nums
@@ -218,11 +247,9 @@ class FieldElement:
         return _new(self.ctx, (n1, -n2, -n3, n4), self.den)
 
     def norm(self) -> Fraction:
-        """Product of the four Galois conjugates, always a rational number."""
-        p = self * self.sigma() * self.tau() * self.sigma_tau()
-        if not p.is_rational():
-            raise ArithmeticError("norm came out irrational, arithmetic bug")
-        return Fraction(p.nums[0], p.den)
+        """Product of the four Galois conjugates: with x*sigma(x) = r + s*w, it is (r + s*w)(r - s*w)."""
+        r, s = norm_sigma(self.ctx.c, self.ctx.cprime, self.nums)
+        return Fraction(r * r + self.ctx.c * s * s, self.den ** 4)
 
     # ------------------------------------------------------------------
     # subfields and sign tests

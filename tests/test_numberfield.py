@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midostc.numberfield import FieldContext, FieldElement, mul_nums
+from midostc.numberfield import FieldContext, FieldElement, mul_nums, mul_omega, norm_sigma, norm_tau
 
 
 def random_element(ctx, rng, span=6):
@@ -36,6 +36,28 @@ def test_context_validation():
         FieldContext(-3, 1)
     with pytest.raises(ValueError):
         FieldContext(3, 3)      # distinct c, c' keep the field biquadratic
+
+
+@pytest.mark.parametrize("c, cprime, message", [
+    (3.0, 1, "c must be an integer, got 3.0"),
+    (3, Fraction(1), "cprime must be an integer, got Fraction(1, 1)"),
+    ("3", 1, "c must be an integer, got '3'"),
+], ids=["float", "fraction", "string"])
+def test_context_refuses_a_non_integer(c, cprime, message):
+    with pytest.raises(ValueError) as info:
+        FieldContext(c, cprime)
+    assert str(info.value) == message
+
+
+def test_context_takes_numpy_integers_as_python_ints():
+    # an int64 c would run L's products in int64: (1 + n*w)^2 would wrap to a wrong
+    # first numerator and a negative norm
+    ctx = FieldContext(np.int64(3), np.int32(1))
+    assert ctx == FieldContext(3, 1) and type(ctx.c) is int and type(ctx.cprime) is int
+    n = 2 ** 31 + 12345
+    x = ctx.element(1, 0, n, 0)
+    assert (x * x).nums == (1 - 3 * n * n, 0, 2 * n, 0)
+    assert x.norm() == (1 + 3 * n * n) ** 2 and (x * x).norm() == (1 + 3 * n * n) ** 4
 
 
 def test_defining_relations():
@@ -413,15 +435,34 @@ _scalar = st.one_of(st.integers(-10 ** 20, 10 ** 20), _rational)
 @given(pair=st.sampled_from(PAIRS), a=_coords, r=_scalar)
 def test_scalar_addition_matches_the_element_route(pair, a, r):
     # int and Fraction operands skip the element construction, and must land
-    # on the same lowest-terms form as adding the element ctx.element(r)
+    # on the same lowest-terms form as adding or multiplying by the element
+    # ctx.element(r); so must 0, True, a numpy integer and ints sharing a factor with den
     ctx = FieldContext(*pair)
-    x, e = ctx.element(*a), ctx.element(r)
-    for got, via in ((x + r, x + e), (r + x, e + x), (x - r, x - e), (r - x, e - x)):
-        assert (got.nums, got.den) == (via.nums, via.den)
-        assert got == via and hash(got) == hash(via) and in_lowest_terms(got)
+    x = ctx.element(*a)
+    for k in (r, 0, True, np.int64(-6), 6 * x.den, 1 - 2 * x.den):
+        e = ctx.element(k)
+        for got, via in ((x + k, x + e), (k + x, e + x), (x - k, x - e), (k - x, e - x), (x * k, x * e), (k * x, e * x)):
+            assert (got.nums, got.den) == (via.nums, via.den)
+            assert got == via and hash(got) == hash(via) and in_lowest_terms(got)
     assert (x + r).coords == (a[0] + r, *a[1:])
     n = r.numerator
     for coords in ((n,), (0, n, 0, -n), (n, 1, -2, 3)):
         whole, frac = ctx.element(*coords), ctx.element(*map(Fraction, coords))
         assert (whole.nums, whole.den) == (frac.nums, frac.den) and whole == frac
         assert hash(whole) == hash(frac) and in_lowest_terms(whole)
+
+
+_big = st.one_of(st.sampled_from((0, -1, 2 ** 64, -(2 ** 64) - 1)), st.integers(-(2 ** 70), 2 ** 70))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(((3, 1), (5, 2), (11, 1))), x=st.tuples(_big, _big, _big, _big), q=st.tuples(_big, _big))
+def test_subfield_norms_and_products_match_mul_nums(pair, x, q):
+    # x*sigma(x) lies in Q(w) and x*tau(x) in Q(w'): their 6-product forms, and the
+    # 8-product x times an element of Q(w), are mul_nums on the same numerators
+    c, cp = pair
+    x1, x2, x3, x4 = x
+    (r, s), (u, v) = norm_sigma(c, cp, x), norm_tau(c, cp, x)
+    assert mul_nums(c, cp, x, (x1, -x2, x3, -x4)) == (r, 0, s, 0)
+    assert mul_nums(c, cp, x, (x1, x2, -x3, -x4)) == (u, v, 0, 0)
+    assert mul_omega(c, x, q) == mul_nums(c, cp, x, (q[0], 0, q[1], 0))
